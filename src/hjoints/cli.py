@@ -5,10 +5,6 @@ JSON; verification commands print a check table and exit 0 only when
 nothing FAILed. `--json PATH` writes the full machine-readable report;
 identical inputs and seeds give byte-identical reports up to the volatile
 timestamp block. Usage and input errors exit 2; check failures exit 1.
-
-HJOINTS_THREADS is honored as an upper bound on worker threads for the
-embarrassingly parallel loops (per-point solves); the default of 1 keeps
-runs strictly sequential.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ class JointsConfiguration:
     def tuples_at(self, h: Hypergraph, point_index: int, *, cap: int = 10000,
                   trials: int = 8, seed: int = 0) -> list[WitnessTuple]:
         """Cached witness-tuple enumeration for one stored point."""
-        key = (id(h), point_index, cap)
+        key = (h, point_index, cap, trials, seed)
         if key not in self._tuple_cache:
             self._tuple_cache[key] = enumerate_witness_tuples(
                 h, self.points[point_index], self, cap=cap, trials=trials,

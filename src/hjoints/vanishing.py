@@ -11,6 +11,14 @@ records those counts (their per-flat total is exactly C(n+k, k)), and, for
 joints whose stored witness chart produced the rows, the exponent sets of
 the pivots.
 
+On a line (k = 1) with chart x -> u + c x, the order-r functional is c^r
+D^r at u, and priority order gives each joint a prefix 0..m_p - 1 of
+orders. By Hermite interpolation such conditions at distinct points are
+independent over any field up to n + 1 of them, so the pivots are the first
+n + 1 pairs, read off without elimination when the shifts u are distinct
+and no scale c is zero. Other inputs, and k >= 2, run the elimination,
+which tests keep as the closed form's oracle.
+
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
 outside the edge, ascending) lands in that edge's recorded set. Admissible
@@ -39,7 +47,6 @@ from math import comb
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
                      NotConnected, NotCovering)
 from .hypergraph import Hypergraph, WeightFunction
-from .util import parallel_map
 
 
 # ---------------------------------------------------------------------------
@@ -242,38 +249,53 @@ class FlatLedger:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
-                      ) -> FlatLedger:
-    """Run the priority-order elimination on one flat.
+def _hermite_line(field, k: int, joint_charts) -> bool:
+    """A line whose charts have distinct shifts and nonzero scales."""
+    shifts = {chart.shift for _, chart, _ in joint_charts}
+    return k == 1 and len(shifts) == len(joint_charts) and not any(
+        field.is_zero(chart.cols[0][0]) for _, chart, _ in joint_charts)
 
-    joint_charts: list of (global_rank, Chart, kind). Pairs (rank, r) are
-    processed by (r - alpha[rank], rank); within a pair, exponents of degree
-    r in decreasing lex order. Stops once the dual space is exhausted.
-    """
-    field = flat.field
-    k = flat.dim
+
+def _eliminate(field, k: int, n: int, joint_charts, pairs):
+    """Yield (r, rank, gamma) for every pivot of the priority-order elimination."""
     dim = comb(n + k, k)
     tables = {rank: PullbackTable(chart, n)
               for rank, chart, _ in joint_charts}
+    store = _Echelon(field, dim)
+    for r, rank in pairs:
+        for gamma in monomials_of_degree(k, r):
+            if store.insert(tables[rank].row(gamma)):
+                yield r, rank, gamma
+            if store.rank == dim:
+                return
+
+
+def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
+                      ) -> FlatLedger:
+    """Assign the flat's C(n+k, k) conditions to its joints in priority order.
+
+    joint_charts: list of (global_rank, Chart, kind). Pairs (rank, r) are
+    processed by (r - alpha[rank], rank); within a pair, exponents of degree
+    r in decreasing lex order. Stops once the dual space is exhausted. Lines
+    take the Hermite closed form of the module docstring when it applies.
+    """
+    field = flat.field
+    k = flat.dim
     kinds = {rank: kind for rank, _, kind in joint_charts}
     pairs = sorted(((r, rank) for rank, _, _ in joint_charts
                     for r in range(n + 1)),
                    key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
-    store = _Echelon(field, dim)
+    if _hermite_line(field, k, joint_charts):
+        pivots = ((r, rank, (r,)) for r, rank in pairs[:n + 1])
+    else:
+        pivots = _eliminate(field, k, n, joint_charts, pairs)
     counts = {rank: 0 for rank, _, _ in joint_charts}
     per_order = {rank: {} for rank, _, _ in joint_charts}
     exponents = {rank: [] for rank, _, _ in joint_charts}
-    for r, rank in pairs:
-        if store.rank == dim:
-            break
-        table = tables[rank]
-        for gamma in monomials_of_degree(k, r):
-            if store.insert(table.row(gamma)):
-                counts[rank] += 1
-                per_order[rank][r] = per_order[rank].get(r, 0) + 1
-                exponents[rank].append(gamma)
-            if store.rank == dim:
-                break
+    for r, rank, gamma in pivots:
+        counts[rank] += 1
+        per_order[rank][r] = per_order[rank].get(r, 0) + 1
+        exponents[rank].append(gamma)
     if context is None:
         context = (n, tuple(sorted(alpha.items())), field.key())
     return FlatLedger(flat, k, n, tuple(r for r, _, _ in joint_charts),
@@ -331,65 +353,56 @@ def default_chosen(h: Hypergraph, config, *, cap: int = 10000,
     return chosen
 
 
+def _ledger_rounds(h: Hypergraph, config, chosen, n: int):
+    """Build the charts of every flat carrying a joint, which do not depend
+    on alpha, once; return the step alpha -> LedgerSet over them."""
+    order = preassigned_order(config)
+    field = config.field
+    flat_by_edge = {}
+    for rank in range(len(order)):
+        for i in range(len(h.edges)):
+            flat_by_edge[(rank, i)] = config.flat_of(
+                h.colors[i], chosen[rank].assignment[i])
+    charts = []
+    for fl in dict.fromkeys(fl for cls in config.classes for fl in cls):
+        joint_charts = []
+        for rank, idx in enumerate(order):
+            point = config.points[idx]
+            if not fl.contains(point):
+                continue
+            chart = Chart.translation(field, fl.coords_of_point(point))
+            kind = "reference"
+            for i, e in enumerate(h.edges):
+                if flat_by_edge[(rank, i)] == fl:
+                    cols = tuple(
+                        fl.coords_of_direction(chosen[rank].witness.columns[j - 1])
+                        for j in range(1, h.d + 1) if j not in e)
+                    chart = Chart(field, fl.dim, cols, chart.shift)
+                    kind = "witness"
+                    break
+            joint_charts.append((rank, chart, kind))
+        if joint_charts:
+            charts.append((fl, joint_charts))
+
+    def ledger_set(alpha) -> LedgerSet:
+        alpha = {r: int(alpha[r]) for r in range(len(order))}
+        context = (n, tuple(sorted(alpha.items())), field.key())
+        ledgers = {fl: build_flat_ledger(fl, jc, alpha, n, context=context)
+                   for fl, jc in charts}
+        return LedgerSet(h, config, n, alpha, order, chosen, ledgers,
+                         flat_by_edge, context)
+
+    return ledger_set
+
+
 def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4, *,
                      chosen=None, cap: int = 10000) -> LedgerSet:
     """Ledgers for every configuration flat carrying at least one joint."""
-    order = preassigned_order(config)
-    nj = len(order)
     if alpha is None:
-        alpha = {r: 0 for r in range(nj)}
-    else:
-        alpha = {r: int(alpha[r]) for r in range(nj)}
+        alpha = dict.fromkeys(range(len(config.points)), 0)
     if chosen is None:
         chosen = default_chosen(h, config, cap=cap)
-    field = config.field
-    context = (n, tuple(sorted(alpha.items())), field.key())
-
-    # canonical flat per (rank, edge) of the chosen tuples
-    flat_by_edge = {}
-    for rank in range(nj):
-        ct = chosen[rank]
-        for i in range(len(h.edges)):
-            fl = config.flat_of(h.colors[i], ct.assignment[i])
-            flat_by_edge[(rank, i)] = fl
-
-    all_flats = []
-    seen = set()
-    for cls in config.classes:
-        for fl in cls:
-            if fl not in seen:
-                seen.add(fl)
-                all_flats.append(fl)
-
-    def ledger_for(fl):
-        joint_charts = []
-        for rank in range(nj):
-            point = config.points[order[rank]]
-            if not fl.contains(point):
-                continue
-            chart = None
-            for i, e in enumerate(h.edges):
-                if flat_by_edge[(rank, i)] == fl:
-                    ct = chosen[rank]
-                    cols = tuple(
-                        fl.coords_of_direction(ct.witness.columns[j - 1])
-                        for j in range(1, h.d + 1) if j not in e)
-                    chart = Chart(field, fl.dim, cols,
-                                  fl.coords_of_point(point))
-                    kind = "witness"
-                    break
-            if chart is None:
-                chart = Chart.translation(field, fl.coords_of_point(point))
-                kind = "reference"
-            joint_charts.append((rank, chart, kind))
-        if not joint_charts:
-            return None
-        return build_flat_ledger(fl, joint_charts, alpha, n, context=context)
-
-    built = parallel_map(ledger_for, all_flats)
-    ledgers = {fl: led for fl, led in zip(all_flats, built) if led is not None}
-    return LedgerSet(h, config, n, alpha, order, chosen, ledgers,
-                     flat_by_edge, context)
+    return _ledger_rounds(h, config, chosen, n)(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +584,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
     chosen = default_chosen(h, config, cap=cap)
+    ledger_set = _ledger_rounds(h, config, chosen, n)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -579,7 +593,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     ls = None
     scores = None
     for rounds in range(max_rounds + 1):
-        ls = build_ledger_set(h, config, alpha, n, chosen=chosen, cap=cap)
+        ls = ledger_set(alpha)
         scores = _score_ranks(ls, h, w, W, sigma, cap)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
@@ -657,14 +671,17 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
         wprime[rank] = best / W[rank]
     by_flat: dict = {}
     for (rank, fl), val in b.items():
-        by_flat.setdefault(fl, []).append(float(val))
+        by_flat.setdefault(fl, []).append(Fraction(val))
     cond2_worst = -math.inf
+    cond2_pass = True
     for fl, vals in by_flat.items():
-        cond2_worst = max(cond2_worst,
-                          math.fsum(vals) - 1.0 / math.factorial(fl.dim))
+        cond2_worst = max(cond2_worst, math.fsum(map(float, vals))
+                          - 1.0 / math.factorial(fl.dim))
+        excess = sum(vals) - Fraction(1, math.factorial(fl.dim))
+        cond2_pass = cond2_pass and excess <= cond2_tol  # exact vs a float
     spread = max(wprime.values()) - min(wprime.values())
     lam = math.fsum(wprime.values()) / len(wprime)
-    return AuditReport(cond1_worst <= 0.0, cond2_worst <= cond2_tol,
+    return AuditReport(cond1_worst <= 0.0, cond2_pass,
                        cond1_worst, cond1_margin, cond2_worst, spread, lam,
                        {"wprime": wprime})
 
@@ -677,10 +694,11 @@ def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
         max_gap = 2 * n + 4
     nj = len(preassigned_order(config))
     chosen = default_chosen(h, config, cap=cap)
+    ledger_set = _ledger_rounds(h, config, chosen, n)
     for g in range(max_gap + 1):
         alpha = {r: 0 for r in range(nj)}
         alpha[target_rank] = -g
-        ls = build_ledger_set(h, config, alpha, n, chosen=chosen, cap=cap)
+        ls = ledger_set(alpha)
         if ls.count(target_rank, flat) == 0:
             return g
     raise RuntimeError(f"no vanishing gap found up to {max_gap}")

@@ -54,6 +54,28 @@ def test_generically_induced_k4_k3():
         assert cfg.tuples_at(K3, idx)
 
 
+def test_tuples_at_cache_key_covers_every_input(monkeypatch):
+    from hjoints import configs
+    cfg = generically_induced(SimpleHypergraph.complete(4, 2), K3,
+                              generic_hyperplanes(4, 3, seed=0))
+    real = configs.enumerate_witness_tuples
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((kwargs["trials"], kwargs["seed"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(configs, "enumerate_witness_tuples", counting)
+    first = cfg.tuples_at(K3, 0)
+    # an equal hypergraph built separately is the same key
+    twin = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
+    assert twin is not K3 and cfg.tuples_at(twin, 0) is first
+    assert calls == [(8, 0)]
+    cfg.tuples_at(K3, 0, trials=4)
+    cfg.tuples_at(K3, 0, seed=1)
+    assert calls == [(8, 0), (4, 0), (8, 1)]
+
+
 def test_generically_induced_no_triangle_no_joints():
     host = SimpleHypergraph.from_sets(3, [(1, 2), (2, 3)])
     fam = generic_hyperplanes(3, 3, seed=0)

@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      WeightFunction, assemble_point_exponents,
@@ -12,11 +15,11 @@ from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      handicap_iteration, hasse_derivative,
                      key_inequality_audit, lw_step_check, param_counting_check,
                      point_exponents, sum_of_conditions_check)
-from hjoints import linalg
+from hjoints import linalg, vanishing
 from hjoints.configs import JointsConfiguration, axis_parallel_from_functions, axis_parallel_pattern
 from hjoints.errors import NotConnected
 from hjoints.geometry import Flat
-from hjoints.vanishing import monomials_upto
+from hjoints.vanishing import build_flat_ledger, monomials_upto
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -362,6 +365,70 @@ def test_rational_field_cross_check():
 
 
 # ---------------------------------------------------------------------------
+# the closed form on lines against the elimination
+# ---------------------------------------------------------------------------
+
+def _no_elimination(*args):
+    raise AssertionError("the elimination ran on a line")
+
+
+def _pinned(build, *, eliminate: bool):
+    """Run `build` with every ledger eliminated, or with elimination barred."""
+    with pytest.MonkeyPatch.context() as mp:
+        if eliminate:
+            mp.setattr(vanishing, "_hermite_line", lambda *args: False)
+        else:
+            mp.setattr(vanishing, "_eliminate", _no_elimination)
+        return build()
+
+
+@functools.cache
+def _k3_config(m, field):
+    return _generic_k3(m, field=field)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@seed(2410)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_hermite_closed_form_matches_elimination(m, field, n, data):
+    cfg = _k3_config(m, field)
+    nj = len(cfg.points)
+    alpha = dict(enumerate(data.draw(
+        st.lists(st.integers(-4, 4), min_size=nj, max_size=nj))))
+    closed = _pinned(lambda: build_ledger_set(K3, cfg, alpha, n),
+                     eliminate=False)
+    oracle = _pinned(lambda: build_ledger_set(K3, cfg, alpha, n),
+                     eliminate=True)
+    assert closed.ledgers.keys() == oracle.ledgers.keys()
+    for fl, ledger in closed.ledgers.items():
+        assert ledger.digest() == oracle.ledgers[fl].digest()
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("degenerate,counts", [
+    ("coincident shifts", {0: 5, 1: 0}),
+    ("zero scale", {0: 1, 1: 4}),
+])
+def test_degenerate_line_charts_are_eliminated(field, degenerate, counts):
+    # the first n + 1 pairs would give {0: 3, 1: 2} in both cases
+    line = Flat(field, 2, (field.zero, field.zero), [(field.one, field.zero)])
+    u, c = field.from_int(3), field.from_int(2)
+    scale = field.zero if degenerate == "zero scale" else c
+    other = u if degenerate == "coincident shifts" else field.from_int(5)
+    charts = [(0, Chart(field, 1, ((scale,),), (u,)), "witness"),
+              (1, Chart.translation(field, (other,)), "reference")]
+    alpha, n = {0: 0, 1: -1}, 4
+    ledger = build_flat_ledger(line, charts, alpha, n)
+    oracle = _pinned(lambda: build_flat_ledger(line, charts, alpha, n),
+                     eliminate=True)
+    assert ledger.counts == counts
+    assert ledger.digest() == oracle.digest()
+
+
+# ---------------------------------------------------------------------------
 # handicap dynamic and audit
 # ---------------------------------------------------------------------------
 
@@ -417,6 +484,63 @@ def test_handicap_generic_k3_flagship():
     assert audit48.cond1_pass and audit48.cond2_pass
     assert audit48.cond2_worst < audit.cond2_worst
     assert audit48.wprime_spread < audit.wprime_spread
+
+
+def test_handicap_rounds_match_fresh_ledger_sets():
+    # K3 on host K6 decrements for 17 rounds before a state repeats; the
+    # reference loop rebuilds the public ledger set from scratch every round
+    cfg = _generic_k3(6)
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    n = 24
+    res = handicap_iteration(K3, w, cfg, n=n)
+    assert (res.status, res.rounds) == ("cycle", 17)
+
+    nj = len(cfg.points)
+    W = {r: 1.0 / (nj * 6) for r in range(nj)}
+    sigma = [float(we) / float(w.total - 1) for we in w.weights]
+    alpha = {r: 0 for r in range(nj)}
+    seen, trace = set(), []
+    while True:
+        ls = build_ledger_set(K3, cfg, alpha, n)
+        scores = vanishing._score_ranks(ls, K3, w, W, sigma, 10000)
+        ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
+        wps = [scores[r][0] for r in ranked]
+        gaps = [a - b for a, b in zip(wps, wps[1:])]
+        cut = next((i for i, g in enumerate(gaps) if g > res.delta), None)
+        trace.append({"round": len(trace), "alpha": dict(alpha),
+                      "sorted_wprime": wps, "max_gap": max(gaps),
+                      "decremented": ranked[:cut + 1] if cut is not None else []})
+        state = tuple(alpha[r] - min(alpha.values()) for r in range(nj))
+        if cut is None or state in seen:
+            break
+        seen.add(state)
+        for r in ranked[:cut + 1]:
+            alpha[r] -= 1
+    b = {(rank, fl): Fraction(count, n)
+         for fl, ledger in ls.ledgers.items()
+         for rank, count in ledger.counts.items()}
+    assert res.alpha == alpha
+    assert res.trace == trace
+    assert res.b == b
+
+
+def test_audit_condition_two_is_exact():
+    pattern = axis_parallel_pattern(2, [(1,), (2,)])
+    cfg = axis_parallel_from_functions(2, [(1,), (2,)],
+                                       [{(0,): 1}, {(0,): 1}], 1)
+    w = WeightFunction.uniform(pattern, 1)
+    res = handicap_iteration(pattern, w, cfg, n=16)
+    # each line carries b = 17/16, one over 1/1! by exactly 1/16
+    at_tol = key_inequality_audit(pattern, w, cfg, res.b, res.W,
+                                  cond2_tol=1 / 16)
+    assert at_tol.cond2_pass and at_tol.cond2_worst == 1 / 16
+    # past the tolerance by less than a float can show
+    key = next(iter(res.b))
+    over = dict(res.b)
+    over[key] += Fraction(1, 10 ** 30)
+    past = key_inequality_audit(pattern, w, cfg, over, res.W,
+                                cond2_tol=1 / 16)
+    assert not past.cond2_pass and past.cond2_worst == 1 / 16
 
 
 def test_audit_hand_built_and_degenerate():
