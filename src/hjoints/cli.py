@@ -634,11 +634,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except HJointsError as exc:
+    except (HJointsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, TypeError) as exc:
+        # malformed input: bad JSON (a ValueError), keys, shapes or scalars
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

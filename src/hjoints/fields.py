@@ -4,6 +4,10 @@ Scalars stay unboxed (Fraction for Q, int in [0, p) for GF(p)); a Field
 instance supplies the arithmetic. This keeps Gaussian elimination over
 either field cheap and lets the same linear-algebra code serve both.
 
+Row arithmetic lives in one place per field, the row kernels `scale_row(c,
+row)` and `sub_scaled_row(u, c, v)` (u - c*v): every elimination and every
+combination of rows calls them, and GF(p) reduces `% p` once per entry there.
+
 The default prime is 2^61 - 1. Randomized genericity tests (Schwartz-Zippel
 style) should only be run over primes of at least ~2^31 so the quoted
 failure bounds are meaningful; small primes remain available for exhaustive
@@ -71,6 +75,12 @@ class RationalField:
     def inv(self, a):
         return 1 / a
 
+    def scale_row(self, c, row):
+        return [c * a for a in row]
+
+    def sub_scaled_row(self, u, c, v):
+        return [a - c * b for a, b in zip(u, v)]
+
     def div(self, a, b):
         return a / b
 
@@ -132,7 +142,15 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
+
+    def scale_row(self, c, row):
+        p = self.p
+        return [c * a % p for a in row]
+
+    def sub_scaled_row(self, u, c, v):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(u, v)]
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p

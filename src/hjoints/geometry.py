@@ -19,6 +19,12 @@ transversal is decided by random sampling over the field (false-negative
 probability at most (d/p)^trials over GF(p), by Schwartz-Zippel on the
 degree-d determinant), with an exact symbolic-determinant fallback for
 d <= 6.
+
+W_j depends only on the set of flats on edges avoiding j, and whether the
+W_j jointly span F^d (needed for a transversal) only on which distinct spaces
+occur, not on their order or repetition. So the space cache keys W_j on its
+flat set and the spanning test on the set of those flat sets: assignments
+that permute flats among same-colour edges share one rank computation.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (BudgetExceeded, CapExceeded, DimensionMismatch,
-                     PointNotOnFlat)
+                     PointNotOnFlat, SizeMismatch)
 from .hypergraph import Hypergraph
 
 
@@ -47,7 +53,7 @@ class Flat:
         for row, c in zip(red, pivots):
             f = bp[c]
             if not field.is_zero(f):
-                bp = [field.sub(a, field.mul(f, b)) for a, b in zip(bp, row)]
+                bp = field.sub_scaled_row(bp, f, row)
         self.base = tuple(bp)
         self.dirs = tuple(red)
         self._pivots = tuple(pivots)
@@ -67,7 +73,7 @@ class Flat:
         for row, c in zip(self.dirs, self._pivots):
             f = v[c]
             if not self.field.is_zero(f):
-                v = [self.field.sub(a, self.field.mul(f, b)) for a, b in zip(v, row)]
+                v = self.field.sub_scaled_row(v, f, row)
         return all(self.field.is_zero(a) for a in v)
 
     def coords_of_point(self, point):
@@ -85,7 +91,7 @@ class Flat:
         out = list(self.base)
         for t, row in zip(coords, self.dirs):
             if not self.field.is_zero(t):
-                out = [self.field.add(a, self.field.mul(t, b)) for a, b in zip(out, row)]
+                out = self.field.sub_scaled_row(out, self.field.neg(t), row)
         return tuple(out)
 
     def direction_annihilator(self):
@@ -126,6 +132,8 @@ class Flat:
     def from_dict(cls, field, d, data) -> "Flat":
         base = tuple(field.parse(x) for x in data["basepoint"])
         dirs = [tuple(field.parse(x) for x in row) for row in data["directions"]]
+        if any(len(v) != d for v in (base, *dirs)):
+            raise SizeMismatch(f"flat vectors must have length d={d}")
         return cls(field, d, base, dirs)
 
 
@@ -134,16 +142,6 @@ def annihilator(dir_rows, d, field):
     if not dir_rows:
         return linalg.identity_rows(d, field)
     return linalg.nullspace(dir_rows, field, d)
-
-
-def spans_intersection(span_list, d, field):
-    """Basis of the intersection of row spans (whole space for empty input)."""
-    constraints = []
-    for rows in span_list:
-        constraints.extend(annihilator(rows, d, field))
-    if not constraints:
-        return linalg.identity_rows(d, field)
-    return linalg.nullspace(constraints, field, d)
 
 
 def intersect_flats(flats: Sequence[Flat]) -> Optional[Flat]:
@@ -185,33 +183,31 @@ class WitnessTuple:
     witness: Witness
 
 
-def direction_constraints(h: Hypergraph, flats: Sequence[Flat], cache=None):
-    """W_j bases: intersect dir(F_e) over edges e avoiding vertex j.
+def _avoiding_sets(h: Hypergraph, flats: Sequence[Flat]):
+    """Per vertex j, the set of flats on edges avoiding j (which fixes W_j)."""
+    return [frozenset(flats[i] for i, e in enumerate(h.edges) if j not in e)
+            for j in range(1, h.d + 1)]
 
-    The optional cache maps (j, flat set) to a basis; enumeration reuses it
+
+def _direction_spaces(avoiding, d, field, cache):
+    """W_j bases for the flat sets in `avoiding`, cached per flat set."""
+    for relevant in avoiding:
+        if relevant not in cache:
+            constraints = [row for fl in relevant
+                           for row in fl.direction_annihilator()]
+            cache[relevant] = (linalg.nullspace(constraints, field, d)
+                               if constraints else linalg.identity_rows(d, field))
+    return [cache[relevant] for relevant in avoiding]
+
+
+def direction_constraints(h: Hypergraph, flats: Sequence[Flat], cache=None):
+    """W_j bases: intersect dir(F_e) over edges e not containing vertex j.
+
+    The optional cache maps a flat set to its basis; enumeration reuses it
     heavily since candidate assignments share flats.
     """
-    field, d = flats[0].field, h.d
-    spaces = []
-    for j in range(1, d + 1):
-        relevant = frozenset(flats[i] for i, e in enumerate(h.edges)
-                             if j not in e)
-        key = (j, relevant)
-        if cache is not None and key in cache:
-            spaces.append(cache[key])
-            continue
-        if not relevant:
-            space = linalg.identity_rows(d, field)
-        else:
-            constraints = []
-            for fl in relevant:
-                constraints.extend(fl.direction_annihilator())
-            space = (linalg.nullspace(constraints, field, d) if constraints
-                     else linalg.identity_rows(d, field))
-        if cache is not None:
-            cache[key] = space
-        spaces.append(space)
-    return spaces
+    return _direction_spaces(_avoiding_sets(h, flats), h.d, flats[0].field,
+                             {} if cache is None else cache)
 
 
 def _sample_transversal(spaces, d, field, rng):
@@ -221,9 +217,18 @@ def _sample_transversal(spaces, d, field, rng):
         for row in basis:
             t = field.rand(rng)
             if not field.is_zero(t):
-                v = [field.add(a, field.mul(t, b)) for a, b in zip(v, row)]
+                v = field.sub_scaled_row(v, field.neg(t), row)
         cols.append(tuple(v))
     return cols
+
+
+def _sample_witness(point, spaces, d, field, rng, tries) -> Optional[Witness]:
+    """Up to `tries` random transversals; the first invertible one, or None."""
+    for _ in range(tries):
+        cols = _sample_transversal(spaces, d, field, rng)
+        if not field.is_zero(linalg.det([list(row) for row in zip(*cols)], field)):
+            return Witness(tuple(point), tuple(cols))
+    return None
 
 
 def _transversal_det_poly_nonzero(spaces, d, field) -> bool:
@@ -286,36 +291,56 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
         if not fl.contains(point):
             raise PointNotOnFlat(i)
     field = flats[0].field
-    spaces = direction_constraints(h, flats, cache=space_cache)
-    if any(not s for s in spaces):
-        return None  # some v_j is forced to zero
-    stacked = [row for basis in spaces for row in basis]
-    if linalg.rank(stacked, field, d) < d:
-        return None  # the W_j do not jointly span, so no transversal exists
+    cache = {} if space_cache is None else space_cache
+    avoiding = _avoiding_sets(h, flats)
+    spaces = _direction_spaces(avoiding, d, field, cache)
+    span_key = frozenset(avoiding)  # a set of flat sets, never a flat set
+    if span_key not in cache:
+        cache[span_key] = all(spaces) and linalg.rank(
+            [row for basis in spaces for row in basis], field, d) == d
+    if not cache[span_key]:
+        return None  # some W_j is zero, or the W_j do not jointly span
     if rng is None:
         rng = random.Random(seed)
-    if deterministic is True:
-        if not _transversal_det_poly_nonzero(spaces, d, field):
-            return None
-        # a witness exists; sampling finds one almost immediately
-        for _ in range(max(64, 8 * trials)):
-            cols = _sample_transversal(spaces, d, field, rng)
-            if not field.is_zero(linalg.det([list(c) for c in zip(*cols)], field)):
-                return Witness(tuple(point), tuple(cols))
-        raise RuntimeError("sampling failed despite a nonzero symbolic determinant")
-    for _ in range(trials):
-        cols = _sample_transversal(spaces, d, field, rng)
-        matrix = [list(row) for row in zip(*cols)]  # columns -> matrix
-        if not field.is_zero(linalg.det(matrix, field)):
-            return Witness(tuple(point), tuple(cols))
-    if deterministic == "auto" and d <= 6:
-        if _transversal_det_poly_nonzero(spaces, d, field):
-            for _ in range(max(64, 8 * trials)):
-                cols = _sample_transversal(spaces, d, field, rng)
-                if not field.is_zero(linalg.det([list(c) for c in zip(*cols)], field)):
-                    return Witness(tuple(point), tuple(cols))
+    exact = deterministic is True or (deterministic == "auto" and d <= 6)
+    if deterministic is not True:
+        wit = _sample_witness(point, spaces, d, field, rng, trials)
+        if wit is not None or not exact:
+            return wit
+    if not _transversal_det_poly_nonzero(spaces, d, field):
         return None
-    return None
+    # a witness exists; sampling finds one almost immediately
+    wit = _sample_witness(point, spaces, d, field, rng, max(64, 8 * trials))
+    if wit is None and deterministic is True:
+        raise RuntimeError("sampling failed despite a nonzero symbolic determinant")
+    return wit
+
+
+def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
+    """Yield (assignment, witness) for each qualifying flat-instance
+    assignment at one point, in product order; identical canonical flat
+    tuples share one witness check, and all checks draw from one rng."""
+    candidates = []
+    for i in range(len(h.edges)):
+        cls = config.classes[h.colors[i] - 1]
+        cands = [k for k, fl in enumerate(cls) if fl.contains(point)]
+        if not cands:
+            return
+        candidates.append(cands)
+    rng = random.Random(seed)
+    checked: dict[tuple, Optional[Witness]] = {}
+    space_cache: dict = {}
+    for assignment in itertools.product(*candidates):
+        flats = tuple(config.classes[h.colors[i] - 1][k]
+                      for i, k in enumerate(assignment))
+        if flats not in checked:
+            # negatives here rest on the (d/p)^trials sampling bound; the
+            # union-rank filter inside witness_check catches the bulk exactly
+            checked[flats] = witness_check(
+                h, point, flats, trials=trials, rng=rng, deterministic=False,
+                space_cache=space_cache)
+        if checked[flats] is not None:
+            yield assignment, checked[flats]
 
 
 def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,
@@ -326,58 +351,18 @@ def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,
     identical canonical tuples share one witness check. Raises CapExceeded
     when more than `cap` qualifying tuples exist.
     """
-    candidates = []
-    for i, e in enumerate(h.edges):
-        cls = config.classes[h.colors[i] - 1]
-        cands = [k for k, fl in enumerate(cls) if fl.contains(point)]
-        if not cands:
-            return []
-        candidates.append(cands)
-    rng = random.Random(seed)
     out: list[WitnessTuple] = []
-    geometry_cache: dict[tuple, Optional[Witness]] = {}
-    space_cache: dict = {}
-    for assignment in itertools.product(*candidates):
-        flats = tuple(config.classes[h.colors[i] - 1][k]
-                      for i, k in enumerate(assignment))
-        key = flats
-        if key not in geometry_cache:
-            # negatives here rest on the (d/p)^trials sampling bound; the
-            # union-rank filter inside witness_check catches the bulk exactly
-            geometry_cache[key] = witness_check(
-                h, point, flats, trials=trials, rng=rng, deterministic=False,
-                space_cache=space_cache)
-        wit = geometry_cache[key]
-        if wit is not None:
-            out.append(WitnessTuple(tuple(assignment), wit))
-            if len(out) > cap:
-                raise CapExceeded(cap)
+    for assignment, wit in _witnessed_assignments(h, point, config, trials, seed):
+        out.append(WitnessTuple(tuple(assignment), wit))
+        if len(out) > cap:
+            raise CapExceeded(cap)
     return out
 
 
 def has_witness_tuple(h: Hypergraph, point, config, *, trials: int = 8,
                       seed: int = 0) -> bool:
     """Early-exit variant: is T_p nonempty?"""
-    candidates = []
-    for i, e in enumerate(h.edges):
-        cls = config.classes[h.colors[i] - 1]
-        cands = [k for k, fl in enumerate(cls) if fl.contains(point)]
-        if not cands:
-            return False
-        candidates.append(cands)
-    rng = random.Random(seed)
-    seen: dict[tuple, bool] = {}
-    space_cache: dict = {}
-    for assignment in itertools.product(*candidates):
-        flats = tuple(config.classes[h.colors[i] - 1][k]
-                      for i, k in enumerate(assignment))
-        if flats not in seen:
-            seen[flats] = witness_check(h, point, flats, trials=trials,
-                                        rng=rng, deterministic=False,
-                                        space_cache=space_cache) is not None
-        if seen[flats]:
-            return True
-    return False
+    return any(True for _ in _witnessed_assignments(h, point, config, trials, seed))
 
 
 def candidate_points_from_flats(config, *, budget: int = 200000):

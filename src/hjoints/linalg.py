@@ -28,12 +28,10 @@ def rref(rows, field, ncols=None):
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
+        mat[r] = prow = field.scale_row(field.inv(mat[r][c]), mat[r])
         for i in range(len(mat)):
             if i != r and not field.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = field.sub_scaled_row(mat[i], mat[i][c], prow)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -93,8 +91,7 @@ def det(rows, field):
         inv = field.inv(mat[c][c])
         for i in range(c + 1, n):
             if not field.is_zero(mat[i][c]):
-                f = field.mul(mat[i][c], inv)
-                mat[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(mat[i], mat[c])]
+                mat[i] = field.sub_scaled_row(mat[i], field.mul(mat[i][c], inv), mat[c])
     return result
 
 
@@ -112,14 +109,6 @@ def sum_list(values, field):
 
 def vec_sub(u, v, field):
     return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_add(u, v, field):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(c, u, field):
-    return tuple(field.mul(c, a) for a in u)
 
 
 def identity_rows(n, field):

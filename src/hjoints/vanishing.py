@@ -211,13 +211,11 @@ class _Echelon:
         for pc, prow in self.rows:
             f = row[pc]
             if not field.is_zero(f):
-                row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, prow)]
+                row = field.sub_scaled_row(row, f, prow)
         pivot = next((i for i, v in enumerate(row) if not field.is_zero(v)), None)
         if pivot is None:
             return False
-        inv = field.inv(row[pivot])
-        row = [field.mul(inv, v) for v in row]
-        self.rows.append((pivot, row))
+        self.rows.append((pivot, field.scale_row(field.inv(row[pivot]), row)))
         return True
 
     @property
@@ -627,8 +625,9 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     lam = math.fsum(wprime.values()) / nj
     spread = max(wprime.values()) - min(wprime.values())
     final_gap = trace[-1]["max_gap"]
-    return HandicapResult(status, rounds, alpha, b, lam, W, wprime, spread,
-                          final_gap, delta, trace, ls)
+    # ls.alpha: at the round cap the last decrement has already moved alpha on
+    return HandicapResult(status, rounds, dict(ls.alpha), b, lam, W, wprime,
+                          spread, final_gap, delta, trace, ls)
 
 
 @dataclass

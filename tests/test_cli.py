@@ -190,6 +190,34 @@ def test_usage_error_exit_code(workdir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("corrupt", ["not-json", "missing-key", "short-basepoint",
+                                     "non-prime-field", "bad-scalar"])
+def test_malformed_config_exits_two(workdir, capsys, tmp_path, corrupt):
+    cfg_path = tmp_path / "g.cfg"
+    run(capsys, "build-config", "--kind", "generic",
+        "--host", workdir / "k4.hg", "--pattern", workdir / "k3.hg",
+        "--seed", "0", "-o", cfg_path)
+    data = load_json(cfg_path)
+    flat = data["classes"][0]["flats"][0]
+    if corrupt == "not-json":
+        cfg_path.write_text(cfg_path.read_text()[:-5])
+    else:
+        if corrupt == "missing-key":
+            del flat["directions"]
+        elif corrupt == "short-basepoint":
+            flat["basepoint"] = flat["basepoint"][:-1]
+        elif corrupt == "non-prime-field":
+            data["field"] = ["prime", 12]
+        else:
+            flat["basepoint"][0] = "x"
+        save_json(cfg_path, data)
+    code = main(["detect", "--config", str(cfg_path),
+                 "--pattern", str(workdir / "k3.hg")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_failure_exits_one(workdir, capsys, tmp_path):
     cfg_path = tmp_path / "g.cfg"
     run(capsys, "build-config", "--kind", "generic",

@@ -1,10 +1,17 @@
+import functools
+import itertools
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from hjoints import (GF, Flat, Hypergraph, detect_joints,
-                     enumerate_witness_tuples, intersect_flats, witness_check)
-from hjoints.errors import DimensionMismatch, PointNotOnFlat
+from hjoints import (GF, QQ, Flat, Hypergraph, SimpleHypergraph, WitnessTuple,
+                     detect_joints, enumerate_witness_tuples,
+                     generic_hyperplanes, generically_induced, intersect_flats,
+                     witness_check)
+from hjoints.errors import DimensionMismatch, PointNotOnFlat, SizeMismatch
+from hjoints.geometry import candidate_points_from_flats, has_witness_tuple
 from hjoints import linalg
 
 F = GF()
@@ -221,3 +228,74 @@ def test_detect_joints_axis_grid():
     joints = detect_joints(h, cfg)
     assert len(joints) == 4
     assert set(joints) == set(cfg.points)
+
+
+@pytest.mark.parametrize("data", [
+    {"basepoint": [0, 0], "directions": [[1, 0, 0]]},
+    {"basepoint": [0, 0, 0, 0], "directions": []},
+    {"basepoint": [0, 0, 0], "directions": [[1, 0]]},
+], ids=["short-base", "long-base", "short-direction"])
+def test_flat_from_dict_rejects_wrong_lengths(data):
+    with pytest.raises(SizeMismatch):
+        Flat.from_dict(F, 3, data)
+
+
+JOINTS6 = Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), (1, 1, 1))
+
+
+@functools.cache
+def _memo_fixture(case, field):
+    """(pattern, configuration, points) with non-joints among the K3 points."""
+    if case == "joints-K7":
+        cfg = generically_induced(SimpleHypergraph.complete(7, 4), JOINTS6,
+                                  generic_hyperplanes(7, 6, field=field))
+        return JOINTS6, cfg, cfg.points
+    m = int(case[-1])
+    cfg = generically_induced(SimpleHypergraph.complete(m, 2), K3,
+                              generic_hyperplanes(m, 3, field=field))
+    return K3, cfg, candidate_points_from_flats(cfg)
+
+
+def _uncached_tuples(h, point, cfg, seed):
+    """The enumeration as one loop over every assignment: witness_check with
+    no space cache, identical flat tuples checked once, one rng throughout."""
+    candidates = [[k for k, fl in enumerate(cfg.classes[c - 1]) if fl.contains(point)]
+                  for c in h.colors]
+    rng = random.Random(seed)
+    checked, out = {}, []
+    for assignment in itertools.product(*candidates):
+        flats = tuple(cfg.classes[c - 1][k] for c, k in zip(h.colors, assignment))
+        if flats not in checked:
+            checked[flats] = witness_check(h, point, flats, rng=rng,
+                                           deterministic=False, space_cache=None)
+        if checked[flats] is not None:
+            out.append(WitnessTuple(assignment, checked[flats]))
+    return out
+
+
+def _check_against_uncached_loop(case, field, data):
+    # assignments that permute flats share one spanning test and one W_j
+    # cache; witnesses, rng draws included, must equal the uncached loop's
+    h, cfg, points = _memo_fixture(case, field)
+    point = points[data.draw(st.integers(0, len(points) - 1))]
+    rng_seed = data.draw(st.integers(0, 1 << 16))
+    want = _uncached_tuples(h, point, cfg, rng_seed)
+    assert enumerate_witness_tuples(h, point, cfg, seed=rng_seed) == want
+    assert has_witness_tuple(h, point, cfg, seed=rng_seed) == bool(want)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("case", ["K3-K5", "K3-K6"])
+@seed(5512)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_k3_enumeration_matches_uncached_loop(case, field, data):
+    _check_against_uncached_loop(case, field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@seed(5513)
+@settings(max_examples=1, deadline=None)  # one point: about 9 s over Q
+@given(data=st.data())
+def test_joints_enumeration_matches_uncached_loop(field, data):
+    _check_against_uncached_loop("joints-K7", field, data)

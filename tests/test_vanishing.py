@@ -524,6 +524,14 @@ def test_handicap_rounds_match_fresh_ledger_sets():
     assert res.b == b
 
 
+def test_round_cap_returns_the_alpha_of_the_final_ledgers():
+    cfg = _generic_k3(6)
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    res = handicap_iteration(K3, w, cfg, n=24, max_rounds=2)
+    assert res.status == "max-rounds"
+    assert res.alpha == res.ledger_set.alpha == res.trace[-1]["alpha"]
+
+
 def test_audit_condition_two_is_exact():
     pattern = axis_parallel_pattern(2, [(1,), (2,)])
     cfg = axis_parallel_from_functions(2, [(1,), (2,)],
