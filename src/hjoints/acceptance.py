@@ -23,8 +23,8 @@ from .cover import dual_cover, rho_star
 from .entropy import (geometric_shearer_audit, holder_check,
                       joint_multiplicity, loomis_whitney_check, shearer_check,
                       tensor_power_bound)
-from .extremal import (SimpleHypergraph, cone_pattern, count_inducing_sets,
-                       kruskal_katona_count, lovasz_bound,
+from .extremal import (SimpleHypergraph, colex_sets, cone_pattern,
+                       count_inducing_sets, kruskal_katona_count,
                        partial_shadow_check, search_M)
 from .geometry import detect_joints
 from .hypergraph import Hypergraph, WeightFunction, covering_constant
@@ -400,9 +400,14 @@ def criterion_shadow(fast=False) -> list[CheckRecord]:
                            note=f"{trials} random 3-uniform hosts"))
     agree = True
     for n in (3, 6, 10):
-        _, b0, _ = lovasz_bound(n, 3)
-        _, b1, _ = lovasz_bound(n, 3)
-        agree = agree and b0 == b1
+        # the first n colex 2-sets are Kruskal-Katona equality cases at t=0
+        reps = []
+        for t in (0, 1):
+            sets = colex_sets(2 + t, n)
+            reps.append(partial_shadow_check(
+                SimpleHypergraph.from_sets(max(map(max, sets)), sets), 3, t))
+        agree = (agree and all(rep.passed for rep in reps)
+                 and reps[0].bound == reps[1].bound)
     out.append(CheckRecord("shadow-bound-t-independent",
                            PASS if agree else FAIL,
                            note="identical Lovasz bound for matched n at t=0,1"))
@@ -580,11 +585,6 @@ CRITERIA = [
     ("10-handicap-audit", criterion_handicap_audit),
     ("11-strictness-stretch", criterion_strictness_search),
 ]
-
-
-def run_criterion(name: str, fast=False) -> list[CheckRecord]:
-    fn = dict(CRITERIA)[name]
-    return fn(fast=fast)
 
 
 def run_suite(fast=False):

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
-import os
 import random
 import platform
 import sys
@@ -23,8 +21,7 @@ from pathlib import Path
 from . import __version__
 from .acceptance import run_suite
 from .configs import (axis_parallel_from_functions, axis_parallel_pattern,
-                      generic_hyperplanes, generically_induced,
-                      projected_generically_induced)
+                      generic_hyperplanes, projected_generically_induced)
 from .cover import dual_cover, rho_star
 from .entropy import (geometric_shearer_audit, holder_check,
                       joint_multiplicity, loomis_whitney_check, shearer_check)
@@ -128,16 +125,11 @@ def cmd_build_config(args) -> int:
     else:
         host = load_simple_hypergraph(args.host)
         pattern = load_hypergraph(args.pattern)
-        m = args.m or host.n
-        if args.kind == "generic":
-            fam = generic_hyperplanes(m, pattern.d, seed=args.seed,
-                                      field=field)
-            cfg = generically_induced(host, pattern, fam)
-        else:
-            fam = generic_hyperplanes(m, pattern.d + args.t, seed=args.seed,
-                                      field=field)
-            cfg = projected_generically_induced(host, pattern, args.t, fam,
-                                                projection_seed=args.seed)
+        t = args.t if args.kind == "projected" else 0
+        fam = generic_hyperplanes(args.m or host.n, pattern.d + t,
+                                  seed=args.seed, field=field)
+        cfg = projected_generically_induced(host, pattern, t, fam,
+                                            projection_seed=args.seed)
     save_json(args.output, cfg.to_dict())
     print(f"configuration written to {args.output}: "
           f"{len(cfg.points)} points, classes {cfg.class_sizes()}")

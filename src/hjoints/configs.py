@@ -8,10 +8,12 @@ exactly one point and no D+1 share a point: a proof-backed general-position
 certificate instead of a sampled one. Over small prime fields the
 certificate is re-verified exhaustively.
 
-Projected configurations push a generic configuration in dimension d+t
-down to F^d through a random full-rank linear map; degeneracy (dimension
-drop, flat or point collision, witness failure) is detected a posteriori
-and triggers resampling, up to a retry cap.
+Projected configurations cone the pattern by t vertices, build the generic
+configuration in dimension d+t and push it down to F^d through a random
+full-rank linear map; degeneracy (dimension drop, flat or point collision,
+witness failure) is detected a posteriori and triggers resampling, up to a
+retry cap. The generic builder is the same construction at t = 0 with
+nothing projected, so both share one code path and the same checks.
 
 Axis-parallel configurations encode nonnegative integer-valued functions
 f_i on S^{I_i}: each value f_i(p_i) contributes that many copies of the
@@ -30,7 +32,7 @@ from . import linalg
 from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
                      SizeMismatch)
 from .fields import GF, PrimeField
-from .geometry import Flat, Witness, WitnessTuple, enumerate_witness_tuples, witness_check
+from .geometry import Flat, WitnessTuple, enumerate_witness_tuples, witness_check
 from .hypergraph import Hypergraph
 
 
@@ -162,62 +164,65 @@ def generic_hyperplanes(m: int, D: int, seed: int = 0,
                             tuple(ts), certificate)
 
 
-def _class_plan(h: Hypergraph, extra: int = 0):
-    """Per color: required host edge size (pattern size + extra)."""
+def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
+             proj) -> JointsConfiguration:
+    """One construction: flats from host-edge intersections in F^(d+t) and
+    points from the vertex sets inducing the t-cone of h, pushed to F^d by
+    the linear map `proj` (None: no map, so t must be 0). Raises
+    GenericityFailure on any degeneracy."""
+    from .extremal import find_embedding, inducing_sets
+
     profile = h.validate_uniform_coloring()
-    return profile, tuple(s + extra for s in profile.edge_sizes)
+    if family.D != h.d + t:
+        raise SizeMismatch(f"family ambient {family.D} != d+t = {h.d + t}")
+    if family.m < host.n:
+        raise SizeMismatch("family has fewer hyperplanes than host vertices")
+    field = family.field
+    if proj is not None and linalg.rank(proj, field, family.D) != h.d:
+        raise GenericityFailure("projection not full rank")
+    flat_of = []  # per color: host edge -> flat
+    for size, k in zip(profile.edge_sizes, profile.flat_dims):
+        by_edge = {}
+        for e in host.edge_tuples():
+            if len(e) == size + t:
+                fl = family.intersection([v - 1 for v in e])
+                if proj is not None:
+                    fl = fl.apply_linear(proj)
+                if fl.dim != k:
+                    raise GenericityFailure("flat lost dimension")
+                by_edge[e] = fl
+        if len(set(by_edge.values())) != len(by_edge):
+            raise GenericityFailure("flats collided")
+        flat_of.append(by_edge)
+    cone_pat = h.cone(t)
+    points = []
+    for A in inducing_sets(host, cone_pat):
+        fl = family.intersection([v - 1 for v in A])
+        if fl is None or fl.dim != 0:
+            raise GenericityFailure(f"vertex set {A} does not cut a point")
+        p = fl.base if proj is None else linalg.mat_vec(proj, fl.base, field)
+        order = sorted(A)
+        emb = find_embedding(host.restrict(A), cone_pat)
+        assert emb is not None
+        flats = [flat_of[c - 1][tuple(sorted(order[emb[v] - 1] for v in e))]
+                 for e, c in zip(cone_pat.edges, h.colors)]
+        if witness_check(h, p, flats, seed=7) is None:
+            raise GenericityFailure(f"witness failed at vertex set {A}")
+        points.append(p)
+    if len(set(points)) != len(points):
+        raise GenericityFailure("two inducing sets produced one point")
+    cfg = JointsConfiguration(
+        field, h.d, profile.flat_dims,
+        tuple(tuple(by_edge.values()) for by_edge in flat_of), tuple(points),
+        provenance="generic" if proj is None else "projected")
+    cfg.meta.update({"family": family, "host": host})
+    return cfg
 
 
 def generically_induced(host, h: Hypergraph,
                         family: HyperplaneFamily) -> JointsConfiguration:
     """Flats from host-edge intersections; points from inducing vertex sets."""
-    from .extremal import find_embedding, inducing_sets
-
-    profile, need_sizes = _class_plan(h)
-    if family.D != h.d:
-        raise SizeMismatch(f"family ambient {family.D} != pattern d {h.d}")
-    if family.m < host.n:
-        raise SizeMismatch("family has fewer hyperplanes than host vertices")
-    classes = []
-    index_of = []  # per color: host edge -> instance index
-    for c in range(h.r):
-        flats = []
-        lookup = {}
-        for e in host.edge_tuples():
-            if len(e) == need_sizes[c]:
-                lookup[e] = len(flats)
-                flats.append(family.intersection([v - 1 for v in e]))
-        classes.append(tuple(flats))
-        index_of.append(lookup)
-    points = []
-    assignments = []
-    for A in inducing_sets(host, h):
-        fl = family.intersection([v - 1 for v in A])
-        if fl is None or fl.dim != 0:
-            raise GenericityFailure(f"vertex set {A} does not cut a point")
-        order = sorted(A)
-        emb = find_embedding(host.restrict(A), h)
-        assert emb is not None
-        assignment = []
-        tuple_flats = []
-        for i, e in enumerate(h.edges):
-            host_edge = tuple(sorted(order[emb[v] - 1] for v in e))
-            k = index_of[h.colors[i] - 1][host_edge]
-            assignment.append(k)
-            tuple_flats.append(classes[h.colors[i] - 1][k])
-        wit = witness_check(h, fl.base, tuple_flats, seed=7)
-        if wit is None:
-            raise GenericityFailure(f"witness failed at vertex set {A}")
-        points.append(fl.base)
-        assignments.append((tuple(assignment), wit))
-    if len(set(points)) != len(points):
-        raise GenericityFailure("two inducing sets produced one point")
-    cfg = JointsConfiguration(family.field, h.d, profile.flat_dims,
-                              tuple(classes), tuple(points),
-                              provenance="generic")
-    cfg.meta.update({"family": family, "host": host,
-                     "construction_tuples": assignments})
-    return cfg
+    return _induced(host, h, 0, family, None)
 
 
 def projected_generically_induced(host, h: Hypergraph, t: int,
@@ -226,87 +231,26 @@ def projected_generically_induced(host, h: Hypergraph, t: int,
                                   retries: int = 16,
                                   projection_override=None) -> JointsConfiguration:
     """Generic configuration in F^(d+t) pushed down to F^d; resample on
-    any degeneracy (dimension drop, collision, witness failure)."""
-    from .extremal import find_embedding, inducing_sets
-
-    profile, need_sizes = _class_plan(h, extra=t)
-    D = h.d + t
-    if family.D != D:
-        raise SizeMismatch(f"family ambient {family.D} != d+t = {D}")
-    if family.m < host.n:
-        raise SizeMismatch("family has fewer hyperplanes than host vertices")
+    any degeneracy (dimension drop, collision, witness failure). A fixed
+    projection (an override, or none at t = 0) gets one attempt, and its
+    GenericityFailure propagates."""
+    if projection_override is not None or t == 0:
+        cfg = _induced(host, h, t, family, projection_override)
+        cfg.meta.update({"projection": projection_override, "t": t,
+                         "attempts": 1})
+        return cfg
     field = family.field
-    cone_pat = h.cone(t)
-    ind_sets = inducing_sets(host, cone_pat)
     rng = random.Random(projection_seed)
     last_error = "no attempt"
     for attempt in range(retries):
-        if projection_override is not None:
-            proj = projection_override
-        elif t == 0:
-            proj = linalg.identity_rows(h.d, field)
-        else:
-            proj = [tuple(field.rand(rng) for _ in range(D))
-                    for _ in range(h.d)]
-        if linalg.rank(proj, field, D) != h.d:
-            last_error = "projection not full rank"
-            if projection_override is not None:
-                break
-            continue
+        proj = [tuple(field.rand(rng) for _ in range(family.D))
+                for _ in range(h.d)]
         try:
-            classes = []
-            index_of = []
-            for c in range(h.r):
-                flats = []
-                lookup = {}
-                for e in host.edge_tuples():
-                    if len(e) == need_sizes[c]:
-                        up = family.intersection([v - 1 for v in e])
-                        down = up.apply_linear(proj)
-                        if down.dim != profile.flat_dims[c]:
-                            raise GenericityFailure("projected flat lost dimension")
-                        lookup[e] = len(flats)
-                        flats.append(down)
-                if len(set(flats)) != len(flats):
-                    raise GenericityFailure("projected flats collided")
-                classes.append(tuple(flats))
-                index_of.append(lookup)
-            points = []
-            assignments = []
-            for A in ind_sets:
-                up = family.intersection([v - 1 for v in A])
-                if up is None or up.dim != 0:
-                    raise GenericityFailure(f"vertex set {A} does not cut a point")
-                p = linalg.mat_vec(proj, up.base, field)
-                order = sorted(A)
-                emb = find_embedding(host.restrict(A), cone_pat)
-                assert emb is not None
-                assignment = []
-                tuple_flats = []
-                for i, e in enumerate(h.edges):
-                    ce = cone_pat.edges[i]
-                    host_edge = tuple(sorted(order[emb[v] - 1] for v in ce))
-                    k = index_of[h.colors[i] - 1][host_edge]
-                    assignment.append(k)
-                    tuple_flats.append(classes[h.colors[i] - 1][k])
-                wit = witness_check(h, p, tuple_flats, seed=7)
-                if wit is None:
-                    raise GenericityFailure(f"witness failed at vertex set {A}")
-                points.append(p)
-                assignments.append((tuple(assignment), wit))
-            if len(set(points)) != len(points):
-                raise GenericityFailure("projected points collided")
+            cfg = _induced(host, h, t, family, proj)
         except GenericityFailure as exc:
             last_error = str(exc)
-            if projection_override is not None:
-                break
             continue
-        cfg = JointsConfiguration(field, h.d, profile.flat_dims,
-                                  tuple(classes), tuple(points),
-                                  provenance="projected")
-        cfg.meta.update({"family": family, "host": host, "projection": proj,
-                         "construction_tuples": assignments, "t": t,
-                         "attempts": attempt + 1})
+        cfg.meta.update({"projection": proj, "t": t, "attempts": attempt + 1})
         return cfg
     raise GenericityFailure(
         f"no generic projection found in {retries} attempts: {last_error}")

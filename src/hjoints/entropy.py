@@ -69,11 +69,6 @@ class FiniteDistribution:
         atoms = tuple(atoms)
         return cls(atoms, (1.0 / len(atoms),) * len(atoms))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "FiniteDistribution":
-        atoms, probs = zip(*pairs)
-        return cls(tuple(atoms), tuple(float(p) for p in probs))
-
     def support(self) -> tuple:
         return tuple(a for a, p in zip(self.atoms, self.probs) if p > 0)
 

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import SizeMismatch, UniformityMismatch, WorkLimitExceeded
-from .hypergraph import Hypergraph
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
+from .hypergraph import Hypergraph, _mask
 
 
 def _unmask(m: int) -> tuple[int, ...]:

@@ -64,10 +64,6 @@ class Flat:
     def dim(self) -> int:
         return len(self.dirs)
 
-    @property
-    def codim(self) -> int:
-        return self.d - len(self.dirs)
-
     def contains(self, point) -> bool:
         v = list(linalg.vec_sub(point, self.base, self.field))
         for row, c in zip(self.dirs, self._pivots):
@@ -200,16 +196,6 @@ def _direction_spaces(avoiding, d, field, cache):
     return [cache[relevant] for relevant in avoiding]
 
 
-def direction_constraints(h: Hypergraph, flats: Sequence[Flat], cache=None):
-    """W_j bases: intersect dir(F_e) over edges e not containing vertex j.
-
-    The optional cache maps a flat set to its basis; enumeration reuses it
-    heavily since candidate assignments share flats.
-    """
-    return _direction_spaces(_avoiding_sets(h, flats), h.d, flats[0].field,
-                             {} if cache is None else cache)
-
-
 def _sample_transversal(spaces, d, field, rng):
     cols = []
     for basis in spaces:
@@ -290,8 +276,16 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
             raise DimensionMismatch(i, d - len(e), fl.dim)
         if not fl.contains(point):
             raise PointNotOnFlat(i)
+    return _witness(h, point, flats, trials,
+                    random.Random(seed) if rng is None else rng, deterministic,
+                    {} if space_cache is None else space_cache)
+
+
+def _witness(h, point, flats, trials, rng, deterministic, cache):
+    """witness_check on input known to be well formed: every flat has the
+    dimension its edge asks for and contains the point."""
+    d = h.d
     field = flats[0].field
-    cache = {} if space_cache is None else space_cache
     avoiding = _avoiding_sets(h, flats)
     spaces = _direction_spaces(avoiding, d, field, cache)
     span_key = frozenset(avoiding)  # a set of flat sets, never a flat set
@@ -300,8 +294,6 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
             [row for basis in spaces for row in basis], field, d) == d
     if not cache[span_key]:
         return None  # some W_j is zero, or the W_j do not jointly span
-    if rng is None:
-        rng = random.Random(seed)
     exact = deterministic is True or (deterministic == "auto" and d <= 6)
     if deterministic is not True:
         wit = _sample_witness(point, spaces, d, field, rng, trials)
@@ -327,6 +319,10 @@ def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
         if not cands:
             return
         candidates.append(cands)
+    for i, e in enumerate(h.edges):
+        k = config.dims[h.colors[i] - 1]
+        if k != h.d - len(e):
+            raise DimensionMismatch(i, h.d - len(e), k)
     rng = random.Random(seed)
     checked: dict[tuple, Optional[Witness]] = {}
     space_cache: dict = {}
@@ -334,11 +330,12 @@ def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
         flats = tuple(config.classes[h.colors[i] - 1][k]
                       for i, k in enumerate(assignment))
         if flats not in checked:
-            # negatives here rest on the (d/p)^trials sampling bound; the
-            # union-rank filter inside witness_check catches the bulk exactly
-            checked[flats] = witness_check(
-                h, point, flats, trials=trials, rng=rng, deterministic=False,
-                space_cache=space_cache)
+            # every candidate contains the point and has its class's
+            # dimension, so the core check runs without witness_check's
+            # input checks; negatives rest on the (d/p)^trials sampling
+            # bound, and the union-rank filter catches the bulk exactly
+            checked[flats] = _witness(h, point, flats, trials, rng, False,
+                                      space_cache)
         if checked[flats] is not None:
             yield assignment, checked[flats]
 

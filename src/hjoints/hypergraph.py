@@ -94,10 +94,6 @@ class Hypergraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return self._masks
-
     def color_classes(self) -> dict[int, tuple[int, ...]]:
         """color -> tuple of edge indices, in declared order."""
         out: dict[int, list[int]] = {c: [] for c in range(1, self.r + 1)}
@@ -141,9 +137,6 @@ class Hypergraph:
         extra = tuple(range(self.d + 1, self.d + t + 1))
         return Hypergraph(self.d + t,
                           tuple(e + extra for e in self.edges), self.colors)
-
-    def uncolored_edge_sets(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.edges)
 
     # -- constructors ------------------------------------------------------
 
@@ -208,6 +201,13 @@ class WeightFunction:
         return cls(ws, sum(ws, Fraction(0)), tuple(subtotals),
                    all(load >= 1 for load in loads), loads)
 
+    def require_covering(self) -> None:
+        """Raise NotCovering at the first vertex whose load is below 1."""
+        if not self.covering:
+            bad, load = next((j, load) for j, load
+                             in enumerate(self.vertex_loads, 1) if load < 1)
+            raise NotCovering(bad, load)
+
     @classmethod
     def uniform(cls, h: Hypergraph, value) -> "WeightFunction":
         return cls.for_hypergraph(h, [Fraction(value)] * h.n_edges)
@@ -245,9 +245,7 @@ class CoveringConstant:
 
 def covering_constant(h: Hypergraph, w: WeightFunction) -> CoveringConstant:
     """Exact log-space form of d!^(|w|-1) prod_i (1/k_i!)^wbar_i prod_e (w/wbar)^w."""
-    if not w.covering:
-        bad = min(j for j in range(1, h.d + 1) if w.vertex_loads[j - 1] < 1)
-        raise NotCovering(bad, w.vertex_loads[bad - 1])
+    w.require_covering()
     profile = h.validate_uniform_coloring()
     log2 = Log2Value.of_factorial_log(h.d, w.total - 1)
     classes = h.color_classes()

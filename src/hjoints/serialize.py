@@ -33,10 +33,6 @@ def parse_fraction(text) -> Fraction:
     return Fraction(str(text))
 
 
-def save_hypergraph(path, h: Hypergraph) -> None:
-    save_json(path, h.to_dict())
-
-
 def load_hypergraph(path) -> Hypergraph:
     return Hypergraph.from_dict(load_json(path))
 
@@ -50,18 +46,10 @@ def load_simple_hypergraph(path) -> SimpleHypergraph:
     return SimpleHypergraph.from_sets(h.d, h.edges)
 
 
-def save_weights(path, w: WeightFunction) -> None:
-    save_json(path, w.to_dict())
-
-
 def load_weights(path, h: Hypergraph) -> WeightFunction:
     data = load_json(path)
     return WeightFunction.for_hypergraph(
         h, [parse_fraction(t) for t in data["weights"]])
-
-
-def save_config(path, cfg: JointsConfiguration) -> None:
-    save_json(path, cfg.to_dict())
 
 
 def load_config(path) -> JointsConfiguration:
@@ -94,7 +82,3 @@ def certificate_to_dict(h, result) -> dict:
                   result.b.items(), key=lambda kv: (kv[0][0], flat_index[kv[0][1]]))],
         "trace": result.trace,
     }
-
-
-def save_certificate(path, h, result) -> None:
-    save_json(path, certificate_to_dict(h, result))

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
-                     NotConnected, NotCovering)
+                     NotConnected)
 from .hypergraph import Hypergraph, WeightFunction
 
 
@@ -412,16 +412,6 @@ def edge_projection(edge, gamma):
     return tuple(g for j, g in enumerate(gamma, start=1) if j not in edge)
 
 
-def edge_embedding(edge, gamma_e, d: int):
-    """Inverse of edge_projection on the complement (edge slots get 0)."""
-    out = [0] * d
-    it = iter(gamma_e)
-    for j in range(1, d + 1):
-        if j not in edge:
-            out[j - 1] = next(it)
-    return tuple(out)
-
-
 def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
                              ) -> list[tuple[int, ...]]:
     """All |gamma| <= n whose projections lie in every per-edge set."""
@@ -468,9 +458,7 @@ def param_counting_check(ls: LedgerSet) -> tuple[int, int, int]:
 def lw_step_check(h: Hypergraph, w: WeightFunction, g_point_size: int,
                   g_edge_sizes, n: int) -> float:
     """log-space slack of |G_p|/(n+1)^d <= prod_e (|G_e|/(n+1)^(d-|e|))^sigma(e)."""
-    if not w.covering:
-        bad = min(j for j in range(1, h.d + 1) if w.vertex_loads[j - 1] < 1)
-        raise NotCovering(bad, w.vertex_loads[bad - 1])
+    w.require_covering()
     denom = float(w.total - 1)
     if g_point_size == 0:
         return math.inf
@@ -564,9 +552,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
                        delta: float | None = None, max_rounds: int = 200,
                        cap: int = 10000) -> HandicapResult:
     """Decrement-the-leaders dynamic driving the W' scores delta-flat."""
-    if not w.covering:
-        bad = min(j for j in range(1, h.d + 1) if w.vertex_loads[j - 1] < 1)
-        raise NotCovering(bad, w.vertex_loads[bad - 1])
+    w.require_covering()
     if not used_flat_connectivity(h, config, cap=cap):
         raise NotConnected("configuration is not connected through used flats")
     order = preassigned_order(config)

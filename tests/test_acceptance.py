@@ -5,8 +5,11 @@ to see them); the stretch search criterion reports INFO on a miss and never
 fails the suite.
 """
 
+import dataclasses
+
 import pytest
 
+from hjoints import acceptance
 from hjoints.acceptance import CRITERIA
 from hjoints.report import FAIL
 
@@ -20,3 +23,15 @@ def test_acceptance_criterion(name, fn):
     for r in failures:
         print(f"  failed: {r.name} lhs={r.lhs} rhs={r.rhs} slack={r.slack}")
     assert not failures, f"{name}: {len(failures)} failed checks"
+
+
+def test_shadow_t_independence_can_fail(monkeypatch):
+    real = acceptance.partial_shadow_check
+
+    def t_dependent(host, d, t, **kwargs):
+        rep = real(host, d, t, **kwargs)
+        return dataclasses.replace(rep, bound=rep.bound + t)
+
+    monkeypatch.setattr(acceptance, "partial_shadow_check", t_dependent)
+    records = {r.name: r for r in acceptance.criterion_shadow(fast=True)}
+    assert records["shadow-bound-t-independent"].status == FAIL

@@ -179,6 +179,25 @@ def test_axis_build_config(capsys, tmp_path):
     assert len(data["points"]) == 4
 
 
+def test_projected_build_config(workdir, capsys, tmp_path):
+    def build(name, *argv):
+        path = tmp_path / name
+        code, _ = run(capsys, "build-config", "--pattern", workdir / "k3.hg",
+                      "--seed", "0", "-o", path, *argv)
+        assert code == 0
+        return path
+
+    generic = build("g.cfg", "--kind", "generic", "--host", workdir / "k4.hg")
+    t0 = build("p0.cfg", "--kind", "projected", "--t", "0",
+               "--host", workdir / "k4.hg")
+    assert t0.read_bytes() == generic.read_bytes()
+    save_json(tmp_path / "k5_3.hg", SimpleHypergraph.complete(5, 3).to_dict())
+    data = load_json(build("p1.cfg", "--kind", "projected", "--t", "1",
+                           "--host", tmp_path / "k5_3.hg"))
+    assert data["provenance"] == "projected"
+    assert data["d"] == 3 and len(data["points"]) == 5
+
+
 def test_usage_error_exit_code(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

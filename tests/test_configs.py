@@ -103,13 +103,22 @@ def test_detect_matches_combinatorics_on_k4():
     assert len(joints) == count_inducing_sets(host, K3) == 4
 
 
+P3 = Hypergraph(3, ((1, 2), (2, 3)), (1, 1))
+FLATS6 = Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), (1, 1, 1))
+
+
 def test_projected_t0_reduces_to_generic():
-    host = SimpleHypergraph.complete(4, 2)
-    fam = generic_hyperplanes(4, 3, seed=0)
-    direct = generically_induced(host, K3, fam)
-    projected = projected_generically_induced(host, K3, 0, fam)
-    assert projected.classes == direct.classes
-    assert set(projected.points) == set(direct.points)
+    cases = [(K3, SimpleHypergraph.complete(4, 2)),
+             (P3, SimpleHypergraph.complete(5, 2)),
+             (Hypergraph.cycle(5), SimpleHypergraph.complete(6, 2)),
+             (FLATS6, SimpleHypergraph.complete(7, 4))]
+    for (pattern, host), field in itertools.product(cases, [GF(), QQ]):
+        fam = generic_hyperplanes(host.n, pattern.d, seed=0, field=field)
+        direct = generically_induced(host, pattern, fam)
+        projected = projected_generically_induced(host, pattern, 0, fam)
+        assert projected == direct  # classes, point order and provenance
+        assert projected.provenance == "generic"
+        assert projected.meta["attempts"] == 1
 
 
 def test_projected_t1_counts_and_witnesses():
@@ -138,9 +147,10 @@ def test_projected_adversarial_zero_matrix():
     fam = generic_hyperplanes(4, 4, seed=0)
     field = fam.field
     zero = [tuple(field.zero for _ in range(4)) for _ in range(3)]
-    with pytest.raises(GenericityFailure):
+    with pytest.raises(GenericityFailure, match="not full rank") as info:
         projected_generically_induced(host, K3, 1, fam,
                                       projection_override=zero)
+    assert "attempts" not in str(info.value)  # a fixed map is tried once
 
 
 def test_axis_parallel_grid_and_multiplicity():
