@@ -29,7 +29,7 @@ from .geometry import (Flat, Witness, WitnessTuple, detect_joints,
                        witness_check)
 from .hypergraph import (CoveringConstant, Hypergraph, UniformityProfile,
                          WeightFunction, cone, covering_constant,
-                         subtotal_sequence, total_weight)
+                         joint_count_bound, subtotal_sequence, total_weight)
 from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,
                         LedgerSet, assemble_point_exponents,

@@ -27,13 +27,14 @@ from .extremal import (SimpleHypergraph, colex_sets, cone_pattern,
                        count_inducing_sets, kruskal_katona_count,
                        partial_shadow_check, search_M)
 from .geometry import detect_joints
-from .hypergraph import Hypergraph, WeightFunction, covering_constant
+from .hypergraph import (Hypergraph, WeightFunction, covering_constant,
+                         joint_count_bound)
 from .logspace import Log2Value
 from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord, record_bound,
                      record_equal)
 from .vanishing import (build_ledger_set, bounded_domain_threshold,
                         handicap_iteration, key_inequality_audit,
-                        lw_step_check, param_counting_check, point_exponents,
+                        lw_step_worst, param_counting_check,
                         sum_of_conditions_check)
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -63,21 +64,76 @@ def _generic_config(pattern_key, m, seed=0):
     return _config_cache[key]
 
 
-def _simple_bound_records(name, pattern, w, cfg) -> list[CheckRecord]:
-    """|J| <= C * prod |F_i|^wbar_i, compared exactly in log space."""
-    const = covering_constant(pattern, w)
-    rhs_log = const.log2
-    for c in range(pattern.r):
-        size = len(cfg.classes[c])
-        rhs_log = rhs_log + Log2Value.of_int_log(size, w.subtotals[c])
+def simple_bound_record(name, h, w, cfg) -> CheckRecord:
+    """|J| <= C(H, w) * prod |F_i|^wbar_i, decided exactly in log space."""
+    rhs_log = joint_count_bound(h, w, cfg.class_sizes())
     n_joints = len(cfg.points)
+    if rhs_log is None:
+        return CheckRecord(name, PASS if n_joints == 0 else FAIL, n_joints,
+                           note="bound 0: an empty class has wbar > 0")
     if n_joints == 0:
-        return [CheckRecord(name, PASS, 0, float(rhs_log), note="empty J")]
+        return CheckRecord(name, PASS, 0, float(rhs_log), note="empty J")
     lhs_log = Log2Value.of_int_log(n_joints)
     slack = rhs_log - lhs_log
-    status = PASS if slack.sign() >= 0 or abs(float(slack)) < 1e-9 else FAIL
-    return [CheckRecord(name, status, float(lhs_log), float(rhs_log),
-                        float(slack), note="log2 scale, exact-direction")]
+    return CheckRecord(name, PASS if slack.sign() >= 0 else FAIL,
+                       float(lhs_log), float(rhs_log), float(slack),
+                       note="log2 scale, exact-direction")
+
+
+def multiplicities(h, w, cfg, *, cap=10000, tol=1e-9):
+    """joint_multiplicity at every stored point, in point order."""
+    return [joint_multiplicity(h, w, cfg.tuples_at(h, idx, cap=cap), tol=tol)
+            for idx in range(len(cfg.points))]
+
+
+def mult_bound_record(name, h, w, cfg, results) -> CheckRecord:
+    """sum_p eta(p) <= C(H, w) * prod |F_i|^wbar_i, with the float bound
+    (0^0 = 1 gives the wbar_i = 0 convention) and a 1e-9 guard."""
+    total = 0.0
+    for res in results:
+        total += res.value
+    bound = covering_constant(h, w).value * math.prod(
+        size ** float(wbar) for size, wbar in zip(cfg.class_sizes(), w.subtotals))
+    worst_gap = max([0.0] + [res.gap for res in results])
+    return record_bound(name, total, bound,
+                        note=f"sum of multiplicities, FW gap<= {worst_gap:.2e}")
+
+
+def _random_distribution(rng, k):
+    raw = [rng.random() + 1e-6 for _ in range(k)]
+    tot = sum(raw)
+    return [v / tot for v in raw]
+
+
+def geo_shearer_random_record(h, w, cfg, rng, count, cap=10000) -> CheckRecord:
+    """Worst geometric Shearer slack over `count` random (point, tuple)
+    distribution pairs drawn from `rng`."""
+    worst = math.inf
+    for _ in range(count):
+        point_probs = _random_distribution(rng, len(cfg.points))
+        tuple_probs = [_random_distribution(rng, len(cfg.tuples_at(h, idx, cap=cap)))
+                       for idx in range(len(cfg.points))]
+        rep = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs,
+                                      cap=cap)
+        worst = min(worst, rep.slack)
+    return CheckRecord("geo-shearer-random", PASS if worst >= -1e-9 else FAIL,
+                       slack=worst,
+                       note=f"{count} random (point, tuple) distribution pairs")
+
+
+def geo_shearer_optimal_record(h, w, cfg, cap=10000) -> CheckRecord:
+    """The audit at the multiplicity optimizers: its lhs is log2(sum eta)
+    for any distributions, and its slack must be nonnegative."""
+    results = multiplicities(h, w, cfg, cap=cap)
+    if not results:
+        return CheckRecord("geo-shearer-optimal", PASS, note="no points")
+    tot = sum(res.value for res in results)
+    rep = geometric_shearer_audit(h, w, cfg, [res.value / tot for res in results],
+                                  [res.distribution for res in results], cap=cap)
+    ok = abs(rep.lhs - math.log2(tot)) <= 1e-6 and rep.slack >= -1e-9
+    return CheckRecord("geo-shearer-optimal", PASS if ok else FAIL,
+                       rep.lhs, math.log2(tot), rep.slack,
+                       note="lhs = log2(sum of multiplicities)")
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +198,9 @@ def criterion_geometry_combinatorics(fast=False) -> list[CheckRecord]:
         out.append(record_equal(
             f"detect-vs-count-{trial}", len(joints), expected,
             note=f"m={m} pattern={'P3' if pattern is P3 else 'K3'}"))
-        assert len(cfg.points) == expected
+        if len(cfg.points) != expected:
+            out.append(CheckRecord(f"config-vs-count-{trial}", FAIL,
+                                   len(cfg.points), expected))
     return out
 
 
@@ -153,33 +211,30 @@ def criterion_simple_bound(fast=False) -> list[CheckRecord]:
     top = 8 if fast else 10
     for m in range(4, top + 1):
         _, _, cfg, _ = _generic_config("k3", m)
-        out.extend(_simple_bound_records(f"simple-bound-K3-m{m}", K3, w_half,
-                                         cfg))
-        ratio_log = Log2Value.of_int_log(len(cfg.points)) - (
-            covering_constant(K3, w_half).log2
-            + Log2Value.of_int_log(len(cfg.classes[0]), Fraction(3, 2)))
-        ratios.append((m, ratio_log))
-    monotone = all((ratios[i + 1][1] - ratios[i][1]).sign() >= 0
-                   for i in range(len(ratios) - 1))
+        out.append(simple_bound_record(f"simple-bound-K3-m{m}", K3, w_half,
+                                       cfg))
+        ratios.append(Log2Value.of_int_log(len(cfg.points))
+                      - joint_count_bound(K3, w_half, cfg.class_sizes()))
+    monotone = all((b - a).sign() >= 0 for a, b in zip(ratios, ratios[1:]))
     out.append(CheckRecord("simple-bound-ratio-monotone",
                            PASS if monotone else FAIL,
                            note=f"|J|/bound nondecreasing for m=4..{top}, "
                                 "exact log comparison"))
     flats6_pattern, _, cfg6, _ = _generic_config("flats6", 7)
     w6 = WeightFunction.uniform(flats6_pattern, Fraction(1, 2))
-    out.extend(_simple_bound_records("simple-bound-2flats-F6", flats6_pattern,
-                                     w6, cfg6))
+    out.append(simple_bound_record("simple-bound-2flats-F6", flats6_pattern,
+                                   w6, cfg6))
     c5_pattern, _, cfg5, _ = _generic_config("c5", 6)
     w5 = WeightFunction.uniform(c5_pattern, Fraction(1, 2))
-    out.extend(_simple_bound_records("simple-bound-5cycle", c5_pattern, w5,
-                                     cfg5))
+    out.append(simple_bound_record("simple-bound-5cycle", c5_pattern, w5,
+                                   cfg5))
     for t in (0, 1, 2):
         host = SimpleHypergraph.complete(6, 2 + t)
         fam = generic_hyperplanes(6, 3 + t, seed=t)
         cfg = projected_generically_induced(host, K3, t, fam,
                                             projection_seed=t)
-        out.extend(_simple_bound_records(f"simple-bound-projected-t{t}", K3,
-                                         w_half, cfg))
+        out.append(simple_bound_record(f"simple-bound-projected-t{t}", K3,
+                                       w_half, cfg))
     return out
 
 
@@ -202,18 +257,11 @@ def criterion_multiplicity(fast=False) -> list[CheckRecord]:
     top = 6 if fast else 7
     for m in range(4, top + 1):
         _, _, cfg, _ = _generic_config("k3", m)
-        const = covering_constant(K3, w)
-        total = 0.0
-        worst_gap = 0.0
-        worst_dev = 0.0
-        for idx in range(len(cfg.points)):
-            res = joint_multiplicity(K3, w, cfg.tuples_at(K3, idx))
-            total += res.value
-            worst_gap = max(worst_gap, res.gap)
-            worst_dev = max(worst_dev, abs(res.value - closed_form))
-        bound = const.value * len(cfg.classes[0]) ** 1.5
-        out.append(record_bound(f"mult-bound-m{m}", total, bound,
-                                note=f"sum of multiplicities, FW gap<= {worst_gap:.2e}"))
+        results = multiplicities(K3, w, cfg)
+        worst_gap = max([0.0] + [res.gap for res in results])
+        worst_dev = max([0.0] + [abs(res.value - closed_form)
+                                 for res in results])
+        out.append(mult_bound_record(f"mult-bound-m{m}", K3, w, cfg, results))
         out.append(CheckRecord(
             f"mult-closed-form-m{m}", PASS if worst_dev <= 1e-6 else FAIL,
             closed_form, None, worst_dev,
@@ -243,38 +291,9 @@ def criterion_multiplicity(fast=False) -> list[CheckRecord]:
 def criterion_geo_shearer(fast=False) -> list[CheckRecord]:
     _, _, cfg, _ = _generic_config("k3", 5)
     w = WeightFunction.uniform(K3, Fraction(1, 2))
-    rng = random.Random(99)
-    npts = len(cfg.points)
-    worst = math.inf
-    trials = 40 if fast else 200
-    for _ in range(trials):
-        raw = [rng.random() + 1e-6 for _ in range(npts)]
-        tot = sum(raw)
-        point_probs = [v / tot for v in raw]
-        tuple_probs = []
-        for idx in range(npts):
-            k = len(cfg.tuples_at(K3, idx))
-            rawt = [rng.random() + 1e-6 for _ in range(k)]
-            tt = sum(rawt)
-            tuple_probs.append([v / tt for v in rawt])
-        rep = geometric_shearer_audit(K3, w, cfg, point_probs, tuple_probs)
-        worst = min(worst, rep.slack)
-    out = [CheckRecord("geo-shearer-random",
-                       PASS if worst >= -1e-9 else FAIL, slack=worst,
-                       note=f"{trials} random (point, tuple) distribution pairs")]
-    etas, tuple_probs = [], []
-    for idx in range(npts):
-        res = joint_multiplicity(K3, w, cfg.tuples_at(K3, idx))
-        etas.append(res.value)
-        tuple_probs.append(res.distribution)
-    tot = sum(etas)
-    rep = geometric_shearer_audit(K3, w, cfg, [e / tot for e in etas],
-                                  tuple_probs)
-    ok = abs(rep.lhs - math.log2(tot)) <= 1e-6 and rep.slack >= -1e-9
-    out.append(CheckRecord("geo-shearer-optimal", PASS if ok else FAIL,
-                           rep.lhs, math.log2(tot), rep.slack,
-                           note="lhs = log2(sum of multiplicities)"))
-    return out
+    return [geo_shearer_random_record(K3, w, cfg, random.Random(99),
+                                      40 if fast else 200),
+            geo_shearer_optimal_record(K3, w, cfg)]
 
 
 def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
@@ -368,24 +387,18 @@ def criterion_shadow(fast=False) -> list[CheckRecord]:
     out.append(CheckRecord("kk-equality-cases", PASS if kk_ok else FAIL,
                            note="count(C(x,2), 3) = C(x,3), x = 3..10"))
     pairs = list(itertools.combinations(range(1, 7), 2))
-    worst = math.inf
-    hosts = 0
     max_edges = 4 if fast else 5
-    for n in range(1, max_edges + 1):
-        for combo in itertools.combinations(pairs, n):
-            host = SimpleHypergraph.from_sets(6, combo)
-            rep = partial_shadow_check(host, 3, 0)
-            hosts += 1
-            worst = min(worst, rep.bound - rep.count)
-            if not rep.passed:
-                out.append(CheckRecord(f"shadow-t0-fail-{combo}", FAIL,
-                                       rep.count, rep.bound))
-    out.append(CheckRecord("shadow-t0-exhaustive", PASS if worst >= -1e-9 else FAIL,
-                           slack=worst,
-                           note=f"all {hosts} 2-uniform hosts, <= 6 vertices, "
-                                f"n <= {max_edges}"))
+    hosts = [combo for n in range(1, max_edges + 1)
+             for combo in itertools.combinations(pairs, n)]
+    reps = [partial_shadow_check(SimpleHypergraph.from_sets(6, combo), 3, 0)
+            for combo in hosts]
+    out.extend(CheckRecord(f"shadow-t0-fail-{combo}", FAIL, rep.count, rep.bound)
+               for combo, rep in zip(hosts, reps) if not rep.passed)
+    out.append(_shadow_summary("shadow-t0-exhaustive", reps,
+                               f"all {len(hosts)} 2-uniform hosts, <= 6 "
+                               f"vertices, n <= {max_edges}"))
     rng = random.Random(31)
-    worst = math.inf
+    reps = []
     trials = 50 if fast else 200
     for _ in range(trials):
         nverts = rng.randrange(5, 9)
@@ -393,11 +406,9 @@ def criterion_shadow(fast=False) -> list[CheckRecord]:
         n = rng.randrange(4, 13)
         host = SimpleHypergraph.from_sets(nverts,
                                           rng.sample(pool, min(n, len(pool))))
-        rep = partial_shadow_check(host, 3, 1)
-        worst = min(worst, rep.bound - rep.count)
-    out.append(CheckRecord("shadow-t1-random", PASS if worst >= -1e-9 else FAIL,
-                           slack=worst,
-                           note=f"{trials} random 3-uniform hosts"))
+        reps.append(partial_shadow_check(host, 3, 1))
+    out.append(_shadow_summary("shadow-t1-random", reps,
+                               f"{trials} random 3-uniform hosts"))
     agree = True
     for n in (3, 6, 10):
         # the first n colex 2-sets are Kruskal-Katona equality cases at t=0
@@ -412,6 +423,13 @@ def criterion_shadow(fast=False) -> list[CheckRecord]:
                            PASS if agree else FAIL,
                            note="identical Lovasz bound for matched n at t=0,1"))
     return out
+
+
+def _shadow_summary(name, reps, note) -> CheckRecord:
+    """PASS iff every report passed; the slack is the smallest bound - count."""
+    return CheckRecord(name, PASS if all(rep.passed for rep in reps) else FAIL,
+                       slack=min(rep.bound - rep.count for rep in reps),
+                       note=note)
 
 
 def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
@@ -434,11 +452,7 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
                     sum_ok = sum_ok and got == want
                 total, need, slack = param_counting_check(ls)
                 param_ok = param_ok and slack >= 0
-                for rank in range(nj):
-                    g_p = len(point_exponents(ls, rank))
-                    g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-                           for i in range(3)]
-                    lw_worst = min(lw_worst, lw_step_check(K3, w, g_p, g_e, n))
+                lw_worst = min(lw_worst, lw_step_worst(ls, w))
                 if trial < 3:
                     # monotonicity, shift invariance, and dim-1 Lipschitz
                     shifted = {r: alpha[r] + 5 for r in alpha}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import random
 import platform
 import sys
@@ -19,17 +18,19 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .acceptance import run_suite
+from .acceptance import (geo_shearer_optimal_record, geo_shearer_random_record,
+                         mult_bound_record, multiplicities, run_suite,
+                         simple_bound_record)
 from .configs import (axis_parallel_from_functions, axis_parallel_pattern,
                       generic_hyperplanes, projected_generically_induced)
 from .cover import dual_cover, rho_star
-from .entropy import (geometric_shearer_audit, holder_check,
-                      joint_multiplicity, loomis_whitney_check, shearer_check)
+from .entropy import (holder_check, joint_multiplicity, loomis_whitney_check,
+                      shearer_check)
 from .errors import HJointsError
 from .extremal import (count_inducing_sets, kruskal_katona_count,
                        lovasz_bound, partial_shadow_check, search_M)
-from .fields import GF, QQ
-from .geometry import candidate_points_from_flats, detect_joints
+from .fields import GF, QQ, field_from_key
+from .geometry import Flat, candidate_points_from_flats, detect_joints
 from .hypergraph import covering_constant
 from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord,
                      VerificationReport, record_bound, record_equal)
@@ -37,9 +38,8 @@ from .serialize import (certificate_to_dict, dumps, load_config,
                         load_hypergraph, load_json, load_simple_hypergraph,
                         load_weights, parse_fraction, save_json)
 from .vanishing import (build_ledger_set, handicap_iteration,
-                        key_inequality_audit, lw_step_check,
-                        param_counting_check, point_exponents,
-                        sum_of_conditions_check)
+                        key_inequality_audit, lw_step_worst,
+                        param_counting_check, sum_of_conditions_check)
 
 
 def _digest_files(paths) -> str:
@@ -73,6 +73,17 @@ def _new_report(args, command, inputs=(), **seeds) -> VerificationReport:
         command=command, argv=[command] + [str(x) for x in inputs],
         seeds=seeds, inputs_digest=_digest_files(inputs),
         versions={"hjoints": __version__, "python": platform.python_version()})
+
+
+def _config_inputs(args, command, first=(), **seeds):
+    """Load --config, --pattern and --weights and open the command's report,
+    whose digest covers the `first` files and then those three."""
+    cfg = load_config(args.config)
+    h = load_hypergraph(args.pattern)
+    w = load_weights(args.weights, h)
+    return cfg, h, w, _new_report(
+        args, command, [*first, args.config, args.pattern, args.weights],
+        **seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +166,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
+    cfg, h, w, rep = _config_inputs(args, "eta")
     tuples = cfg.tuples_at(h, args.point, cap=args.cap)
-    rep = _new_report(args, "eta",
-                      [args.config, args.pattern, args.weights])
     res = joint_multiplicity(h, w, tuples, tol=args.tol)
     status = PASS if res.converged else UNCONVERGED
     rep.add(CheckRecord("multiplicity", status, lhs=res.value,
@@ -216,46 +223,12 @@ def cmd_lw(args) -> int:
 
 
 def cmd_geo_shearer(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
-    rep = _new_report(args, "geo-shearer",
-                      [args.config, args.pattern, args.weights],
-                      seed=args.seed)
-    npts = len(cfg.points)
+    cfg, h, w, rep = _config_inputs(args, "geo-shearer", seed=args.seed)
     if args.mode == "optimal":
-        etas, tuple_probs = [], []
-        for idx in range(npts):
-            res = joint_multiplicity(h, w, cfg.tuples_at(h, idx, cap=args.cap))
-            etas.append(res.value)
-            tuple_probs.append(res.distribution)
-        tot = sum(etas)
-        point_probs = [e / tot for e in etas]
-        out = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs,
-                                      cap=args.cap)
-        rep.add(CheckRecord("geo-shearer-optimal",
-                            PASS if out.slack >= -1e-9 else FAIL,
-                            out.lhs, out.rhs, out.slack,
-                            note=f"lhs target log2(sum eta)={math.log2(tot):.6f}"))
+        rep.add(geo_shearer_optimal_record(h, w, cfg, args.cap))
     else:
-        rng = random.Random(args.seed)
-        worst = math.inf
-        for _ in range(args.count):
-            raw = [rng.random() + 1e-6 for _ in range(npts)]
-            tot = sum(raw)
-            point_probs = [v / tot for v in raw]
-            tuple_probs = []
-            for idx in range(npts):
-                k = len(cfg.tuples_at(h, idx, cap=args.cap))
-                rawt = [rng.random() + 1e-6 for _ in range(k)]
-                tt = sum(rawt)
-                tuple_probs.append([v / tt for v in rawt])
-            out = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs,
-                                          cap=args.cap)
-            worst = min(worst, out.slack)
-        rep.add(CheckRecord("geo-shearer-random",
-                            PASS if worst >= -1e-9 else FAIL, slack=worst,
-                            note=f"{args.count} random distribution pairs"))
+        rep.add(geo_shearer_random_record(h, w, cfg, random.Random(args.seed),
+                                          args.count, args.cap))
     return _emit(args, rep)
 
 
@@ -334,13 +307,7 @@ def cmd_vanishing(args) -> int:
     rep.add(record_bound("parameter-counting", need, total, tol=0,
                          note="sum |G_p| >= C(n+d,d)"))
     if args.weights:
-        w = load_weights(args.weights, h)
-        worst = math.inf
-        for rank in range(len(cfg.points)):
-            g_p = len(point_exponents(ls, rank))
-            g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-                   for i in range(len(h.edges))]
-            worst = min(worst, lw_step_check(h, w, g_p, g_e, args.n))
+        worst = lw_step_worst(ls, load_weights(args.weights, h))
         rep.add(CheckRecord("lw-step", PASS if worst >= -1e-9 else FAIL,
                             slack=worst))
     payload = {"n": args.n, "ledgers": table,
@@ -349,17 +316,13 @@ def cmd_vanishing(args) -> int:
 
 
 def cmd_handicap_run(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
+    cfg, h, w, rep = _config_inputs(args, "handicap-run")
     W = None
     if args.W != "uniform":
         data = load_json(args.W)
         W = {r: float(parse_fraction(v)) for r, v in enumerate(data["W"])}
     res = handicap_iteration(h, w, cfg, W=W, n=args.n, delta=args.delta,
                              max_rounds=args.rounds, cap=args.cap)
-    rep = _new_report(args, "handicap-run",
-                      [args.config, args.pattern, args.weights])
     status = PASS if res.status in ("flat", "cycle") else UNCONVERGED
     rep.add(CheckRecord("handicap-termination", status, slack=res.max_gap,
                         note=f"status={res.status}, rounds={res.rounds}, "
@@ -371,12 +334,8 @@ def cmd_handicap_run(args) -> int:
 
 
 def cmd_key_audit(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
+    cfg, h, w, rep = _config_inputs(args, "key-audit", [args.certificate])
     cert = load_json(args.certificate)
-    from .geometry import Flat
-    from .fields import field_from_key
     field = field_from_key(cert["field"])
     flats = [Flat.from_dict(field, cert["d"], fd) for fd in cert["flats"]]
     b = {(entry["point"], flats[entry["flat"]]): parse_fraction(entry["value"])
@@ -385,9 +344,6 @@ def cmd_key_audit(args) -> int:
     audit = key_inequality_audit(h, w, cfg, b, W,
                                  cond1_factor=args.cond1_factor,
                                  cond2_tol=args.cond2_tol, cap=args.cap)
-    rep = _new_report(args, "key-audit",
-                      [args.certificate, args.config, args.pattern,
-                       args.weights])
     rep.add(CheckRecord("condition-1", PASS if audit.cond1_pass else FAIL,
                         slack=audit.cond1_worst,
                         note=f"factor {args.cond1_factor}; raw margin "
@@ -401,62 +357,25 @@ def cmd_key_audit(args) -> int:
     return _emit(args, rep)
 
 
-def _bound_records(h, w, cfg):
-    from .logspace import Log2Value
-    const = covering_constant(h, w)
-    rhs_log = const.log2
-    for c in range(h.r):
-        rhs_log = rhs_log + Log2Value.of_int_log(len(cfg.classes[c]),
-                                                 w.subtotals[c])
-    return const, rhs_log
-
-
 def cmd_verify_simple_bound(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
-    from .logspace import Log2Value
-    const, rhs_log = _bound_records(h, w, cfg)
-    rep = _new_report(args, "verify-simple-bound",
-                      [args.config, args.pattern, args.weights])
-    n_joints = len(cfg.points)
-    if n_joints:
-        slack = rhs_log - Log2Value.of_int_log(n_joints)
-        status = PASS if slack.sign() >= 0 or abs(float(slack)) < 1e-9 else FAIL
-        rep.add(CheckRecord("simple-joints-bound", status,
-                            math.log2(n_joints), float(rhs_log), float(slack),
-                            note="log2 scale, exact-direction comparison"))
-    else:
-        rep.add(CheckRecord("simple-joints-bound", PASS, 0, float(rhs_log),
-                            note="no joints stored"))
-    payload = {"joints": n_joints, "bound": 2.0 ** float(rhs_log),
-               "constant": const.value,
+    cfg, h, w, rep = _config_inputs(args, "verify-simple-bound")
+    rec = rep.add(simple_bound_record("simple-joints-bound", h, w, cfg))
+    payload = {"joints": len(cfg.points),
+               "bound": 0.0 if rec.rhs is None else 2.0 ** rec.rhs,
+               "constant": covering_constant(h, w).value,
                "class_sizes": list(cfg.class_sizes())}
     return _emit(args, rep, payload)
 
 
 def cmd_verify_mult_bound(args) -> int:
-    cfg = load_config(args.config)
-    h = load_hypergraph(args.pattern)
-    w = load_weights(args.weights, h)
-    rep = _new_report(args, "verify-mult-bound",
-                      [args.config, args.pattern, args.weights])
-    total = 0.0
-    worst_gap = 0.0
-    for idx in range(len(cfg.points)):
-        res = joint_multiplicity(h, w, cfg.tuples_at(h, idx, cap=args.cap),
-                                 tol=args.tol)
-        total += res.value
-        worst_gap = max(worst_gap, res.gap)
-    _, rhs_log = _bound_records(h, w, cfg)
-    bound = 2.0 ** float(rhs_log)
-    rep.add(record_bound("multiplicity-bound", total, bound,
-                         note=f"sum of multiplicities; worst FW gap "
-                              f"{worst_gap:.2e}"))
+    cfg, h, w, rep = _config_inputs(args, "verify-mult-bound")
+    results = multiplicities(h, w, cfg, cap=args.cap, tol=args.tol)
+    rec = rep.add(mult_bound_record("multiplicity-bound", h, w, cfg, results))
+    worst_gap = max([0.0] + [res.gap for res in results])
     if worst_gap > args.tol:
         rep.add(CheckRecord("solver-convergence", UNCONVERGED,
                             slack=worst_gap))
-    payload = {"sum_eta": total, "bound": bound, "worst_gap": worst_gap}
+    payload = {"sum_eta": rec.lhs, "bound": rec.rhs, "worst_gap": worst_gap}
     return _emit(args, rep, payload)
 
 
@@ -629,8 +548,9 @@ def main(argv=None) -> int:
     except (HJointsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
-        # malformed input: bad JSON (a ValueError), keys, shapes or scalars
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # malformed input: bad JSON (a ValueError), keys, shapes or scalars;
+        # OverflowError from infinite or out-of-range numbers
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -99,6 +99,8 @@ class JointsConfiguration:
             tuple(Flat.from_dict(f, d, fd) for fd in c["flats"])
             for c in data["classes"])
         points = tuple(tuple(f.parse(x) for x in p) for p in data["points"])
+        if any(len(p) != d for p in points):
+            raise SizeMismatch(f"points must have length d={d}")
         return cls(f, d, dims, classes, points,
                    provenance=data.get("provenance", "custom"))
 

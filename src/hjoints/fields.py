@@ -25,7 +25,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Miller-Rabin with the first twelve primes as bases: deterministic for
+    n < 3.18e23 (Sorenson-Webster)."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -97,7 +98,10 @@ class RationalField:
     def parse(self, text):
         if isinstance(text, int):
             return Fraction(text)
-        return Fraction(str(text))
+        try:
+            return Fraction(str(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
 
     def fmt(self, a):
         return str(a)
@@ -193,8 +197,8 @@ def GF(p: int = DEFAULT_PRIME) -> PrimeField:
 
 def field_from_key(key) -> RationalField | PrimeField:
     key = tuple(key)
-    if key[0] == "rational":
+    if key[:1] == ("rational",):
         return QQ
-    if key[0] == "prime":
+    if key[:1] == ("prime",) and len(key) == 2:
         return GF(int(key[1]))
     raise ValueError(f"unknown field key {key!r}")

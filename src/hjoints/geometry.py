@@ -312,13 +312,18 @@ def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
     """Yield (assignment, witness) for each qualifying flat-instance
     assignment at one point, in product order; identical canonical flat
     tuples share one witness check, and all checks draw from one rng."""
+    if h.r > config.r:
+        raise SizeMismatch(f"pattern has {h.r} colours, configuration "
+                           f"{config.r} classes")
+    by_color: dict[int, list[int]] = {}
     candidates = []
-    for i in range(len(h.edges)):
-        cls = config.classes[h.colors[i] - 1]
-        cands = [k for k, fl in enumerate(cls) if fl.contains(point)]
-        if not cands:
+    for c in h.colors:
+        if c not in by_color:  # edges of one colour share its class scan
+            by_color[c] = [k for k, fl in enumerate(config.classes[c - 1])
+                           if fl.contains(point)]
+        if not by_color[c]:
             return
-        candidates.append(cands)
+        candidates.append(by_color[c])
     for i, e in enumerate(h.edges):
         k = config.dims[h.colors[i] - 1]
         if k != h.d - len(e):

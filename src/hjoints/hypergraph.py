@@ -165,9 +165,11 @@ class Hypergraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hypergraph":
-        return cls(int(data["d"]),
-                   tuple(tuple(e) for e in data["edges"]),
-                   tuple(data["colors"]))
+        h = cls(int(data["d"]), tuple(tuple(e) for e in data["edges"]),
+                tuple(data["colors"]))
+        if h.r > h.n_edges:  # a class is empty, and r lists would be built
+            raise ValueError(f"colors must lie in 1..{h.n_edges}, got {h.r}")
+        return h
 
 
 def cone(h: Hypergraph, t: int) -> Hypergraph:
@@ -258,6 +260,18 @@ def covering_constant(h: Hypergraph, w: WeightFunction) -> CoveringConstant:
                 continue  # (w/wbar)^0 = 1 by convention, even if wbar = 0
             log2 = log2 + Log2Value.of_fraction_log(we / wbar, we)
     return CoveringConstant(log2)
+
+
+def joint_count_bound(h: Hypergraph, w: WeightFunction,
+                      class_sizes) -> Log2Value | None:
+    """Exact log2 of C(H, w) * prod_i |F_i|^wbar_i, or None when the bound
+    is 0: an empty class with wbar_i > 0 (wbar_i = 0 takes 0^0 = 1)."""
+    log2 = covering_constant(h, w).log2
+    for size, wbar in zip(class_sizes, w.subtotals):
+        if size == 0 and wbar > 0:
+            return None
+        log2 = log2 + Log2Value.of_int_log(size, wbar)
+    return log2
 
 
 def cover_equality_identity(h: Hypergraph, w: WeightFunction) -> Fraction:

@@ -23,9 +23,13 @@ import math
 from fractions import Fraction
 from math import isqrt
 
+from .fields import is_prime
+
 
 def factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs here are desk-scale."""
+    """Prime factorization by trial division below 2^20; a cofactor left
+    above that must be prime and below 2^78, where is_prime is
+    deterministic, or the input is not desk-scale and raises ValueError."""
     if m < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
@@ -37,6 +41,10 @@ def factorize(m: int) -> dict[int, int]:
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     while f * f <= m:
+        if f > 1 << 20:
+            if m < 1 << 78 and is_prime(m):
+                break
+            raise ValueError(f"cannot factor {m}: no prime factor below 2^20")
         while m % f == 0:
             out[f] = out.get(f, 0) + 1
             m //= f

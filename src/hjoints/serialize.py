@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .configs import JointsConfiguration
 from .extremal import SimpleHypergraph
+from .fields import QQ
 from .hypergraph import Hypergraph, WeightFunction
 
 
@@ -30,7 +31,7 @@ def load_json(path):
 
 
 def parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
+    return QQ.parse(str(text))
 
 
 def load_hypergraph(path) -> Hypergraph:

@@ -475,6 +475,18 @@ def lw_step_check(h: Hypergraph, w: WeightFunction, g_point_size: int,
     return rhs - lhs
 
 
+def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> float:
+    """Smallest lw_step_check slack over the joints of a ledger set, with
+    |G_p| from point_exponents and |G_e| from the chosen-tuple ledgers."""
+    worst = math.inf
+    for rank in range(len(ls.rank_order)):
+        g_p = len(point_exponents(ls, rank))
+        g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
+               for i in range(len(ls.h.edges))]
+        worst = min(worst, lw_step_check(ls.h, w, g_p, g_e, ls.n))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # handicap dynamic and the certificate audit
 # ---------------------------------------------------------------------------

@@ -35,3 +35,24 @@ def test_shadow_t_independence_can_fail(monkeypatch):
     monkeypatch.setattr(acceptance, "partial_shadow_check", t_dependent)
     records = {r.name: r for r in acceptance.criterion_shadow(fast=True)}
     assert records["shadow-bound-t-independent"].status == FAIL
+
+
+def test_shadow_summaries_follow_the_reports(monkeypatch):
+    real = acceptance.partial_shadow_check
+
+    def failing(host, d, t, **kwargs):
+        return dataclasses.replace(real(host, d, t, **kwargs), passed=False)
+
+    monkeypatch.setattr(acceptance, "partial_shadow_check", failing)
+    records = {r.name: r for r in acceptance.criterion_shadow(fast=True)}
+    assert records["shadow-t0-exhaustive"].status == FAIL
+    assert records["shadow-t1-random"].status == FAIL
+
+
+def test_config_count_mismatch_is_a_fail_record(monkeypatch):
+    real = acceptance.count_inducing_sets
+    monkeypatch.setattr(acceptance, "count_inducing_sets",
+                        lambda host, pattern: real(host, pattern) + 1)
+    records = {r.name: r for r in
+               acceptance.criterion_geometry_combinatorics(fast=True)}
+    assert records["config-vs-count-0"].status == FAIL

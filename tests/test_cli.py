@@ -1,9 +1,18 @@
+import contextlib
+import copy
+import dataclasses
+import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hjoints import Hypergraph, SimpleHypergraph, WeightFunction
+from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
+                     SimpleHypergraph, WeightFunction, acceptance,
+                     generic_hyperplanes, generically_induced)
 from hjoints.cli import main
 from hjoints.serialize import load_json, save_json
 
@@ -257,7 +266,172 @@ def test_check_failure_exits_one(workdir, capsys, tmp_path):
     assert "FAIL" in out
 
 
-def test_suite_fast(capsys):
-    code, out = run(capsys, "suite", "--fast")
+def test_suite_fast(capsys, tmp_path):
+    code, out = run(capsys, "suite", "--fast", "--json", tmp_path / "r.json")
     assert code == 0
     assert "[PASS] 1-rho-star-exactness" in out
+    # the battery's records, pinned; a change that moves a record must update
+    # this hash and name the record in CHANGES.md
+    records = json.dumps(load_json(tmp_path / "r.json")["records"],
+                         sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == \
+        "a8a271c6f34ef858846efaed18f00c237e4e76e58b93ada8696a15e7e7694fe8"
+
+
+def test_bound_commands_pass_on_an_empty_class(capsys, tmp_path):
+    # an all-zero function leaves colour 2 without flats: no points, and a
+    # bound of 0 since wbar_2 = 1 > 0
+    save_json(tmp_path / "axis.json",
+              {"d": 2, "s": 2, "subsets": [[1], [2]],
+               "functions": [{"0": 1, "1": 1}, {"0": 0, "1": 0}]})
+    code, out = run(capsys, "build-config", "--kind", "axis", "--axis-spec",
+                    tmp_path / "axis.json", "-o", tmp_path / "a.cfg")
+    assert code == 0 and "0 points, classes (2, 0)" in out
+    pattern = Hypergraph(2, ((1,), (2,)), (1, 2))
+    save_json(tmp_path / "p.hg", pattern.to_dict())
+    save_json(tmp_path / "one.w", WeightFunction.uniform(pattern, 1).to_dict())
+    inputs = ("--config", tmp_path / "a.cfg", "--pattern", tmp_path / "p.hg",
+              "--weights", tmp_path / "one.w")
+    for cmd in ("verify-simple-bound", "verify-mult-bound"):
+        code, out = run(capsys, cmd, *inputs)
+        assert code == 0 and "PASS" in out and "FAIL" not in out
+        assert first_json(out)["bound"] == 0.0
+    code, out = run(capsys, "geo-shearer", *inputs, "--mode", "optimal")
+    assert code == 0 and "PASS" in out
+
+
+def test_simple_bound_cli_fails_above_the_bound(workdir, capsys, tmp_path):
+    # a triangle of three lines in the plane z = 0 with its three corners
+    # stored: 3 points against C * 3^(3/2) = sqrt(2)/3 * 5.196... = 2.449...
+    f = GF()
+    lines = tuple(Flat(f, 3, base, [direction]) for base, direction in
+                  (((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0)),
+                   ((1, 0, 0), (f.neg(1), 1, 0))))
+    cfg = JointsConfiguration(f, 3, (1,), (lines,),
+                              ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+    save_json(tmp_path / "tri.cfg", cfg.to_dict())
+    code, out = run(capsys, "verify-simple-bound", "--config",
+                    tmp_path / "tri.cfg", "--pattern", workdir / "k3.hg",
+                    "--weights", workdir / "half.w")
+    assert code == 1 and "FAIL" in out
+    payload = first_json(out)
+    assert payload["joints"] == 3 and abs(payload["bound"] - 2.449) < 1e-3
+
+
+def test_geo_shearer_optimal_checks_the_multiplicity_sum(workdir, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+    cfg_path = tmp_path / "g.cfg"
+    run(capsys, "build-config", "--kind", "generic",
+        "--host", workdir / "k4.hg", "--pattern", workdir / "k3.hg",
+        "--seed", "0", "-o", cfg_path)
+    argv = ("geo-shearer", "--config", cfg_path, "--pattern", workdir / "k3.hg",
+            "--weights", workdir / "half.w", "--mode", "optimal")
+    assert run(capsys, *argv)[0] == 0
+    real = acceptance.joint_multiplicity
+
+    def doubled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, value=2 * res.value)
+
+    # the audit at the optimizers has lhs = log2(sum eta) for any values;
+    # doubled multiplicities leave lhs and move log2(sum eta) by one bit
+    monkeypatch.setattr(acceptance, "joint_multiplicity", doubled)
+    code, out = run(capsys, *argv)
+    assert code == 1 and "geo-shearer-optimal" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("target", ["weights", "rational-config",
+                                    "certificate"])
+def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
+    cfg_path = tmp_path / "g.cfg"
+    field = "rational" if target == "rational-config" else "prime"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "--field", field,
+        "-o", cfg_path)
+    weights = workdir / "half.w"
+    if target == "weights":
+        save_json(tmp_path / "bad.w", {"weights": ["1/2", "1/0", "1/2"]})
+        argv = ["constant", workdir / "k3.hg", "--weights", tmp_path / "bad.w"]
+    elif target == "rational-config":
+        data = load_json(cfg_path)
+        data["points"][0][0] = "1/0"
+        save_json(cfg_path, data)
+        argv = ["detect", "--config", cfg_path, "--pattern", workdir / "k3.hg"]
+    else:
+        cert_path = tmp_path / "run.cert"
+        run(capsys, "handicap-run", "--config", cfg_path, "--pattern",
+            workdir / "k3.hg", "--weights", weights, "--n", "4", "-o", cert_path)
+        cert = load_json(cert_path)
+        cert["b"][0]["value"] = "1/0"
+        save_json(cert_path, cert)
+        argv = ["key-audit", "--certificate", cert_path, "--config", cfg_path,
+                "--pattern", workdir / "k3.hg", "--weights", weights]
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "1/0" in err
+
+
+ODD_SCALARS = ["1/0", "nan", float("nan"), float("inf"), 10 ** 30, -10 ** 30,
+               -1, 0, 1.5, 2.5, None, True, "x", [], {}]
+
+
+def _paths(doc, prefix=()):
+    """Every path into nested dicts and lists, the root included."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, action):
+    """Drop the value at `path`, or put `action` there."""
+    if not path:
+        return {} if action == "drop" else copy.deepcopy(action)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(action)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    host = SimpleHypergraph.complete(4, 2)
+    docs = {"k3.hg": K3.to_dict(),
+            "half.w": WeightFunction.uniform(K3, Fraction(1, 2)).to_dict()}
+    for name, field in (("prime.cfg", GF()), ("rational.cfg", QQ)):
+        fam = generic_hyperplanes(4, 3, seed=0, field=field)
+        docs[name] = generically_induced(host, K3, fam).to_dict()
+    return docs, tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(data=st.data())
+def test_loader_fuzz_exits_zero_or_two(fuzz_inputs, data):
+    # valid .hg/.w/.cfg files with a key dropped or a value swapped for an
+    # odd scalar or a value of another type: every command either runs or
+    # reports an input error, and no exception escapes main
+    docs, root = fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    for _ in range(data.draw(st.integers(1, 2))):
+        doc = _mutate(doc, data.draw(st.sampled_from(list(_paths(doc)))),
+                      data.draw(st.sampled_from(["drop"] + ODD_SCALARS)))
+    for key, valid in docs.items():
+        save_json(root / key, doc if key == name else valid)
+    hg, weights = root / "k3.hg", root / "half.w"
+    for argv in (["rho-star", hg], ["constant", hg, "--weights", weights],
+                 ["detect", "--config", root / "prime.cfg", "--pattern", hg],
+                 ["detect", "--config", root / "rational.cfg", "--pattern", hg]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 2), argv
+        assert code == 0 or err.getvalue().startswith("error: ")

@@ -6,7 +6,8 @@ from hjoints import (GF, QQ, Hypergraph, SimpleHypergraph,
                      axis_parallel_from_functions, count_inducing_sets,
                      detect_joints, generic_hyperplanes, generically_induced,
                      projected_generically_induced)
-from hjoints.errors import FieldTooSmall, GenericityFailure, NegativeValue
+from hjoints.errors import (FieldTooSmall, GenericityFailure, NegativeValue,
+                            SizeMismatch)
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 
@@ -193,3 +194,10 @@ def test_config_serialization_roundtrip():
     assert back.classes == cfg.classes
     assert back.points == cfg.points
     assert back.d == cfg.d
+    data["points"][0] = data["points"][0][:-1]
+    with pytest.raises(SizeMismatch, match="points must have length"):
+        JointsConfiguration.from_dict(data)
+    # a pattern with more colours than the configuration has classes
+    rainbow = Hypergraph(3, K3.edges, (1, 2, 3))
+    with pytest.raises(SizeMismatch, match="3 colours"):
+        detect_joints(rainbow, cfg, list(cfg.points))

@@ -172,6 +172,7 @@ def test_simple_bound_on_axis_parallel_configs():
     # axis-parallel included (there it is the weak discrete Hoelder form)
     import random
     rng = random.Random(14)
+    from hjoints.hypergraph import joint_count_bound
     from hjoints.logspace import Log2Value
     for _ in range(6):
         d = rng.randrange(2, 4)
@@ -184,15 +185,8 @@ def test_simple_bound_on_axis_parallel_configs():
         cfg = axis_parallel_from_functions(d, subsets, functions, s)
         pattern = axis_parallel_pattern(d, subsets)
         w = WeightFunction.uniform(pattern, Fraction(1, d - 1))
-        const = covering_constant(pattern, w)
-        rhs = const.log2
-        for c in range(pattern.r):
-            size = len(cfg.classes[c])
-            if size == 0:
-                rhs = None  # an empty class forces an empty joint set
-                break
-            rhs = rhs + Log2Value.of_int_log(size, w.subtotals[c])
-        if rhs is None:
+        rhs = joint_count_bound(pattern, w, cfg.class_sizes())
+        if rhs is None:  # an empty class makes the bound 0
             assert len(cfg.points) == 0
             continue
         if cfg.points:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjoints import GF, QQ, Log2Value
+from hjoints import DEFAULT_PRIME, GF, QQ, Log2Value
 from hjoints import linalg
-from hjoints.fields import is_prime
+from hjoints.fields import field_from_key, is_prime
 from hjoints.logspace import _exp2_fixed, _log2_fixed, factorize
 
 
@@ -25,6 +25,17 @@ def test_prime_field_ops():
     assert f.sub(2, 5) == 4
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+@pytest.mark.parametrize("key", [[], ["prime"], ["prime", 7, 1], ["real"]])
+def test_malformed_field_keys_are_value_errors(key):
+    with pytest.raises(ValueError, match="unknown field key"):
+        field_from_key(key)
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="'1/0'"):
+        QQ.parse("1/0")
 
 
 def test_rref_and_nullspace_rational():
@@ -78,6 +89,11 @@ def test_factorize():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(1) == {}
     assert factorize(97) == {97: 1}
+    # a prime cofactor above the 2^20 trial bound is found by is_prime;
+    # a composite one with no factor below 2^20 is refused, not ground out
+    assert factorize(3 * DEFAULT_PRIME) == {3: 1, DEFAULT_PRIME: 1}
+    with pytest.raises(ValueError, match="cannot factor"):
+        factorize(DEFAULT_PRIME ** 2)
 
 
 def test_log2value_exact_identities():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hjoints import (Hypergraph, WeightFunction, cone, covering_constant,
-                     subtotal_sequence, total_weight)
+from hjoints import (Hypergraph, Log2Value, WeightFunction, cone,
+                     covering_constant, joint_count_bound, subtotal_sequence,
+                     total_weight)
 from hjoints.errors import (DuplicateEdge, EmptyColor, MixedUniformity,
                             NotCovering)
 from hjoints.hypergraph import cover_equality_identity
@@ -47,6 +48,24 @@ def test_empty_color_flagged():
     h = Hypergraph(3, ((1, 2),), (2,))
     with pytest.raises(EmptyColor):
         h.validate_uniform_coloring()
+
+
+def test_file_colors_bounded_by_edge_count():
+    data = K3.to_dict() | {"colors": [1, 1, 10 ** 30]}
+    with pytest.raises(ValueError, match="colors must lie in 1..3"):
+        Hypergraph.from_dict(data)
+
+
+def test_joint_count_bound_zero_and_empty_class_conventions():
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    assert joint_count_bound(K3, w, (4,)) == \
+        covering_constant(K3, w).log2 + Log2Value.of_int_log(4, Fraction(3, 2))
+    assert joint_count_bound(K3, w, (0,)) is None  # wbar > 0: bound 0
+    h = Hypergraph(2, ((1,), (2,), (1,)), (1, 2, 3))
+    w0 = WeightFunction.for_hypergraph(h, [1, 1, 0])
+    # an empty class of weight 0 contributes 0^0 = 1
+    assert joint_count_bound(h, w0, (2, 3, 0)) == \
+        joint_count_bound(h, w0, (2, 3, 1))
 
 
 def test_structural_validation():
