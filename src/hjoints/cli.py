@@ -338,8 +338,16 @@ def cmd_key_audit(args) -> int:
     cert = load_json(args.certificate)
     field = field_from_key(cert["field"])
     flats = [Flat.from_dict(field, cert["d"], fd) for fd in cert["flats"]]
-    b = {(entry["point"], flats[entry["flat"]]): parse_fraction(entry["value"])
-         for entry in cert["b"]}
+
+    def index(entry, key, size):
+        i = entry[key]
+        if not isinstance(i, int) or not 0 <= i < size:
+            raise ValueError(f"certificate {key} {i!r} is not in 0..{size - 1}")
+        return i
+
+    b = {(index(entry, "point", len(cfg.points)),
+          flats[index(entry, "flat", len(flats))]):
+         parse_fraction(entry["value"]) for entry in cert["b"]}
     W = {r: float(v) for r, v in enumerate(cert["W"])}
     audit = key_inequality_audit(h, w, cfg, b, W,
                                  cond1_factor=args.cond1_factor,

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
                      SizeMismatch)
-from .fields import GF, PrimeField
+from .fields import GF, PrimeField, as_int, field_from_key
 from .geometry import Flat, WitnessTuple, enumerate_witness_tuples, witness_check
 from .hypergraph import Hypergraph
 
@@ -91,10 +91,9 @@ class JointsConfiguration:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JointsConfiguration":
-        from .fields import field_from_key
         f = field_from_key(data["field"])
-        d = int(data["d"])
-        dims = tuple(int(c["dim"]) for c in data["classes"])
+        d = as_int(data["d"])
+        dims = tuple(as_int(c["dim"]) for c in data["classes"])
         classes = tuple(
             tuple(Flat.from_dict(f, d, fd) for fd in c["flats"])
             for c in data["classes"])

@@ -10,10 +10,11 @@ vertex-set A of the host counts when some bijection onto the pattern's
 vertices maps every pattern edge to a host edge inside A.
 
 search_M looks for edge-count-constrained hosts maximizing the count:
-exhaustive mode enumerates hosts up to isomorphism with canonical-form
-pruning (iterated degree refinement + minimal bitmask labeling), local mode
-runs first-improvement remove-one/add-one hill climbing from a colex start
-with seeded random restarts.
+exhaustive mode scores every n-subset of the edge pool, local mode runs
+first-improvement remove-one/add-one hill climbing from a colex start with
+seeded random restarts. Within one call, containment verdicts are memoised
+per d-set of vertices, so find_embedding runs once per distinct induced
+sub-host rather than once per host (see search_M).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import SizeMismatch, UniformityMismatch, WorkLimitExceeded
+from .fields import as_int
 from .hypergraph import Hypergraph, _mask
 
 
@@ -101,7 +103,7 @@ class SimpleHypergraph:
 
     @classmethod
     def from_dict(cls, data):
-        return cls.from_sets(int(data["n"]), data["edges"])
+        return cls.from_sets(as_int(data["n"]), data["edges"])
 
 
 def _pattern_edge_sets(h) -> list[frozenset]:
@@ -298,46 +300,8 @@ def partial_shadow_check(host: SimpleHypergraph, d: int, t: int,
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and extremal search
+# extremal search
 # ---------------------------------------------------------------------------
-
-def canonical_form(n: int, edges: tuple[int, ...]) -> tuple[int, ...]:
-    """Isomorphism-invariant labeling: iterated refinement by edge signatures,
-    then the lexicographically minimal sorted edge-mask tuple over the
-    permutations consistent with the refinement classes."""
-    edge_list = list(edges)
-    colors = {v: 0 for v in range(1, n + 1)}
-    for _ in range(n):
-        sigs = {}
-        for v in range(1, n + 1):
-            bit = 1 << (v - 1)
-            memberships = sorted(
-                (e.bit_count(), tuple(sorted(colors[u] for u in _unmask(e))))
-                for e in edge_list if e & bit)
-            sigs[v] = (colors[v], tuple(memberships))
-        distinct = sorted(set(sigs.values()))
-        new = {v: distinct.index(sigs[v]) for v in range(1, n + 1)}
-        if new == colors:
-            break
-        colors = new
-    classes: dict[int, list[int]] = {}
-    for v, c in colors.items():
-        classes.setdefault(c, []).append(v)
-    groups = [sorted(classes[c]) for c in sorted(classes)]
-    best = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = {}
-        target = 1
-        for g, pg in zip(groups, perms):
-            for v in pg:
-                perm[v] = target
-                target += 1
-        relabeled = tuple(sorted(_mask(tuple(perm[v] for v in _unmask(e)))
-                                 for e in edge_list))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -354,73 +318,81 @@ def search_M(h, n: int, vertex_budget: int, mode: str = "exhaustive", *,
     """Best count of pattern-inducing vertex sets over hosts with n edges.
 
     Host edges range over all subsets of 1..vertex_budget whose sizes occur
-    in the pattern. Exhaustive mode certifies the optimum within the budget.
+    in the pattern; pool edge i is bit i of a host. A host's count is
+    count_inducing_sets(host, h), read per d-set A from a memo keyed by
+    host & within_A, the bits of the pool edges inside A. Every host edge
+    is a pool edge, so that key fixes host.restrict(A), and find_embedding
+    runs once per distinct restriction; the memos live only in this call.
+
+    Exhaustive mode scores every n-subset of the pool and certifies the
+    optimum within the budget. It does not dedup isomorphic hosts: a copy of
+    an earlier host has the same count, so under the strict > it never
+    displaces best_host, the first best host in combination order.
     """
-    sizes = sorted({len(e) for e in _pattern_edge_sets(h)})
-    pool = []
-    for k in sizes:
-        pool.extend(_mask(c) for c in
-                    itertools.combinations(range(1, vertex_budget + 1), k))
-    pool.sort(key=lambda e: colex_key(_unmask(e)))
+    exhaustive = mode == "exhaustive"
+    if not exhaustive and mode != "local":
+        raise ValueError(f"unknown mode {mode!r}")
+    verts = range(1, vertex_budget + 1)
+    pool = sorted((_mask(c) for k in {len(e) for e in _pattern_edge_sets(h)}
+                   for c in itertools.combinations(verts, k)),
+                  key=lambda e: colex_key(_unmask(e)))
     if n > len(pool):
         raise SizeMismatch(f"cannot place {n} edges; pool has {len(pool)}")
+    bits = [1 << i for i in range(len(pool))]
+    need = len(_pattern_edge_sets(h))
+    slots = [(A, sum(b for b, e in zip(bits, pool) if e & _mask(A) == e), {})
+             for A in itertools.combinations(verts, _pattern_vertex_count(h))]
 
-    def count_of(edge_tuple) -> int:
-        return count_inducing_sets(SimpleHypergraph(vertex_budget, edge_tuple), h)
+    def edges_of(host: int) -> tuple[int, ...]:
+        return tuple(e for b, e in zip(bits, pool) if host & b)
 
-    if mode == "exhaustive":
-        best = -1
-        best_host = None
-        seen: set[tuple[int, ...]] = set()
-        examined = 0
-        for combo in itertools.combinations(pool, n):
-            examined += 1
+    def count_of(host: int) -> int:
+        total = 0
+        for A, within, memo in slots:
+            key = host & within
+            found = memo.get(key)
+            if found is None:
+                sub = SimpleHypergraph(vertex_budget, edges_of(key)).restrict(A)
+                found = memo[key] = (sub.n_edges >= need
+                                     and find_embedding(sub, h) is not None)
+            total += found
+        return total
+
+    best, best_host = -1, 0
+    if exhaustive:
+        for examined, combo in enumerate(itertools.combinations(bits, n), 1):
             if examined > work_limit:
                 raise WorkLimitExceeded(work_limit)
-            canon = canonical_form(vertex_budget, combo)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            c = count_of(combo)
+            host = sum(combo)
+            c = count_of(host)
             if c > best:
-                best, best_host = c, combo
-        return SearchResult(best, SimpleHypergraph(vertex_budget, best_host),
-                            True, examined)
-
-    if mode != "local":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    best = -1
-    best_host = None
-    examined = 0
-    for restart in range(restarts):
-        if restart == 0:
-            current = list(pool[:n])
-        else:
-            current = rng.sample(pool, n)
-        current_set = set(current)
-        score = count_of(tuple(sorted(current)))
-        examined += 1
-        improved = True
-        while improved:
-            improved = False
-            for out_edge in sorted(current):
-                for in_edge in pool:
-                    if in_edge in current_set:
-                        continue
-                    trial = tuple(sorted((current_set - {out_edge}) | {in_edge}))
+                best, best_host = c, host
+    else:
+        if restarts < 1:
+            raise ValueError(f"need restarts >= 1, got {restarts}")
+        # edges leave in increasing mask order and enter in pool order
+        leave_order = [bits[i] for i in sorted(range(len(pool)),
+                                               key=pool.__getitem__)]
+        rng = random.Random(seed)
+        examined = 0
+        for restart in range(restarts):
+            # sampling positions draws exactly as sampling the pool itself
+            start = range(n) if restart == 0 else rng.sample(range(len(pool)), n)
+            current = sum(bits[i] for i in start)
+            score = count_of(current)
+            examined += 1
+            while True:
+                for trial in ((current ^ o) | i for o in leave_order
+                              if current & o for i in bits if not current & i):
                     examined += 1
                     s = count_of(trial)
                     if s > score:
-                        current_set = set(trial)
-                        current = list(trial)
-                        score = s
-                        improved = True
+                        current, score = trial, s
                         break
-                if improved:
+                else:
                     break
-        if score > best:
-            best = score
-            best_host = tuple(sorted(current_set))
-    return SearchResult(best, SimpleHypergraph(vertex_budget, best_host),
-                        False, examined, seed=seed)
+            if score > best:
+                best, best_host = score, current
+    return SearchResult(best, SimpleHypergraph(vertex_budget,
+                                               edges_of(best_host)),
+                        exhaustive, examined, seed=None if exhaustive else seed)

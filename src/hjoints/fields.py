@@ -24,6 +24,14 @@ DEFAULT_PRIME = (1 << 61) - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def as_int(x) -> int:
+    """int(x), or ValueError where int() would truncate (2.5, Fraction(5, 2))."""
+    k = int(x)
+    if not isinstance(x, str) and k != x:
+        raise ValueError(f"not an integer: {x!r}")
+    return k
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve primes as bases: deterministic for
     n < 3.18e23 (Sorenson-Webster)."""
@@ -169,7 +177,7 @@ class PrimeField:
         return rng.randrange(self.p)
 
     def parse(self, text):
-        return int(text) % self.p
+        return as_int(text) % self.p
 
     def fmt(self, a):
         return a % self.p
@@ -200,5 +208,5 @@ def field_from_key(key) -> RationalField | PrimeField:
     if key[:1] == ("rational",):
         return QQ
     if key[:1] == ("prime",) and len(key) == 2:
-        return GF(int(key[1]))
+        return GF(as_int(key[1]))
     raise ValueError(f"unknown field key {key!r}")

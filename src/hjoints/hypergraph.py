@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DuplicateEdge, EmptyColor, MixedUniformity, NotCovering)
+from .fields import as_int
 from .logspace import Log2Value
 
 MAX_VERTICES = 64
@@ -68,7 +69,7 @@ class Hypergraph:
             raise ValueError(f"need 1 <= d <= {MAX_VERTICES}, got {self.d}")
         object.__setattr__(self, "edges",
                            tuple(tuple(sorted(set(e))) for e in self.edges))
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(as_int(c) for c in self.colors))
         if len(self.edges) != len(self.colors):
             raise ValueError("one color per edge required")
         if not self.edges:
@@ -165,7 +166,7 @@ class Hypergraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hypergraph":
-        h = cls(int(data["d"]), tuple(tuple(e) for e in data["edges"]),
+        h = cls(as_int(data["d"]), tuple(tuple(e) for e in data["edges"]),
                 tuple(data["colors"]))
         if h.r > h.n_edges:  # a class is empty, and r lists would be built
             raise ValueError(f"colors must lie in 1..{h.n_edges}, got {h.r}")

@@ -373,6 +373,52 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
     assert err.startswith("error: ") and "1/0" in err
 
 
+@pytest.mark.parametrize("site", ["color", "d", "host-n", "prime-scalar"])
+def test_non_integral_scalars_exit_two(workdir, capsys, tmp_path, site):
+    # int() would truncate each of these (2.5 -> 2) and load another input
+    if site == "prime-scalar":
+        cfg_path = tmp_path / "g.cfg"
+        run(capsys, "build-config", "--kind", "generic", "--host",
+            workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+        data = load_json(cfg_path)
+        data["classes"][0]["flats"][0]["basepoint"][0] = 1.5
+        save_json(cfg_path, data)
+        argv = ["detect", "--config", cfg_path, "--pattern", workdir / "k3.hg"]
+    elif site == "host-n":
+        save_json(tmp_path / "host.hg", {"n": 4.5, "edges": [[1, 2]]})
+        argv = ["mcount", "--host", tmp_path / "host.hg",
+                "--pattern", workdir / "k3.hg"]
+    else:
+        doc = K3.to_dict()
+        doc.update({"colors": [1, 1, 2.5]} if site == "color" else {"d": 3.5})
+        save_json(tmp_path / "bad.hg", doc)
+        argv = ["cone", tmp_path / "bad.hg", "--t", "0"]
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not an integer" in err
+
+
+@pytest.mark.parametrize("key, value", [("flat", 999), ("flat", -1),
+                                        ("point", 99)])
+def test_key_audit_rejects_indices_out_of_range(workdir, capsys, tmp_path,
+                                                key, value):
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    inputs = ["--config", cfg_path, "--pattern", workdir / "k3.hg",
+              "--weights", workdir / "half.w"]
+    run(capsys, "handicap-run", *inputs, "--n", "4", "-o", cert_path)
+    cert = load_json(cert_path)
+    cert["b"][0][key] = value
+    save_json(cert_path, cert)
+    code = main([str(a) for a in ["key-audit", "--certificate", cert_path,
+                                  *inputs]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"{key} {value} is not in" in err
+
+
 ODD_SCALARS = ["1/0", "nan", float("nan"), float("inf"), 10 ** 30, -10 ** 30,
                -1, 0, 1.5, 2.5, None, True, "x", [], {}]
 
@@ -403,7 +449,7 @@ def _mutate(doc, path, action):
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     host = SimpleHypergraph.complete(4, 2)
-    docs = {"k3.hg": K3.to_dict(),
+    docs = {"k3.hg": K3.to_dict(), "host.hg": host.to_dict(),
             "half.w": WeightFunction.uniform(K3, Fraction(1, 2)).to_dict()}
     for name, field in (("prime.cfg", GF()), ("rational.cfg", QQ)):
         fam = generic_hyperplanes(4, 3, seed=0, field=field)
@@ -414,9 +460,10 @@ def fuzz_inputs(tmp_path_factory):
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(data=st.data())
 def test_loader_fuzz_exits_zero_or_two(fuzz_inputs, data):
-    # valid .hg/.w/.cfg files with a key dropped or a value swapped for an
-    # odd scalar or a value of another type: every command either runs or
-    # reports an input error, and no exception escapes main
+    # valid .hg (pattern and host)/.w/.cfg files with a key dropped or a
+    # value swapped for an odd scalar or a value of another type: every
+    # command either runs or reports an input error, and no exception
+    # escapes main
     docs, root = fuzz_inputs
     name = data.draw(st.sampled_from(sorted(docs)))
     doc = copy.deepcopy(docs[name])
@@ -428,7 +475,10 @@ def test_loader_fuzz_exits_zero_or_two(fuzz_inputs, data):
     hg, weights = root / "k3.hg", root / "half.w"
     for argv in (["rho-star", hg], ["constant", hg, "--weights", weights],
                  ["detect", "--config", root / "prime.cfg", "--pattern", hg],
-                 ["detect", "--config", root / "rational.cfg", "--pattern", hg]):
+                 ["detect", "--config", root / "rational.cfg", "--pattern", hg],
+                 ["mcount", "--host", root / "host.hg", "--pattern", hg],
+                 ["search-m", "--pattern", hg, "--n", "3", "--budget", "4",
+                  "--mode", "exhaustive"]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):

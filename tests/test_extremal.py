@@ -3,15 +3,18 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjoints import (Hypergraph, SimpleHypergraph, colex_sets, cone_pattern,
                      contains_copy, count_inducing_sets, inducing_sets,
                      kruskal_katona_count, lovasz_bound, partial_shadow_check,
                      search_M)
 from hjoints.errors import SizeMismatch, UniformityMismatch
-from hjoints.extremal import binom_real, canonical_form
+from hjoints.extremal import binom_real, colex_key
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
+P3 = Hypergraph(3, ((1, 2), (2, 3)), (1, 1))
 
 
 def test_contains_copy_examples():
@@ -117,21 +120,6 @@ def test_bound_matches_across_t_for_same_n():
     assert rep0.bound == rep1.bound == b0
 
 
-def test_canonical_form_invariance():
-    rng = random.Random(5)
-    edges = [(1, 2, 3), (1, 2, 4), (2, 4, 5)]
-    base = canonical_form(5, SimpleHypergraph.from_sets(5, edges).edges)
-    for _ in range(6):
-        perm = list(range(1, 6))
-        rng.shuffle(perm)
-        moved = SimpleHypergraph.from_sets(
-            5, [tuple(perm[v - 1] for v in e) for e in edges])
-        assert canonical_form(5, moved.edges) == base
-    other = canonical_form(5, SimpleHypergraph.from_sets(
-        5, [(1, 2, 3), (1, 2, 4), (1, 2, 5)]).edges)
-    assert other != base
-
-
 def test_search_exhaustive_k3_n5():
     res = search_M(K3, 5, 6, mode="exhaustive")
     assert res.best_count == 2  # colex is extremal here
@@ -159,3 +147,102 @@ def test_search_local_strictness_instance():
             if frozenset(c) not in drop]
     host = SimpleHypergraph.from_sets(6, keep)
     assert count_inducing_sets(host, pattern) == 6
+
+
+def oracle_search(h, n, budget, mode, *, seed=0, restarts=200):
+    """search_M as a plain loop that scores every host it examines with
+    count_inducing_sets: no memo and no isomorphism dedup."""
+    sizes = {len(e) for e in h.edges}
+    pool = [sum(1 << (v - 1) for v in c) for c in sorted(
+        (c for k in sizes
+         for c in itertools.combinations(range(1, budget + 1), k)),
+        key=colex_key)]
+
+    def count(edges):
+        return count_inducing_sets(SimpleHypergraph(budget, tuple(edges)), h)
+
+    if mode == "exhaustive":
+        best, best_host = -1, None
+        for combo in itertools.combinations(pool, n):
+            c = count(combo)
+            if c > best:
+                best, best_host = c, combo
+        return best, SimpleHypergraph(budget, best_host), True, comb(len(pool), n)
+    rng = random.Random(seed)
+    best, best_host, examined = -1, None, 0
+    for restart in range(restarts):
+        current = set(pool[:n] if restart == 0 else rng.sample(pool, n))
+        score = count(current)
+        examined += 1
+        improved = True
+        while improved:
+            improved = False
+            for out_edge in sorted(current):
+                for in_edge in pool:
+                    if in_edge in current:
+                        continue
+                    trial = (current - {out_edge}) | {in_edge}
+                    examined += 1
+                    s = count(trial)
+                    if s > score:
+                        current, score, improved = trial, s, True
+                        break
+                if improved:
+                    break
+        if score > best:
+            best, best_host = score, current
+    return best, SimpleHypergraph(budget, tuple(best_host)), False, examined
+
+
+@st.composite
+def search_cases(draw):
+    d = draw(st.integers(2, 5))
+    subsets = [c for k in range(1, d)
+               for c in itertools.combinations(range(1, d + 1), k)]
+    edges = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=5))
+    # a repeated edge takes the next colour, so colours hold no duplicates
+    colors = [edges[:i].count(e) + 1 for i, e in enumerate(edges)]
+    h = Hypergraph(d, tuple(edges), tuple(colors))
+    budget = draw(st.integers(4, 6))
+    pool = sum(comb(budget, k) for k in {len(e) for e in edges})
+    mode = draw(st.sampled_from(["exhaustive", "local"]))
+    if mode == "exhaustive":
+        n = draw(st.sampled_from([k for k in range(pool + 1)
+                                  if comb(pool, k) <= 2000]))
+    else:
+        n = draw(st.integers(0, min(pool, 5)))
+    return h, n, budget, mode, draw(st.integers(0, 9)), draw(st.integers(1, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=search_cases())
+def test_search_matches_the_unmemoised_oracle(case):
+    h, n, budget, mode, seed, restarts = case
+    res = search_M(h, n, budget, mode, seed=seed, restarts=restarts)
+    assert (res.best_count, res.best_host, res.certified,
+            res.hosts_examined) == oracle_search(
+        h, n, budget, mode, seed=seed, restarts=restarts)
+
+
+@pytest.mark.parametrize("h, n, mode, best, hosts, best_host", [
+    (K3, 4, "exhaustive", 1, 1365, None),
+    (K3, 5, "exhaustive", 2, 3003, None),
+    (K3, 6, "exhaustive", 4, 5005, (3, 5, 6, 9, 10, 12)),
+    (P3, 5, "exhaustive", 10, 3003, (3, 5, 9, 17, 33)),
+    (cone_pattern(4, 1), 12, "local", 6, 1986, None),
+])
+def test_search_values_are_pinned(h, n, mode, best, hosts, best_host):
+    res = search_M(h, n, 6, mode, restarts=40, seed=0)
+    assert (res.best_count, res.hosts_examined) == (best, hosts)
+    assert best_host is None or res.best_host.edges == best_host
+
+
+def test_search_certifies_kruskal_katona_at_budget_7():
+    res = search_M(K3, 8, 7, mode="exhaustive")
+    assert res.certified and res.hosts_examined == comb(21, 8)
+    assert res.best_count == kruskal_katona_count(8, 3) == 5
+
+
+def test_search_local_needs_a_restart():
+    with pytest.raises(ValueError):
+        search_M(K3, 4, 5, mode="local", restarts=0)
