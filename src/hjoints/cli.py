@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import random
 import platform
 import sys
@@ -24,12 +25,12 @@ from .acceptance import (geo_shearer_optimal_record, geo_shearer_random_record,
 from .configs import (axis_parallel_from_functions, axis_parallel_pattern,
                       generic_hyperplanes, projected_generically_induced)
 from .cover import dual_cover, rho_star
-from .entropy import (holder_check, joint_multiplicity, loomis_whitney_check,
-                      shearer_check)
-from .errors import HJointsError
+from .entropy import (FiniteDistribution, holder_check, joint_multiplicity,
+                      loomis_whitney_check, shearer_check)
+from .errors import HJointsError, SizeMismatch
 from .extremal import (count_inducing_sets, kruskal_katona_count,
                        lovasz_bound, partial_shadow_check, search_M)
-from .fields import GF, QQ, field_from_key
+from .fields import GF, QQ, as_int, field_from_key
 from .geometry import Flat, candidate_points_from_flats, detect_joints
 from .hypergraph import covering_constant
 from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord,
@@ -127,12 +128,13 @@ def cmd_build_config(args) -> int:
     field = _field_arg(args.field)
     if args.kind == "axis":
         spec = load_json(args.axis_spec)
-        subsets = [tuple(s) for s in spec["subsets"]]
-        functions = [{tuple(int(x) for x in key.split(",")): int(v)
-                      for key, v in f.items()} for f in spec["functions"]]
-        cfg = axis_parallel_from_functions(int(spec["d"]), subsets, functions,
-                                           int(spec["s"]), field)
-        pattern = axis_parallel_pattern(int(spec["d"]), subsets)
+        d = as_int(spec["d"])
+        subsets = [tuple(as_int(j) for j in s) for s in spec["subsets"]]
+        functions = [{k: as_int(v) for k, v in _parse_keyed_tuples(f).items()}
+                     for f in spec["functions"]]
+        cfg = axis_parallel_from_functions(d, subsets, functions,
+                                           as_int(spec["s"]), field)
+        pattern = axis_parallel_pattern(d, subsets)
     else:
         host = load_simple_hypergraph(args.host)
         pattern = load_hypergraph(args.pattern)
@@ -180,16 +182,37 @@ def cmd_eta(args) -> int:
 
 
 def _parse_keyed_tuples(d: dict):
-    return {tuple(int(x) for x in key.split(",")): v for key, v in d.items()}
+    """{"a,b,...": value} as {(a, b, ...): float}, values finite and >= 0."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected an object keyed by 'a,b,...', got {d!r}")
+    out = {tuple(as_int(x) for x in key.split(",")): float(v)
+           for key, v in d.items()}
+    if not all(0 <= v < math.inf for v in out.values()):
+        raise ValueError("values must be finite and nonnegative")
+    return out
+
+
+def _load_spec(path):
+    """An inequality spec with its shared fields checked: (spec, d, subsets,
+    weights), one weight per subset and every subset inside 1..d."""
+    spec = load_json(path)
+    d = as_int(spec["d"])
+    subsets = [tuple(as_int(j) for j in s) for s in spec["subsets"]]
+    weights = [parse_fraction(x) for x in spec["weights"]]
+    if len(weights) != len(subsets):
+        raise SizeMismatch("need one weight per subset")
+    if not all(1 <= j <= d for s in subsets for j in s):
+        raise SizeMismatch(f"subsets must lie in 1..{d}")
+    return spec, d, subsets, weights
 
 
 def cmd_shearer(args) -> int:
-    spec = load_json(args.spec)
-    joint = {k: float(v)
-             for k, v in _parse_keyed_tuples(spec["joint"]).items()}
-    slack = shearer_check(int(spec["d"]),
-                          [tuple(s) for s in spec["subsets"]],
-                          [parse_fraction(x) for x in spec["weights"]], joint)
+    spec, d, subsets, weights = _load_spec(args.spec)
+    joint = _parse_keyed_tuples(spec["joint"])
+    if any(len(k) != d for k in joint):
+        raise SizeMismatch(f"joint outcomes must have length d={d}")
+    FiniteDistribution(tuple(joint), tuple(joint.values()))  # sums to 1
+    slack = shearer_check(d, subsets, weights, joint)
     rep = _new_report(args, "shearer", [args.spec])
     rep.add(CheckRecord("shearer", PASS if slack >= -1e-9 else FAIL,
                         slack=slack))
@@ -197,12 +220,12 @@ def cmd_shearer(args) -> int:
 
 
 def cmd_holder(args) -> int:
-    spec = load_json(args.spec)
+    spec, d, subsets, weights = _load_spec(args.spec)
     functions = [_parse_keyed_tuples(f) for f in spec["functions"]]
-    lhs, rhs, slack = holder_check(
-        int(spec["d"]), [tuple(s) for s in spec["subsets"]],
-        [parse_fraction(x) for x in spec["weights"]], functions,
-        int(spec["s"]))
+    if len(functions) != len(subsets):
+        raise SizeMismatch("need one function per subset")
+    lhs, rhs, slack = holder_check(d, subsets, weights, functions,
+                                   as_int(spec["s"]))
     rep = _new_report(args, "holder", [args.spec])
     rep.add(CheckRecord("holder",
                         PASS if slack >= -1e-9 * max(rhs, 1.0) else FAIL,
@@ -211,11 +234,11 @@ def cmd_holder(args) -> int:
 
 
 def cmd_lw(args) -> int:
-    spec = load_json(args.spec)
-    slack = loomis_whitney_check(
-        int(spec["d"]), [tuple(s) for s in spec["subsets"]],
-        [parse_fraction(x) for x in spec["weights"]],
-        [tuple(p) for p in spec["points"]])
+    spec, d, subsets, weights = _load_spec(args.spec)
+    points = [tuple(p) for p in spec["points"]]
+    if any(len(p) != d for p in points):
+        raise SizeMismatch(f"points must have length d={d}")
+    slack = loomis_whitney_check(d, subsets, weights, points)
     rep = _new_report(args, "lw", [args.spec])
     rep.add(CheckRecord("loomis-whitney", PASS if slack >= -1e-9 else FAIL,
                         slack=slack))
@@ -282,7 +305,7 @@ def _load_alpha(text, n_points):
         rng = random.Random(int(text.split(":", 1)[1]))
         return {r: rng.randrange(-2, 3) for r in range(n_points)}
     data = load_json(text)
-    return {r: int(v) for r, v in enumerate(data["alpha"])}
+    return {r: as_int(v) for r, v in enumerate(data["alpha"])}
 
 
 def cmd_vanishing(args) -> int:
@@ -349,6 +372,8 @@ def cmd_key_audit(args) -> int:
           flats[index(entry, "flat", len(flats))]):
          parse_fraction(entry["value"]) for entry in cert["b"]}
     W = {r: float(v) for r, v in enumerate(cert["W"])}
+    if not all(0 < x < math.inf for x in W.values()):
+        raise ValueError("certificate W values must be positive and finite")
     audit = key_inequality_audit(h, w, cfg, b, W,
                                  cond1_factor=args.cond1_factor,
                                  cond2_tol=args.cond2_tol, cap=args.cap)

@@ -66,13 +66,12 @@ class JointsConfiguration:
         return tuple(len(c) for c in self.classes)
 
     def tuples_at(self, h: Hypergraph, point_index: int, *, cap: int = 10000,
-                  trials: int = 8, seed: int = 0) -> list[WitnessTuple]:
+                  seed: int = 0) -> list[WitnessTuple]:
         """Cached witness-tuple enumeration for one stored point."""
-        key = (h, point_index, cap, trials, seed)
+        key = (h, point_index, cap, seed)
         if key not in self._tuple_cache:
             self._tuple_cache[key] = enumerate_witness_tuples(
-                h, self.points[point_index], self, cap=cap, trials=trials,
-                seed=seed)
+                h, self.points[point_index], self, cap=cap, seed=seed)
         return self._tuple_cache[key]
 
     def flat_of(self, color: int, instance: int) -> Flat:
@@ -171,7 +170,7 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
     points from the vertex sets inducing the t-cone of h, pushed to F^d by
     the linear map `proj` (None: no map, so t must be 0). Raises
     GenericityFailure on any degeneracy."""
-    from .extremal import find_embedding, inducing_sets
+    from .extremal import _inducing_embeddings
 
     profile = h.validate_uniform_coloring()
     if family.D != h.d + t:
@@ -197,14 +196,12 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
         flat_of.append(by_edge)
     cone_pat = h.cone(t)
     points = []
-    for A in inducing_sets(host, cone_pat):
+    for A, emb in _inducing_embeddings(host, cone_pat):
         fl = family.intersection([v - 1 for v in A])
         if fl is None or fl.dim != 0:
             raise GenericityFailure(f"vertex set {A} does not cut a point")
         p = fl.base if proj is None else linalg.mat_vec(proj, fl.base, field)
         order = sorted(A)
-        emb = find_embedding(host.restrict(A), cone_pat)
-        assert emb is not None
         flats = [flat_of[c - 1][tuple(sorted(order[emb[v] - 1] for v in e))]
                  for e, c in zip(cone_pat.edges, h.colors)]
         if witness_check(h, p, flats, seed=7) is None:

@@ -179,18 +179,23 @@ def contains_copy(induced: SimpleHypergraph, h) -> bool:
     return find_embedding(induced, h) is not None
 
 
-def inducing_sets(host: SimpleHypergraph, h) -> list[tuple[int, ...]]:
-    """All d-subsets A of the host with a pattern copy inside host[A]."""
+def _inducing_embeddings(host: SimpleHypergraph, h):
+    """Yield (A, embedding of the pattern into host.restrict(A)) for each
+    d-subset A of the host with a pattern copy inside host[A]."""
     d = _pattern_vertex_count(h)
     need = len(_pattern_edge_sets(h))
-    out = []
     for A in itertools.combinations(range(1, host.n + 1), d):
         sub = host.restrict(A)
         if sub.n_edges < need:
             continue
-        if find_embedding(sub, h) is not None:
-            out.append(A)
-    return out
+        emb = find_embedding(sub, h)
+        if emb is not None:
+            yield A, emb
+
+
+def inducing_sets(host: SimpleHypergraph, h) -> list[tuple[int, ...]]:
+    """All d-subsets A of the host with a pattern copy inside host[A]."""
+    return [A for A, _ in _inducing_embeddings(host, h)]
 
 
 def count_inducing_sets(host: SimpleHypergraph, h) -> int:

@@ -14,11 +14,17 @@ independent vectors v_1..v_d with
 
     v_j in W_j := intersection of dir(F_e) over all edges e not containing j
 
-(W_j is the whole space when j lies in every edge). Existence of such a
-transversal is decided by random sampling over the field (false-negative
-probability at most (d/p)^trials over GF(p), by Schwartz-Zippel on the
-degree-d determinant), with an exact symbolic-determinant fallback for
-d <= 6.
+(W_j is the whole space when j lies in every edge). The decision is exact.
+A family whose W_j are not all nonzero, or do not jointly span F^d, has no
+transversal. Otherwise DRAWS random transversals are tried; the first
+invertible one is the witness. Only when every draw is singular does Rado's
+rank condition decide: independent v_j in W_j exist iff
+dim(sum_{j in S} W_j) >= |S| for every vertex set S (R. Rado, "A theorem on
+independence relations", 1942). If it holds, drawing continues until a
+witness is found; the determinant is multilinear in (v_1..v_d), so each
+draw succeeds with probability at least (1 - 1/p)^d over GF(p). The draws
+come first because one determinant settles almost every joint, while the
+rank condition costs up to 2^g - 1 rank tests for g distinct W_j.
 
 W_j depends only on the set of flats on edges avoiding j, and whether the
 W_j jointly span F^d (needed for a transversal) only on which distinct spaces
@@ -38,6 +44,8 @@ from . import linalg
 from .errors import (BudgetExceeded, CapExceeded, DimensionMismatch,
                      PointNotOnFlat, SizeMismatch)
 from .hypergraph import Hypergraph
+
+DRAWS = 8  # random transversals tried before the exact rank test
 
 
 class Flat:
@@ -208,67 +216,37 @@ def _sample_transversal(spaces, d, field, rng):
     return cols
 
 
-def _sample_witness(point, spaces, d, field, rng, tries) -> Optional[Witness]:
-    """Up to `tries` random transversals; the first invertible one, or None."""
-    for _ in range(tries):
+def _sample_witness(point, spaces, d, field, rng) -> Optional[Witness]:
+    """Up to DRAWS random transversals; the first invertible one, or None."""
+    for _ in range(DRAWS):
         cols = _sample_transversal(spaces, d, field, rng)
         if not field.is_zero(linalg.det([list(row) for row in zip(*cols)], field)):
             return Witness(tuple(point), tuple(cols))
     return None
 
 
-def _transversal_det_poly_nonzero(spaces, d, field) -> bool:
-    """Exact existence test: is det(sum_t c_{j,t} basis_j[t])_{j} nonzero
-    as a polynomial in the c variables? Subset DP over rows; monomials are
-    one basis choice per column, so the state stays small for slim spaces.
-    """
-    full = (1 << d) - 1
-    # dp maps row-subset -> {monomial(tuple of t per processed column): coeff}
-    dp = {0: {(): field.one}}
-    for col in range(d):
-        basis = spaces[col]
-        if not basis:
-            return False
-        ndp: dict[int, dict[tuple, object]] = {}
-        for subset, poly in dp.items():
-            for i in range(d):
-                bit = 1 << i
-                if subset & bit:
-                    continue
-                # sign: parity of rows below i already used
-                sign_flips = bin(subset >> (i + 1)).count("1")
-                for t, vec in enumerate(basis):
-                    entry = vec[i]
-                    if field.is_zero(entry):
-                        continue
-                    if sign_flips % 2:
-                        entry = field.neg(entry)
-                    tgt = ndp.setdefault(subset | bit, {})
-                    for mono, coeff in poly.items():
-                        key = mono + (t,)
-                        val = field.mul(coeff, entry)
-                        if key in tgt:
-                            tgt[key] = field.add(tgt[key], val)
-                        else:
-                            tgt[key] = val
-        dp = {s: {m: c for m, c in poly.items() if not field.is_zero(c)}
-              for s, poly in ndp.items()}
-        dp = {s: poly for s, poly in dp.items() if poly}
-        if not dp:
-            return False
-    return bool(dp.get(full))
+def _has_transversal(spaces, d, field) -> bool:
+    """Rado: independent v_j in W_j exist iff dim(sum_{j in S} W_j) >= |S|
+    for every vertex set S. Adding a vertex whose W_j is already in the sum
+    raises |S| and not the dimension, so only unions of whole groups of
+    vertices with equal W_j need a rank test."""
+    groups: dict[tuple, int] = {}
+    for basis in spaces:
+        key = tuple(map(tuple, basis))
+        groups[key] = groups.get(key, 0) + 1
+    return all(
+        linalg.rank([row for basis, _ in union for row in basis], field, d)
+        >= sum(size for _, size in union)
+        for k in range(1, len(groups) + 1)
+        for union in itertools.combinations(groups.items(), k))
 
 
 def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
-                  trials: int = 8, seed: int = 0, rng: random.Random | None = None,
-                  deterministic: str | bool = "auto",
-                  space_cache=None) -> Optional[Witness]:
+                  seed: int = 0) -> Optional[Witness]:
     """Decide whether (point, flats) forms a pattern joint; return a witness.
 
     flats is indexed like h.edges. Raises DimensionMismatch / PointNotOnFlat
-    for malformed input; returns None when no witness exists (exactly, when
-    the symbolic fallback ran; otherwise up to the (d/p)^trials sampling
-    bound).
+    for malformed input; returns None exactly when no witness exists.
     """
     d = h.d
     for i, (e, fl) in enumerate(zip(h.edges, flats)):
@@ -276,12 +254,10 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
             raise DimensionMismatch(i, d - len(e), fl.dim)
         if not fl.contains(point):
             raise PointNotOnFlat(i)
-    return _witness(h, point, flats, trials,
-                    random.Random(seed) if rng is None else rng, deterministic,
-                    {} if space_cache is None else space_cache)
+    return _witness(h, point, flats, random.Random(seed), {})
 
 
-def _witness(h, point, flats, trials, rng, deterministic, cache):
+def _witness(h, point, flats, rng, cache):
     """witness_check on input known to be well formed: every flat has the
     dimension its edge asks for and contains the point."""
     d = h.d
@@ -294,21 +270,14 @@ def _witness(h, point, flats, trials, rng, deterministic, cache):
             [row for basis in spaces for row in basis], field, d) == d
     if not cache[span_key]:
         return None  # some W_j is zero, or the W_j do not jointly span
-    exact = deterministic is True or (deterministic == "auto" and d <= 6)
-    if deterministic is not True:
-        wit = _sample_witness(point, spaces, d, field, rng, trials)
-        if wit is not None or not exact:
-            return wit
-    if not _transversal_det_poly_nonzero(spaces, d, field):
-        return None
-    # a witness exists; sampling finds one almost immediately
-    wit = _sample_witness(point, spaces, d, field, rng, max(64, 8 * trials))
-    if wit is None and deterministic is True:
-        raise RuntimeError("sampling failed despite a nonzero symbolic determinant")
+    wit = _sample_witness(point, spaces, d, field, rng)
+    if wit is None and _has_transversal(spaces, d, field):
+        while wit is None:
+            wit = _sample_witness(point, spaces, d, field, rng)
     return wit
 
 
-def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
+def _witnessed_assignments(h: Hypergraph, point, config, seed):
     """Yield (assignment, witness) for each qualifying flat-instance
     assignment at one point, in product order; identical canonical flat
     tuples share one witness check, and all checks draw from one rng."""
@@ -337,16 +306,14 @@ def _witnessed_assignments(h: Hypergraph, point, config, trials, seed):
         if flats not in checked:
             # every candidate contains the point and has its class's
             # dimension, so the core check runs without witness_check's
-            # input checks; negatives rest on the (d/p)^trials sampling
-            # bound, and the union-rank filter catches the bulk exactly
-            checked[flats] = _witness(h, point, flats, trials, rng, False,
-                                      space_cache)
+            # input checks
+            checked[flats] = _witness(h, point, flats, rng, space_cache)
         if checked[flats] is not None:
             yield assignment, checked[flats]
 
 
 def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,
-                             trials: int = 8, seed: int = 0) -> list[WitnessTuple]:
+                             seed: int = 0) -> list[WitnessTuple]:
     """All qualifying flat-instance assignments at one point (the set T_p).
 
     Multiset copies count as distinct instances; geometry is deduplicated so
@@ -354,17 +321,16 @@ def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,
     when more than `cap` qualifying tuples exist.
     """
     out: list[WitnessTuple] = []
-    for assignment, wit in _witnessed_assignments(h, point, config, trials, seed):
+    for assignment, wit in _witnessed_assignments(h, point, config, seed):
         out.append(WitnessTuple(tuple(assignment), wit))
         if len(out) > cap:
             raise CapExceeded(cap)
     return out
 
 
-def has_witness_tuple(h: Hypergraph, point, config, *, trials: int = 8,
-                      seed: int = 0) -> bool:
+def has_witness_tuple(h: Hypergraph, point, config, *, seed: int = 0) -> bool:
     """Early-exit variant: is T_p nonempty?"""
-    return any(True for _ in _witnessed_assignments(h, point, config, trials, seed))
+    return any(True for _ in _witnessed_assignments(h, point, config, seed))
 
 
 def candidate_points_from_flats(config, *, budget: int = 200000):
@@ -396,10 +362,10 @@ def candidate_points_from_flats(config, *, budget: int = 200000):
 
 
 def detect_joints(h: Hypergraph, config, candidate_points=None, *,
-                  budget: int = 200000, trials: int = 8, seed: int = 0):
+                  budget: int = 200000, seed: int = 0):
     """Candidates with nonempty witness-tuple set, sorted canonically."""
     if candidate_points is None:
         candidate_points = candidate_points_from_flats(config, budget=budget)
     joints = [p for p in candidate_points
-              if has_witness_tuple(h, p, config, trials=trials, seed=seed)]
+              if has_witness_tuple(h, p, config, seed=seed)]
     return sorted(set(joints))

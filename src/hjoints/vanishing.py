@@ -337,13 +337,12 @@ def preassigned_order(config) -> tuple[int, ...]:
                         key=lambda i: config.points[i]))
 
 
-def default_chosen(h: Hypergraph, config, *, cap: int = 10000,
-                   trials: int = 8) -> dict:
+def default_chosen(h: Hypergraph, config, *, cap: int = 10000) -> dict:
     """First enumerated witness tuple per joint, keyed by preassigned rank."""
     order = preassigned_order(config)
     chosen = {}
     for rank, idx in enumerate(order):
-        tuples = config.tuples_at(h, idx, cap=cap, trials=trials)
+        tuples = config.tuples_at(h, idx, cap=cap)
         if not tuples:
             raise ChartMissing(f"stored point {idx} admits no witness tuple")
         wt = tuples[0]

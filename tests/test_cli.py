@@ -14,7 +14,8 @@ from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
                      SimpleHypergraph, WeightFunction, acceptance,
                      generic_hyperplanes, generically_induced)
 from hjoints.cli import main
-from hjoints.serialize import load_json, save_json
+from hjoints.serialize import certificate_to_dict, load_json, save_json
+from hjoints.vanishing import handicap_iteration
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 
@@ -101,23 +102,21 @@ def test_eta_cli(workdir, capsys, tmp_path):
     assert payload["tuples"] == 6
 
 
+SPECS = {
+    "shearer": {"d": 2, "subsets": [[1], [2]], "weights": ["1", "1"],
+                "joint": {"0,0": 0.5, "1,1": 0.5}},
+    "holder": {"d": 2, "s": 2, "subsets": [[1], [2]], "weights": ["1", "1"],
+               "functions": [{"0": 1, "1": 2}, {"0": 3, "1": 1}]},
+    "lw": {"d": 2, "subsets": [[1], [2]], "weights": ["1", "1"],
+           "points": [[0, 0], [1, 1], [0, 1]]},
+}
+
+
 def test_inequality_spec_commands(capsys, tmp_path):
-    shearer_spec = {"d": 2, "subsets": [[1], [2]], "weights": ["1", "1"],
-                    "joint": {"0,0": 0.5, "1,1": 0.5}}
-    save_json(tmp_path / "sh.json", shearer_spec)
-    code, _ = run(capsys, "shearer", "--spec", tmp_path / "sh.json")
-    assert code == 0
-    holder_spec = {"d": 2, "s": 2, "subsets": [[1], [2]],
-                   "weights": ["1", "1"],
-                   "functions": [{"0": 1, "1": 2}, {"0": 3, "1": 1}]}
-    save_json(tmp_path / "ho.json", holder_spec)
-    code, _ = run(capsys, "holder", "--spec", tmp_path / "ho.json")
-    assert code == 0
-    lw_spec = {"d": 2, "subsets": [[1], [2]], "weights": ["1", "1"],
-               "points": [[0, 0], [1, 1], [0, 1]]}
-    save_json(tmp_path / "lw.json", lw_spec)
-    code, _ = run(capsys, "lw", "--spec", tmp_path / "lw.json")
-    assert code == 0
+    for command, spec in SPECS.items():
+        save_json(tmp_path / f"{command}.json", spec)
+        code, _ = run(capsys, command, "--spec", tmp_path / f"{command}.json")
+        assert code == 0, command
 
 
 def test_kk_and_shadow_cli(workdir, capsys, tmp_path):
@@ -373,10 +372,25 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
     assert err.startswith("error: ") and "1/0" in err
 
 
-@pytest.mark.parametrize("site", ["color", "d", "host-n", "prime-scalar"])
+@pytest.mark.parametrize("site", ["color", "d", "host-n", "prime-scalar",
+                                  "axis-count", "alpha"])
 def test_non_integral_scalars_exit_two(workdir, capsys, tmp_path, site):
     # int() would truncate each of these (2.5 -> 2) and load another input
-    if site == "prime-scalar":
+    if site == "axis-count":
+        save_json(tmp_path / "axis.json",
+                  {"d": 2, "s": 2, "subsets": [[1], [2]],
+                   "functions": [{"0": 1, "1": 1.5}, {"0": 1, "1": 1}]})
+        argv = ["build-config", "--kind", "axis", "--axis-spec",
+                tmp_path / "axis.json", "-o", tmp_path / "axis.cfg"]
+    elif site == "alpha":
+        cfg_path = tmp_path / "g.cfg"
+        run(capsys, "build-config", "--kind", "generic", "--host",
+            workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+        save_json(tmp_path / "alpha.json", {"alpha": [0.5, 0, 0, 0]})
+        argv = ["vanishing", "--config", cfg_path, "--pattern",
+                workdir / "k3.hg", "--alpha", tmp_path / "alpha.json",
+                "--n", "2"]
+    elif site == "prime-scalar":
         cfg_path = tmp_path / "g.cfg"
         run(capsys, "build-config", "--kind", "generic", "--host",
             workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
@@ -399,6 +413,33 @@ def test_non_integral_scalars_exit_two(workdir, capsys, tmp_path, site):
     assert err.startswith("error: ") and "not an integer" in err
 
 
+@pytest.mark.parametrize("command, path, value, message", [
+    ("shearer", ("d",), 2.5, "not an integer"),
+    ("holder", ("s",), 2.9, "not an integer"),
+    ("lw", ("d",), 2.7, "not an integer"),
+    ("lw", ("subsets", 1, 0), 2.5, "not an integer"),
+    ("holder", ("functions", 0), {"0": 1, "1.5": 2}, "invalid literal"),
+    ("lw", ("subsets", 1, 0), 3, "subsets must lie in 1..2"),
+    ("shearer", ("joint", "0,0"), 2, "sum to 2.5"),
+    ("shearer", ("joint",), [], "expected an object"),
+    ("holder", ("functions", 0, "1"), "nan", "finite and nonnegative"),
+    ("holder", ("functions", 1), "drop", "one function per subset"),
+    ("lw", ("points", 0, 1), "drop", "length d=2"),
+], ids=["shearer-d", "holder-s", "lw-d", "subset", "keyed-tuple",
+        "subset-range", "joint-sum", "joint-type", "holder-nan",
+        "holder-missing-function", "lw-short-point"])
+def test_malformed_spec_exits_two(capsys, tmp_path, command, path, value,
+                                  message):
+    # int() truncated the first four and the inequality ran as PASS; the
+    # unnormalised joint and the nan value ran as FAIL (exit 1)
+    spec = _mutate(copy.deepcopy(SPECS[command]), path, value)
+    save_json(tmp_path / "spec.json", spec)
+    code = main([command, "--spec", str(tmp_path / "spec.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("key, value", [("flat", 999), ("flat", -1),
                                         ("point", 99)])
 def test_key_audit_rejects_indices_out_of_range(workdir, capsys, tmp_path,
@@ -417,6 +458,24 @@ def test_key_audit_rejects_indices_out_of_range(workdir, capsys, tmp_path,
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"{key} {value} is not in" in err
+
+
+def test_key_audit_rejects_a_zero_target_weight(workdir, capsys, tmp_path):
+    # W(p) = 0 divided by zero in the audit and escaped main as a traceback
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    inputs = ["--config", cfg_path, "--pattern", workdir / "k3.hg",
+              "--weights", workdir / "half.w"]
+    run(capsys, "handicap-run", *inputs, "--n", "4", "-o", cert_path)
+    cert = load_json(cert_path)
+    cert["W"][0] = 0
+    save_json(cert_path, cert)
+    code = main([str(a) for a in ["key-audit", "--certificate", cert_path,
+                                  *inputs]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "positive and finite" in err
 
 
 ODD_SCALARS = ["1/0", "nan", float("nan"), float("inf"), 10 ** 30, -10 ** 30,
@@ -454,16 +513,23 @@ def fuzz_inputs(tmp_path_factory):
     for name, field in (("prime.cfg", GF()), ("rational.cfg", QQ)):
         fam = generic_hyperplanes(4, 3, seed=0, field=field)
         docs[name] = generically_induced(host, K3, fam).to_dict()
+    cfg = JointsConfiguration.from_dict(docs["prime.cfg"])
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    docs["run.cert"] = certificate_to_dict(
+        K3, handicap_iteration(K3, w, cfg, n=4))
+    docs.update({f"{command}.json": spec for command, spec in SPECS.items()})
+    docs["axis.json"] = {"d": 2, "s": 2, "subsets": [[1], [2]],
+                         "functions": [{"0": 1, "1": 1}, {"0": 1, "1": 2}]}
     return docs, tmp_path_factory.mktemp("fuzz")
 
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(data=st.data())
 def test_loader_fuzz_exits_zero_or_two(fuzz_inputs, data):
-    # valid .hg (pattern and host)/.w/.cfg files with a key dropped or a
-    # value swapped for an odd scalar or a value of another type: every
-    # command either runs or reports an input error, and no exception
-    # escapes main
+    # valid .hg (pattern and host)/.w/.cfg/.cert, inequality and axis spec
+    # files with a key dropped or a value swapped for an odd scalar or a value of
+    # another type: every command either runs or reports an input error,
+    # and no exception escapes main
     docs, root = fuzz_inputs
     name = data.draw(st.sampled_from(sorted(docs)))
     doc = copy.deepcopy(docs[name])
@@ -478,10 +544,20 @@ def test_loader_fuzz_exits_zero_or_two(fuzz_inputs, data):
                  ["detect", "--config", root / "rational.cfg", "--pattern", hg],
                  ["mcount", "--host", root / "host.hg", "--pattern", hg],
                  ["search-m", "--pattern", hg, "--n", "3", "--budget", "4",
-                  "--mode", "exhaustive"]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                  "--mode", "exhaustive"],
+                 *[[command, "--spec", root / f"{command}.json"]
+                   for command in SPECS],
+                 ["build-config", "--kind", "axis", "--axis-spec",
+                  root / "axis.json", "--field", "7", "-o", root / "axis.cfg"],
+                 ["key-audit", "--certificate", root / "run.cert", "--config",
+                  root / "prime.cfg", "--pattern", hg, "--weights", weights]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv])
+        if argv[0] == "key-audit" and code == 1:
+            # a well-formed certificate may fail its audit (the n=4 one
+            # fails condition 2 unmutated): a verdict, not a loader error
+            assert "FAIL" in out.getvalue()
+            continue
         assert code in (0, 2), argv
         assert code == 0 or err.getvalue().startswith("error: ")

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Flat, Hypergraph, SimpleHypergraph, WitnessTuple,
@@ -12,7 +12,7 @@ from hjoints import (GF, QQ, Flat, Hypergraph, SimpleHypergraph, WitnessTuple,
                      witness_check)
 from hjoints.errors import DimensionMismatch, PointNotOnFlat, SizeMismatch
 from hjoints.geometry import candidate_points_from_flats, has_witness_tuple
-from hjoints import linalg
+from hjoints import geometry, linalg
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -85,7 +85,91 @@ def test_witness_coplanar_lines_rejected():
              line((0, 0, 0), (1, 1, 0)))
     # determinant is identically zero: any v_j assignment is coplanar
     assert witness_check(K3, p, flats) is None
-    assert witness_check(K3, p, flats, deterministic=True) is None
+
+
+def _transversal_det_poly_nonzero(spaces, d, field) -> bool:
+    """Exact existence test: is det(sum_t c_{j,t} basis_j[t])_{j} nonzero
+    as a polynomial in the c variables? Subset DP over rows; monomials are
+    one basis choice per column, so the state stays small for slim spaces.
+    """
+    full = (1 << d) - 1
+    # dp maps row-subset -> {monomial(tuple of t per processed column): coeff}
+    dp = {0: {(): field.one}}
+    for col in range(d):
+        basis = spaces[col]
+        if not basis:
+            return False
+        ndp: dict[int, dict[tuple, object]] = {}
+        for subset, poly in dp.items():
+            for i in range(d):
+                bit = 1 << i
+                if subset & bit:
+                    continue
+                # sign: parity of rows below i already used
+                sign_flips = bin(subset >> (i + 1)).count("1")
+                for t, vec in enumerate(basis):
+                    entry = vec[i]
+                    if field.is_zero(entry):
+                        continue
+                    if sign_flips % 2:
+                        entry = field.neg(entry)
+                    tgt = ndp.setdefault(subset | bit, {})
+                    for mono, coeff in poly.items():
+                        key = mono + (t,)
+                        val = field.mul(coeff, entry)
+                        if key in tgt:
+                            tgt[key] = field.add(tgt[key], val)
+                        else:
+                            tgt[key] = val
+        dp = {s: {m: c for m, c in poly.items() if not field.is_zero(c)}
+              for s, poly in ndp.items()}
+        dp = {s: poly for s, poly in dp.items() if poly}
+        if not dp:
+            return False
+    return bool(dp.get(full))
+
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(7), F, QQ]
+
+
+@st.composite
+def subspace_families(draw):
+    """(field, d, W_1..W_d): each W_j a basis drawn from a small pool of
+    spaces, so spaces repeat; entries in {0, 1, 2} make dependencies
+    common over every field."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    d = draw(st.integers(1, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, d))):
+        rows = [tuple(field.from_int(x) for x in draw(
+                    st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+                for _ in range(draw(st.integers(0, d)))]
+        pool.append(linalg.rref(rows, field, d)[0] if rows else [])
+    return field, d, [draw(st.sampled_from(pool)) for _ in range(d)]
+
+
+def _unit_rows(field, d, *indices):
+    return [tuple(field.one if k == i else field.zero for k in range(d))
+            for i in indices]
+
+
+@seed(8808)
+@settings(max_examples=300, deadline=None)
+@given(family=subspace_families())
+@example(family=(GF(3), 4, [_unit_rows(GF(3), 4, 0, 1)] * 3
+                 + [_unit_rows(GF(3), 4, 2, 3)]))
+@example(family=(QQ, 5, [_unit_rows(QQ, 5, 0, 1, 2)] * 4
+                 + [_unit_rows(QQ, 5, 3, 4)]))
+def test_rado_condition_matches_symbolic_determinant(family):
+    # the examples span F^d with every W_j nonzero, yet a group of vertices
+    # shares a space too small for it: the spanning filter passes them and
+    # only the grouped rank condition can reject them
+    field, d, spaces = family
+    spans = all(spaces) and linalg.rank(
+        [row for basis in spaces for row in basis], field, d) == d
+    want = _transversal_det_poly_nonzero(spaces, d, field)
+    event(f"spans={spans}, transversal={want}")
+    assert geometry._has_transversal(spaces, d, field) is want
 
 
 def test_witness_validation_errors():
@@ -219,6 +303,22 @@ def test_enumerate_tuples_simple_and_empty():
     assert enumerate_witness_tuples(h, off_point, cfg) == []
 
 
+def test_loomis_whitney_axis_joints_found_at_every_seed():
+    # over GF(3) each W_j is a line, so a random transversal is invertible
+    # with probability (2/3)^3 and eight draws all miss with probability
+    # about 0.06 per point: sampling alone drops joints at some seeds
+    from hjoints import axis_parallel_from_functions, axis_parallel_pattern
+    subsets = [(2, 3), (1, 3), (1, 2)]
+    ones = {v: 1 for v in itertools.product(range(2), repeat=2)}
+    cfg = axis_parallel_from_functions(3, subsets, [ones] * 3, 2, field=GF(3))
+    h = axis_parallel_pattern(3, subsets)
+    assert len(cfg.points) == 8
+    for rng_seed in range(20):
+        joints = detect_joints(h, cfg, list(cfg.points), seed=rng_seed)
+        assert joints == sorted(cfg.points), rng_seed
+        assert all(cfg.tuples_at(h, i, seed=rng_seed) for i in range(8))
+
+
 def test_detect_joints_axis_grid():
     from hjoints import axis_parallel_from_functions, axis_parallel_pattern
     h = axis_parallel_pattern(2, [(1,), (2,)])
@@ -257,8 +357,9 @@ def _memo_fixture(case, field):
 
 
 def _uncached_tuples(h, point, cfg, seed):
-    """The enumeration as one loop over every assignment: witness_check with
-    no space cache, identical flat tuples checked once, one rng throughout."""
+    """The enumeration as one loop over every assignment: the witness core
+    with a fresh space cache per check, identical flat tuples checked once,
+    one rng throughout."""
     candidates = [[k for k, fl in enumerate(cfg.classes[c - 1]) if fl.contains(point)]
                   for c in h.colors]
     rng = random.Random(seed)
@@ -266,8 +367,7 @@ def _uncached_tuples(h, point, cfg, seed):
     for assignment in itertools.product(*candidates):
         flats = tuple(cfg.classes[c - 1][k] for c, k in zip(h.colors, assignment))
         if flats not in checked:
-            checked[flats] = witness_check(h, point, flats, rng=rng,
-                                           deterministic=False, space_cache=None)
+            checked[flats] = geometry._witness(h, point, flats, rng, {})
         if checked[flats] is not None:
             out.append(WitnessTuple(assignment, checked[flats]))
     return out
