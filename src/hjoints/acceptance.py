@@ -136,6 +136,24 @@ def geo_shearer_optimal_record(h, w, cfg, cap=10000) -> CheckRecord:
                        note="lhs = log2(sum of multiplicities)")
 
 
+def key_audit_records(h, w, cfg, b, W, *, cond1_factor=0.8, cond2_tol=0.1,
+                      cap=10000) -> list[CheckRecord]:
+    """The key_inequality_audit of one certificate (b, W) as records:
+    conditions (1) and (2), and the equalization spread as INFO."""
+    audit = key_inequality_audit(h, w, cfg, b, W, cond1_factor=cond1_factor,
+                                 cond2_tol=cond2_tol, cap=cap)
+    return [CheckRecord("condition-1", PASS if audit.cond1_pass else FAIL,
+                        slack=audit.cond1_worst,
+                        note=f"factor {cond1_factor}; raw margin "
+                             f"{audit.cond1_margin:.6f}"),
+            CheckRecord("condition-2", PASS if audit.cond2_pass else FAIL,
+                        slack=audit.cond2_worst,
+                        note=f"tolerance {cond2_tol}"),
+            CheckRecord("equalization-spread", INFO,
+                        slack=audit.wprime_spread,
+                        note=f"lambda={audit.lam:.6f}")]
+
+
 # --------------------------------------------------------------------------
 # criteria
 # --------------------------------------------------------------------------

@@ -5,8 +5,9 @@ instance supplies the arithmetic. This keeps Gaussian elimination over
 either field cheap and lets the same linear-algebra code serve both.
 
 Row arithmetic lives in one place per field, the row kernels `scale_row(c,
-row)` and `sub_scaled_row(u, c, v)` (u - c*v): every elimination and every
-combination of rows calls them, and GF(p) reduces `% p` once per entry there.
+row)`, `sub_scaled_row(u, c, v)` (u - c*v) and `dot(u, v)`: every
+elimination and every combination of rows calls them, and GF(p) reduces
+`% p` once per entry there (once per sum in `dot`).
 
 The default prime is 2^61 - 1. Randomized genericity tests (Schwartz-Zippel
 style) should only be run over primes of at least ~2^31 so the quoted
@@ -16,6 +17,7 @@ checks.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -90,6 +92,9 @@ class RationalField:
     def sub_scaled_row(self, u, c, v):
         return [a - c * b for a, b in zip(u, v)]
 
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v), self.zero)
+
     def div(self, a, b):
         return a / b
 
@@ -163,6 +168,9 @@ class PrimeField:
     def sub_scaled_row(self, u, c, v):
         p = self.p
         return [(a - c * b) % p for a, b in zip(u, v)]
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v)) % self.p
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p

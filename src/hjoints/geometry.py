@@ -26,11 +26,22 @@ draw succeeds with probability at least (1 - 1/p)^d over GF(p). The draws
 come first because one determinant settles almost every joint, while the
 rank condition costs up to 2^g - 1 rank tests for g distinct W_j.
 
-W_j depends only on the set of flats on edges avoiding j, and whether the
-W_j jointly span F^d (needed for a transversal) only on which distinct spaces
-occur, not on their order or repetition. So the space cache keys W_j on its
-flat set and the spanning test on the set of those flat sets: assignments
-that permute flats among same-colour edges share one rank computation.
+Enumeration is a depth-first walk over the edges in index order, which
+visits complete assignments in product order. Vertices with the same set of
+avoiding edges form a group with one W_j, fixed by the pattern; the group's
+W_j is final once the last edge of its set is assigned. It is the nullspace
+of the direction annihilators of the flats it intersects, whose basis is
+canonical, so equal flat sets give bit-identical spaces; it is cached on the
+flat for a single flat and per walk for a set of several. A final W_j that
+is zero ends the branch. Otherwise its rows are reduced into an echelon
+carried down the walk, and the branch ends when the echelon rank plus, for
+each unfinished group, the smallest d - |e| over its avoiding edges (a
+bound on its dimension) falls below d. At a leaf every W_j is nonzero and
+the echelon has rank d, which is the spanning filter itself. Pruned branches
+hold only assignments that fail that filter, which never draw, so the
+witnesses and their rng draws are those of a loop over every assignment in
+product order; identical flat tuples share one check. witness_check is the
+same walk with one candidate per edge.
 """
 
 from __future__ import annotations
@@ -51,7 +62,8 @@ DRAWS = 8  # random transversals tried before the exact rank test
 class Flat:
     """Affine subspace of F^d in canonical (rref directions, reduced base) form."""
 
-    __slots__ = ("field", "d", "base", "dirs", "_pivots", "_hash", "_ann")
+    __slots__ = ("field", "d", "base", "dirs", "_pivots", "_hash", "_ann",
+                 "_basis")
 
     def __init__(self, field, d, base, dirs):
         self.field = field
@@ -66,7 +78,7 @@ class Flat:
         self.dirs = tuple(red)
         self._pivots = tuple(pivots)
         self._hash = hash((field.key(), d, self.base, self.dirs))
-        self._ann = None
+        self._ann = self._basis = None
 
     @property
     def dim(self) -> int:
@@ -103,6 +115,14 @@ class Flat:
         if self._ann is None:
             self._ann = annihilator(self.dirs, self.d, self.field)
         return self._ann
+
+    def direction_basis(self):
+        """Cached basis of the direction space in the canonical form of an
+        intersection of direction spaces: the nullspace of the annihilator."""
+        if self._basis is None:
+            self._basis = _meet_rows(self.direction_annihilator(), self.d,
+                                     self.field)
+        return self._basis
 
     def equations(self):
         """(rows N, rhs) with the flat equal to {x : N x = rhs}."""
@@ -187,21 +207,95 @@ class WitnessTuple:
     witness: Witness
 
 
-def _avoiding_sets(h: Hypergraph, flats: Sequence[Flat]):
-    """Per vertex j, the set of flats on edges avoiding j (which fixes W_j)."""
-    return [frozenset(flats[i] for i, e in enumerate(h.edges) if j not in e)
-            for j in range(1, h.d + 1)]
+def _vertex_groups(h: Hypergraph):
+    """The vertices grouped by their set of avoiding edges, in vertex order.
+
+    Per group: (avoiding edge indices, vertex indices 0..d-1, dimension
+    bound). A group's W_j lies in dir F_e for each avoiding edge e, so its
+    dimension is at most d - |e| for the largest such edge (d when no edge
+    avoids the group)."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j in range(1, h.d + 1):
+        avoiding = tuple(i for i, e in enumerate(h.edges) if j not in e)
+        groups.setdefault(avoiding, []).append(j - 1)
+    return [(edges, vertices,
+             h.d - max((len(h.edges[i]) for i in edges), default=0))
+            for edges, vertices in groups.items()]
 
 
-def _direction_spaces(avoiding, d, field, cache):
-    """W_j bases for the flat sets in `avoiding`, cached per flat set."""
-    for relevant in avoiding:
-        if relevant not in cache:
-            constraints = [row for fl in relevant
-                           for row in fl.direction_annihilator()]
-            cache[relevant] = (linalg.nullspace(constraints, field, d)
-                               if constraints else linalg.identity_rows(d, field))
-    return [cache[relevant] for relevant in avoiding]
+def _meet_rows(constraints, d, field):
+    """Basis of the vectors every constraint row vanishes on: a nullspace,
+    whose basis is canonical, so equal row spaces give bit-identical bases."""
+    return (linalg.nullspace(constraints, field, d) if constraints
+            else linalg.identity_rows(d, field))
+
+
+def _meet(flat_set, d, field, cache):
+    """W basis for a set of flats, the intersection of their direction
+    spaces: cached on the flat for one flat, in cache per flat set for more."""
+    if len(flat_set) == 1:
+        return next(iter(flat_set)).direction_basis()
+    if flat_set not in cache:
+        cache[flat_set] = _meet_rows([row for fl in flat_set
+                                      for row in fl.direction_annihilator()],
+                                     d, field)
+    return cache[flat_set]
+
+
+class _Span:
+    """A subspace of F^d in reduced row echelon form: row i is 1 at
+    pivots[i] and 0 at every other pivot, so a vector v reduces to
+    v[c] - sum_i v[pivots[i]] * rows[i][c] on each free column c."""
+
+    __slots__ = ("pivots", "rows", "free", "cols")
+
+    def __init__(self, pivots, rows, d):
+        self.pivots, self.rows = pivots, rows
+        self.free = [c for c in range(d) if c not in pivots]
+        self.cols = [[row[c] for row in rows] for c in self.free]
+
+    def extend(self, basis, need, field) -> Optional["_Span"]:
+        """The span of self and the rows of basis, or None when its
+        dimension is below need."""
+        if not self.free:
+            return self
+        # the rows of basis modulo self, on the free columns, brought to
+        # reduced row echelon form among themselves
+        new: list[tuple[int, list]] = []
+        for v in basis:
+            coeffs = [v[c] for c in self.pivots]
+            x = [field.sub(v[c], field.dot(coeffs, col))
+                 for c, col in zip(self.free, self.cols)]
+            for t, y in new:
+                if not field.is_zero(x[t]):
+                    x = field.sub_scaled_row(x, x[t], y)
+            t = next((t for t, a in enumerate(x) if not field.is_zero(a)), None)
+            if t is None:
+                continue
+            x = field.scale_row(field.inv(x[t]), x)
+            new = [(s, y if field.is_zero(y[t]) else
+                    field.sub_scaled_row(y, y[t], x)) for s, y in new]
+            new.append((t, x))
+        rank = len(self.pivots) + len(new)
+        if rank < need:
+            return None
+        d = len(self.free) + len(self.pivots)
+        if rank == d:
+            return _Span(tuple(range(d)), [], d)
+        # lift: a new row is 0 at the old pivots; clear the old rows at the
+        # new pivots
+        lifted = []
+        for t, x in new:
+            u = [field.zero] * d
+            for c, a in zip(self.free, x):
+                u[c] = a
+            lifted.append((self.free[t], u))
+        rows = list(self.rows)
+        for q, u in lifted:
+            rows = [row if field.is_zero(row[q]) else
+                    field.sub_scaled_row(row, row[q], u) for row in rows]
+        return _Span(self.pivots + tuple(q for q, _ in lifted),
+                     rows + [u for _, u in lifted], d)
 
 
 def _sample_transversal(spaces, d, field, rng):
@@ -254,27 +348,68 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
             raise DimensionMismatch(i, d - len(e), fl.dim)
         if not fl.contains(point):
             raise PointNotOnFlat(i)
-    return _witness(h, point, flats, random.Random(seed), {})
+    walk = _walk(h, point, flats[0].field, [[(0, fl)] for fl in flats],
+                 random.Random(seed))
+    return next((wit for _, wit in walk), None)
 
 
-def _witness(h, point, flats, rng, cache):
-    """witness_check on input known to be well formed: every flat has the
-    dimension its edge asks for and contains the point."""
-    d = h.d
-    field = flats[0].field
-    avoiding = _avoiding_sets(h, flats)
-    spaces = _direction_spaces(avoiding, d, field, cache)
-    span_key = frozenset(avoiding)  # a set of flat sets, never a flat set
-    if span_key not in cache:
-        cache[span_key] = all(spaces) and linalg.rank(
-            [row for basis in spaces for row in basis], field, d) == d
-    if not cache[span_key]:
-        return None  # some W_j is zero, or the W_j do not jointly span
-    wit = _sample_witness(point, spaces, d, field, rng)
-    if wit is None and _has_transversal(spaces, d, field):
-        while wit is None:
-            wit = _sample_witness(point, spaces, d, field, rng)
-    return wit
+def _walk(h, point, field, candidates, rng):
+    """Yield (assignment, witness) for each qualifying assignment, in product
+    order over candidates[i], the (instance index, flat) pairs for edge i.
+
+    Every candidate must contain the point and have dimension d - |e| for
+    its edge. The walk assigns the edges in index order and prunes a
+    partial assignment once some final W_j is zero or the final W_j plus
+    the bounds of the unfinished groups cannot reach dimension d. At a leaf
+    the W_j are nonzero and jointly span F^d; identical flat tuples share
+    one witness, and all draws come from rng."""
+    d, m = h.d, len(h.edges)
+    spaces = [None] * d  # W_j of the current assignment, per vertex
+    span = _Span((), [], d)
+    groups = sorted(_vertex_groups(h), key=lambda g: g[0][-1:])
+    pending = sum(bound for _, _, bound in groups)  # of the unfinished groups
+    final_at = [[] for _ in range(m)]  # per edge: (edges, vertices, need)
+    for edges, vertices, bound in groups:
+        pending -= bound
+        if edges:  # the span must reach d less what the later groups bring
+            final_at[edges[-1]].append((edges, vertices, d - pending))
+            continue
+        basis = linalg.identity_rows(d, field)  # W = F^d whatever the flats
+        for j in vertices:
+            spaces[j] = basis
+        span = span.extend(basis, d, field)
+    cache: dict = {}
+    flats = [None] * m
+    assignment = [0] * m
+    checked: dict[tuple, Optional[Witness]] = {}
+
+    def extend(i, span):
+        if i == m:
+            key = tuple(flats)
+            if key not in checked:
+                wit = _sample_witness(point, spaces, d, field, rng)
+                if wit is None and _has_transversal(spaces, d, field):
+                    while wit is None:
+                        wit = _sample_witness(point, spaces, d, field, rng)
+                checked[key] = wit
+            if checked[key] is not None:
+                yield tuple(assignment), checked[key]
+            return
+        for k, fl in candidates[i]:
+            assignment[i], flats[i] = k, fl
+            sub = span
+            for edges, vertices, need in final_at[i]:
+                basis = _meet(frozenset(flats[e] for e in edges), d, field,
+                              cache)
+                sub = sub.extend(basis, need, field) if basis else None
+                if sub is None:
+                    break
+                for j in vertices:
+                    spaces[j] = basis
+            else:
+                yield from extend(i + 1, sub)
+
+    return extend(0, span)
 
 
 def _witnessed_assignments(h: Hypergraph, point, config, seed):
@@ -284,32 +419,20 @@ def _witnessed_assignments(h: Hypergraph, point, config, seed):
     if h.r > config.r:
         raise SizeMismatch(f"pattern has {h.r} colours, configuration "
                            f"{config.r} classes")
-    by_color: dict[int, list[int]] = {}
-    candidates = []
-    for c in h.colors:
-        if c not in by_color:  # edges of one colour share its class scan
-            by_color[c] = [k for k, fl in enumerate(config.classes[c - 1])
-                           if fl.contains(point)]
-        if not by_color[c]:
-            return
-        candidates.append(by_color[c])
     for i, e in enumerate(h.edges):
         k = config.dims[h.colors[i] - 1]
         if k != h.d - len(e):
             raise DimensionMismatch(i, h.d - len(e), k)
-    rng = random.Random(seed)
-    checked: dict[tuple, Optional[Witness]] = {}
-    space_cache: dict = {}
-    for assignment in itertools.product(*candidates):
-        flats = tuple(config.classes[h.colors[i] - 1][k]
-                      for i, k in enumerate(assignment))
-        if flats not in checked:
-            # every candidate contains the point and has its class's
-            # dimension, so the core check runs without witness_check's
-            # input checks
-            checked[flats] = _witness(h, point, flats, rng, space_cache)
-        if checked[flats] is not None:
-            yield assignment, checked[flats]
+    by_color: dict[int, list] = {}
+    candidates = []
+    for c in h.colors:
+        if c not in by_color:  # edges of one colour share its class scan
+            by_color[c] = [(k, fl) for k, fl in enumerate(config.classes[c - 1])
+                           if fl.contains(point)]
+        if not by_color[c]:
+            return
+        candidates.append(by_color[c])
+    yield from _walk(h, point, config.field, candidates, random.Random(seed))
 
 
 def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,

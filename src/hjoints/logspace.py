@@ -55,6 +55,55 @@ def factorize(m: int) -> dict[int, int]:
     return out
 
 
+EXACT_SIGN_BITS = 1 << 24  # largest big-integer side log2_sum_sign builds
+
+
+def _rational(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def log2_sum_sign(terms) -> int:
+    """Exact sign of sum q * log2(x) over (x, q) pairs, each x a positive
+    rational and q rational. No x is factored.
+
+    A float evaluation settles the sign when its magnitude exceeds a
+    generous bound on its rounding error. Otherwise, with D clearing the
+    denominators of the q, prod_{q>0} x^(D q) is compared with
+    prod_{q<0} x^(-D q) in integers; ValueError when those would exceed
+    EXACT_SIGN_BITS bits."""
+    terms = [(_rational(x), _rational(q)) for x, q in terms if q]
+    approx, err = [], 0.0
+    for x, q in terms:
+        if x.numerator <= 0:
+            raise ValueError("log of a non-positive rational")
+        top, bottom = math.log2(x.numerator), math.log2(x.denominator)
+        qf = float(q)
+        approx.append(qf * (top - bottom))
+        err += abs(qf) * (top + bottom + 1.0)
+    total = math.fsum(approx)
+    if abs(total) > err * 2.0 ** -40:
+        return 1 if total > 0 else -1
+    denom = 1
+    for _, q in terms:
+        denom = denom * q.denominator // math.gcd(denom, q.denominator)
+    size = sum(abs(q) * denom * (x.numerator.bit_length()
+                                 + x.denominator.bit_length())
+               for x, q in terms)
+    if size > EXACT_SIGN_BITS:
+        raise ValueError("log-space sign too close to zero to decide "
+                         f"within {EXACT_SIGN_BITS} bits")
+    lhs = rhs = 1
+    for x, q in terms:
+        e = q.numerator * (denom // q.denominator)
+        if e > 0:
+            lhs *= x.numerator ** e
+            rhs *= x.denominator ** e
+        else:
+            lhs *= x.denominator ** -e
+            rhs *= x.numerator ** -e
+    return (lhs > rhs) - (lhs < rhs)
+
+
 class Log2Value:
     """Immutable exact value sum_p q_p * log2(p) over primes p."""
 
@@ -126,24 +175,7 @@ class Log2Value:
 
     def sign(self) -> int:
         """Exact sign: reduce to one big-integer comparison."""
-        if not self._coeff:
-            return 0
-        denom = 1
-        for q in self._coeff.values():
-            denom = denom * q.denominator // math.gcd(denom, q.denominator)
-        num = 1
-        den = 1
-        for p, q in self._coeff.items():
-            e = q.numerator * (denom // q.denominator)
-            if e > 0:
-                num *= p ** e
-            else:
-                den *= p ** (-e)
-        if num > den:
-            return 1
-        if num < den:
-            return -1
-        return 0
+        return log2_sum_sign(self._coeff.items())
 
     def compare(self, other: "Log2Value") -> int:
         return (self - other).sign()

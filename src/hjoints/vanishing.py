@@ -47,6 +47,7 @@ from math import comb
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
                      NotConnected)
 from .hypergraph import Hypergraph, WeightFunction
+from .logspace import log2_sum_sign
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +630,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
 
 @dataclass
 class AuditReport:
-    cond1_pass: bool
+    cond1_pass: bool        # decided exactly, on the rational b and W values
     cond2_pass: bool
     cond1_worst: float      # max over (p, tuple) of factor*W(p) - product
     cond1_margin: float     # min over (p, tuple) of product - W(p)
@@ -643,27 +644,45 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
                          cond1_factor: float = 0.8, cond2_tol: float = 0.1,
                          cap: int = 10000) -> AuditReport:
     """Check a certificate (b values keyed by (rank, flat), target weights W)
-    against both sides of the target inequality."""
+    against both sides of the target inequality.
+
+    Condition (1), product >= factor * W(p) for every witness tuple with
+    product = (prod_i b_i^w_i)^(1/(|w| - 1)), is decided exactly as the sign
+    of sum_i (w_i / (|w| - 1)) log2 b_i - log2(factor * W(p)), on the
+    Fraction b and the exact binary values of the floats; the float
+    products only feed the reported slacks."""
     exponent = 1.0 / float(w.total - 1)
+    root = 1 / (w.total - 1)
+    exps = [we * root for we in w.weights]  # of b_i in log2(product)
     order = preassigned_order(config)
+    cond1_pass = True
     cond1_worst = -math.inf
     cond1_margin = math.inf
     wprime = {}
     for rank, idx in enumerate(order):
         tuples = config.tuples_at(h, idx, cap=cap)
+        target = Fraction(cond1_factor) * Fraction(W[rank])
         best = math.inf
         for wt in tuples:
             prod = 1.0
+            logs = []  # (b, exponent) pairs; None once a weighted b is zero
             for i in range(len(h.edges)):
                 fl = config.flat_of(h.colors[i], wt.assignment[i])
-                bval = float(b.get((rank, fl), 0))
+                bval = b.get((rank, fl), 0)
                 if w.weights[i] == 0:
                     continue
-                prod *= bval ** float(w.weights[i])
+                prod *= float(bval) ** float(w.weights[i])
+                if not bval:
+                    logs = None
+                elif logs is not None:
+                    logs.append((bval, exps[i]))
             prod **= exponent
             best = min(best, prod)
             cond1_worst = max(cond1_worst, cond1_factor * W[rank] - prod)
             cond1_margin = min(cond1_margin, prod - W[rank])
+            cond1_pass = cond1_pass and (target <= 0 or (
+                logs is not None
+                and log2_sum_sign([*logs, (target, -1)]) >= 0))
         wprime[rank] = best / W[rank]
     by_flat: dict = {}
     for (rank, fl), val in b.items():
@@ -677,7 +696,7 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
         cond2_pass = cond2_pass and excess <= cond2_tol  # exact vs a float
     spread = max(wprime.values()) - min(wprime.values())
     lam = math.fsum(wprime.values()) / len(wprime)
-    return AuditReport(cond1_worst <= 0.0, cond2_pass,
+    return AuditReport(cond1_pass, cond2_pass,
                        cond1_worst, cond1_margin, cond2_worst, spread, lam,
                        {"wprime": wprime})
 

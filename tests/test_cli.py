@@ -165,6 +165,33 @@ def test_vanishing_handicap_audit_pipeline(workdir, capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_handicap_run_audits_the_certificate_it_writes(workdir, capsys,
+                                                      tmp_path):
+    # at n=4 on the generic K4 configuration the balanced b overshoots 1/1!
+    # on a line by 1/4: the certificate is written, and handicap-run reports
+    # the key-audit records for it and exits 1, as key-audit does
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    inputs = ["--config", cfg_path, "--pattern", workdir / "k3.hg",
+              "--weights", workdir / "half.w"]
+    run_json, audit_json = tmp_path / "run.json", tmp_path / "audit.json"
+    code, out = run(capsys, "handicap-run", *inputs, "--n", "4",
+                    "-o", cert_path, "--json", run_json)
+    assert code == 1 and cert_path.exists()
+    assert "certificate written" in out
+    code, _ = run(capsys, "key-audit", "--certificate", cert_path, *inputs,
+                  "--json", audit_json)
+    assert code == 1
+    written = load_json(run_json)["records"]
+    audited = load_json(audit_json)["records"]
+    assert [r["name"] for r in written] == ["handicap-termination",
+                                            "condition-1", "condition-2",
+                                            "equalization-spread"]
+    assert written[1:] == audited
+    assert written[2]["status"] == "FAIL"
+
+
 def test_report_determinism(workdir, capsys, tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     run(capsys, "rho-star", workdir / "k3.hg", "--json", r1)

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import DEFAULT_PRIME, GF, QQ, Log2Value
 from hjoints import linalg
 from hjoints.fields import field_from_key, is_prime
-from hjoints.logspace import _exp2_fixed, _log2_fixed, factorize
+from hjoints.logspace import (EXACT_SIGN_BITS, _exp2_fixed, _log2_fixed,
+                              factorize, log2_sum_sign)
 
 
 def test_is_prime_basics():
@@ -156,3 +157,41 @@ def test_log2value_sign_matches_float(m1, m2, q1, q2):
         # tiny values: exact sign must at least be consistent with zero-ness
         if v.is_zero():
             assert v.sign() == 0
+
+
+def _integer_sign(terms):
+    """sign of sum q log2 x by exact rational powers: prod x^(D q) vs 1."""
+    denom = math.lcm(*(Fraction(q).denominator for _, q in terms))
+    value = math.prod(Fraction(x) ** int(Fraction(q) * denom) for x, q in terms)
+    return (value > 1) - (value < 1)
+
+
+@seed(4411)
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.tuples(
+           st.fractions(min_value=Fraction(1, 20), max_value=50,
+                        max_denominator=20),
+           st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+           min_size=1, max_size=3),
+       shift=st.sampled_from([None, 0, 1, -1]))
+@example(terms=[(Fraction(3), Fraction(1, 2))], shift=1)
+def test_log2_sum_sign_matches_integer_comparison(terms, shift):
+    # shift appends (x^2 (1 + shift 10^-15), -q/2) for the first term: an
+    # exact cancellation at 0 and a near one at +-1, which the float
+    # evaluation cannot settle, so the integer comparison must
+    if shift is not None:
+        x, q = terms[0]
+        terms = terms + [(x * x * (1 + Fraction(shift, 10 ** 15)), -q / 2)]
+    assert log2_sum_sign(terms) == _integer_sign(terms)
+
+
+def test_log2_sum_sign_takes_bases_it_cannot_factor():
+    big = 2 ** 89 - 1  # a prime above the reach of factorize
+    with pytest.raises(ValueError):
+        Log2Value.of_int_log(big)
+    assert log2_sum_sign([(big, 1), (big + 1, -1)]) == -1
+    assert log2_sum_sign([(Fraction(big, big + 1), 2), (Fraction(big, big + 1) ** 2, -1)]) == 0
+    # an exact decision past EXACT_SIGN_BITS is refused, not attempted
+    q = Fraction(EXACT_SIGN_BITS)
+    with pytest.raises(ValueError):
+        log2_sum_sign([(big, q), (big + 1, -q), (big + 1, q), (big, -q)])

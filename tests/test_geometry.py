@@ -6,10 +6,12 @@ import pytest
 from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 
-from hjoints import (GF, QQ, Flat, Hypergraph, SimpleHypergraph, WitnessTuple,
-                     detect_joints, enumerate_witness_tuples,
-                     generic_hyperplanes, generically_induced, intersect_flats,
-                     witness_check)
+from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
+                     SimpleHypergraph, WitnessTuple, axis_parallel_from_functions,
+                     axis_parallel_pattern, cone_pattern, detect_joints,
+                     enumerate_witness_tuples, generic_hyperplanes,
+                     generically_induced, intersect_flats,
+                     projected_generically_induced, witness_check)
 from hjoints.errors import DimensionMismatch, PointNotOnFlat, SizeMismatch
 from hjoints.geometry import candidate_points_from_flats, has_witness_tuple
 from hjoints import geometry, linalg
@@ -341,25 +343,63 @@ def test_flat_from_dict_rejects_wrong_lengths(data):
 
 
 JOINTS6 = Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), (1, 1, 1))
+LW_SUBSETS = [(1, 2), (2, 3), (1, 3)]
+FOUR_COLOUR_SUBSETS = [(1,), (2, 3), (3, 4), (1, 2, 4)]
 
 
 @functools.cache
 def _memo_fixture(case, field):
-    """(pattern, configuration, points) with non-joints among the K3 points."""
+    """(pattern, configuration, points to test)."""
     if case == "joints-K7":
         cfg = generically_induced(SimpleHypergraph.complete(7, 4), JOINTS6,
                                   generic_hyperplanes(7, 6, field=field))
         return JOINTS6, cfg, cfg.points
+    if case == "cone-K6":  # the apex lies in every edge: W = F^d for it
+        h = cone_pattern(3, 1)
+        cfg = generically_induced(SimpleHypergraph.complete(6, 3), h,
+                                  generic_hyperplanes(6, 4, field=field))
+        # candidate_points_from_flats returns exactly these 15 points, but
+        # over Q it intersects 6,175 combinations of the 20 lines first
+        return h, cfg, cfg.points
+    if case == "projected-K5":
+        cfg = projected_generically_induced(
+            SimpleHypergraph.complete(5, 3), K3, 1,
+            generic_hyperplanes(5, 4, field=field))
+        return K3, cfg, candidate_points_from_flats(cfg)
     m = int(case[-1])
     cfg = generically_induced(SimpleHypergraph.complete(m, 2), K3,
                               generic_hyperplanes(m, 3, field=field))
     return K3, cfg, candidate_points_from_flats(cfg)
 
 
+def _oracle_witness(h, point, flats, rng):
+    """The witness core from scratch for one assignment: each W_j as the
+    nullspace of the direction annihilators of the flats on edges avoiding
+    j, the stacked-rank spanning filter, then the draws and, when all of
+    them are singular, Rado's condition."""
+    d, field = h.d, flats[0].field
+    meets, spaces = {}, []  # vertices avoiding the same edges share one W
+    for j in range(1, d + 1):
+        avoiding = tuple(i for i, e in enumerate(h.edges) if j not in e)
+        if avoiding not in meets:
+            rows = [row for i in avoiding
+                    for row in flats[i].direction_annihilator()]
+            meets[avoiding] = (linalg.nullspace(rows, field, d) if rows
+                               else linalg.identity_rows(d, field))
+        spaces.append(meets[avoiding])
+    if not all(spaces) or linalg.rank(
+            [row for basis in spaces for row in basis], field, d) < d:
+        return None
+    wit = geometry._sample_witness(point, spaces, d, field, rng)
+    if wit is None and geometry._has_transversal(spaces, d, field):
+        while wit is None:
+            wit = geometry._sample_witness(point, spaces, d, field, rng)
+    return wit
+
+
 def _uncached_tuples(h, point, cfg, seed):
-    """The enumeration as one loop over every assignment: the witness core
-    with a fresh space cache per check, identical flat tuples checked once,
-    one rng throughout."""
+    """The enumeration as one loop over every assignment in product order:
+    identical flat tuples checked once, one rng throughout."""
     candidates = [[k for k, fl in enumerate(cfg.classes[c - 1]) if fl.contains(point)]
                   for c in h.colors]
     rng = random.Random(seed)
@@ -367,21 +407,34 @@ def _uncached_tuples(h, point, cfg, seed):
     for assignment in itertools.product(*candidates):
         flats = tuple(cfg.classes[c - 1][k] for c, k in zip(h.colors, assignment))
         if flats not in checked:
-            checked[flats] = geometry._witness(h, point, flats, rng, {})
+            checked[flats] = _oracle_witness(h, point, flats, rng)
         if checked[flats] is not None:
             out.append(WitnessTuple(assignment, checked[flats]))
     return out
 
 
-def _check_against_uncached_loop(case, field, data):
-    # assignments that permute flats share one spanning test and one W_j
-    # cache; witnesses, rng draws included, must equal the uncached loop's
-    h, cfg, points = _memo_fixture(case, field)
+def _check_against_uncached_loop(h, cfg, points, data):
+    # the depth-first walk prunes partial assignments that cannot span;
+    # witnesses, rng draws included, must equal the per-assignment loop's,
+    # and witness_check must equal the oracle on one assignment
+    if not points:
+        return
     point = points[data.draw(st.integers(0, len(points) - 1))]
     rng_seed = data.draw(st.integers(0, 1 << 16))
     want = _uncached_tuples(h, point, cfg, rng_seed)
+    event(f"tuples={len(want) > 0}")
     assert enumerate_witness_tuples(h, point, cfg, seed=rng_seed) == want
     assert has_witness_tuple(h, point, cfg, seed=rng_seed) == bool(want)
+    candidates = [[fl for fl in cfg.classes[c - 1] if fl.contains(point)]
+                  for c in h.colors]
+    if all(candidates):
+        flats = [data.draw(st.sampled_from(cls)) for cls in candidates]
+        assert witness_check(h, point, flats, seed=rng_seed) == _oracle_witness(
+            h, point, flats, random.Random(rng_seed))
+
+
+def _check_case(case, field, data):
+    _check_against_uncached_loop(*_memo_fixture(case, field), data)
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
@@ -390,7 +443,7 @@ def _check_against_uncached_loop(case, field, data):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_k3_enumeration_matches_uncached_loop(case, field, data):
-    _check_against_uncached_loop(case, field, data)
+    _check_case(case, field, data)
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
@@ -398,4 +451,45 @@ def test_k3_enumeration_matches_uncached_loop(case, field, data):
 @settings(max_examples=1, deadline=None)  # one point: about 9 s over Q
 @given(data=st.data())
 def test_joints_enumeration_matches_uncached_loop(field, data):
-    _check_against_uncached_loop("joints-K7", field, data)
+    _check_case("joints-K7", field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("case", ["cone-K6", "projected-K5"])
+@seed(5514)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cone_and_projected_enumeration_match_uncached_loop(case, field, data):
+    _check_case(case, field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, F, GF(7)], ids=["Q", "GF", "GF7"])
+@pytest.mark.parametrize("subsets", [LW_SUBSETS, FOUR_COLOUR_SUBSETS],
+                         ids=["LW", "four-colour"])
+@seed(5515)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_axis_enumeration_matches_uncached_loop(subsets, field, data):
+    # multiplicities 0-2 give duplicate flats and empty fibres; in the
+    # four-colour pattern the groups of vertices with equal avoiding sets
+    # are final at edges 1, 2 and 3, and every vertex avoids two edges
+    d = max(max(I) for I in subsets)
+    functions = [{v: data.draw(st.integers(0, 2))
+                  for v in itertools.product(range(2), repeat=len(I))}
+                 for I in subsets]
+    cfg = axis_parallel_from_functions(d, subsets, functions, 2, field=field)
+    _check_against_uncached_loop(axis_parallel_pattern(d, subsets), cfg,
+                                 candidate_points_from_flats(cfg), data)
+
+
+def test_dimension_mismatch_raised_at_every_point():
+    # K3 asks for lines; against planes it must raise whether or not the
+    # point lies on a flat of the class
+    plane = fl((0, 0, 0), [(1, 0, 0), (0, 1, 0)])  # z = 0
+    cfg = JointsConfiguration(F, 3, (2,), ((plane,),), ((F.zero,) * 3,))
+    for point in ((0, 0, 0), (0, 0, 5)):
+        point = tuple(F.from_int(x) for x in point)
+        with pytest.raises(DimensionMismatch):
+            enumerate_witness_tuples(K3, point, cfg)
+        with pytest.raises(DimensionMismatch):
+            has_witness_tuple(K3, point, cfg)

@@ -551,6 +551,26 @@ def test_audit_condition_two_is_exact():
     assert not past.cond2_pass and past.cond2_worst == 1 / 16
 
 
+@pytest.mark.parametrize("values, passes", [
+    ((Fraction(1, 3), Fraction(3, 2), Fraction(1)), True),
+    ((Fraction(1, 7), Fraction(7, 4), Fraction(2 ** 60 - 1, 2 ** 59)), False),
+], ids=["equal", "below-by-2^-61"])
+def test_audit_condition_one_is_exact(values, passes):
+    # K3 with weights 1/2 takes (sqrt(b1) sqrt(b2) sqrt(b3))^2 against W:
+    # the products are exactly 1/2 and 1/2 - 2^-61, and in floats they
+    # round to 1/2 - 2^-54 (a float FAIL) and to 1/2 or more (a float PASS)
+    cfg = _generic_k3(4)
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    b = {}
+    for rank, idx in enumerate(vanishing.preassigned_order(cfg)):
+        lines = [fl for fl in cfg.classes[0] if fl.contains(cfg.points[idx])]
+        b.update({(rank, fl): v for fl, v in zip(lines, values)})
+    W = {rank: 0.5 for rank in range(len(cfg.points))}
+    audit = key_inequality_audit(K3, w, cfg, b, W, cond1_factor=1.0)
+    assert audit.cond1_pass is passes
+    assert (audit.cond1_worst <= 0.0) is not passes  # the float verdict
+
+
 def test_audit_hand_built_and_degenerate():
     # single-joint exact certificate: b = 1/k! per flat, W = 1/d!
     pattern = axis_parallel_pattern(2, [(1,), (2,)])
