@@ -303,8 +303,11 @@ def _load_alpha(text, n_points):
     if text.startswith("random:"):
         rng = random.Random(int(text.split(":", 1)[1]))
         return {r: rng.randrange(-2, 3) for r in range(n_points)}
-    data = load_json(text)
-    return {r: as_int(v) for r, v in enumerate(data["alpha"])}
+    values = load_json(text)["alpha"]
+    if len(values) != n_points:
+        raise ValueError(f"alpha has {len(values)} entries but the "
+                         f"configuration has {n_points} points")
+    return {r: as_int(v) for r, v in enumerate(values)}
 
 
 def cmd_vanishing(args) -> int:
@@ -463,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--candidates", choices=("stored", "intersections"),
                    default="stored")
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--budget", type=int, default=200000,
+                   help="most flat intersections made for --candidates "
+                        "intersections")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("eta", cmd_eta, help="joint multiplicity by Frank-Wolfe")

@@ -57,6 +57,7 @@ class JointsConfiguration:
                 if fl.d != self.d or fl.field != self.field:
                     raise SizeMismatch("flat ambient mismatch")
         self._tuple_cache: dict = {}
+        self._ledger_plans: dict = {}  # (h, n, cap) -> vanishing._LedgerPlan
 
     @property
     def r(self) -> int:

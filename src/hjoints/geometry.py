@@ -457,30 +457,39 @@ def has_witness_tuple(h: Hypergraph, point, config, *, seed: int = 0) -> bool:
 
 
 def candidate_points_from_flats(config, *, budget: int = 200000):
-    """Zero-dimensional intersections of flat subsets, up to a work budget."""
-    flats = []
-    for cls in config.classes:
-        flats.extend(cls)
-    # dedupe identical copies; geometry only matters here
-    flats = list(dict.fromkeys(flats))
-    d = config.d
+    """Zero-dimensional intersections of flat subsets of sizes 2..d, each
+    point once, in the order of the first subset giving it (by size, then
+    lexicographically in class order, identical copies merged).
+
+    Subsets are built level by level: a live prefix is extended by each
+    later flat in index order, and a prefix stays live while its
+    intersection is nonempty and of positive dimension (a single flat is
+    live at any dimension). A pruned subset meets in nothing or in a point
+    already found, so the points and their order are those of intersecting
+    every subset. `budget` bounds the intersections computed; one more
+    raises BudgetExceeded.
+    """
+    flats = list(dict.fromkeys(fl for cls in config.classes for fl in cls))
     points = []
     seen = set()
     work = 0
-    for size in range(2, d + 1):
-        for combo in itertools.combinations(flats, size):
-            work += 1
-            if work > budget:
-                raise BudgetExceeded(budget)
-            inter = combo[0]
-            for fl in combo[1:]:
-                inter = intersect_flats([inter, fl])
-                if inter is None:
-                    break
-            if inter is not None and inter.dim == 0:
-                if inter.base not in seen:
-                    seen.add(inter.base)
-                    points.append(inter.base)
+    live = list(enumerate(flats))  # (index of the last flat, intersection)
+    for _ in range(2, config.d + 1):  # subsets of 2..d flats
+        grown = []
+        for last, inter in live:
+            for j in range(last + 1, len(flats)):
+                work += 1
+                if work > budget:
+                    raise BudgetExceeded(budget)
+                meet = intersect_flats([inter, flats[j]])
+                if meet is None:
+                    continue
+                if meet.dim > 0:
+                    grown.append((j, meet))
+                elif meet.base not in seen:
+                    seen.add(meet.base)
+                    points.append(meet.base)
+        live = grown
     return points
 
 

@@ -19,6 +19,22 @@ n + 1 pairs, read off without elimination when the shifts u are distinct
 and no scale c is zero. Other inputs, and k >= 2, run the elimination,
 which tests keep as the closed form's oracle.
 
+Ledger sets over one configuration share a plan, kept on the configuration
+per (pattern, n, cap), the inputs of the default chosen tuples; a call with
+an explicit chosen builds a plan of its own. The plan holds each flat's
+joint charts, which do not depend on alpha. Each chart caches its pullback
+table per n, and the chart-independent part of a table (monomials,
+transitions, exponents per degree) is shared per (k, n), so a plan builds
+each table once. The plan also memoises eliminated ledgers on (flat, alpha
+of the flat's joints minus their minimum): the priority order (r - alpha,
+rank) does not move under that shift, and a hit is re-stamped with the
+call's context, so its digest is that of a fresh build. Closed-form line
+ledgers are not memoised: they cost less to read off than to keep, and
+keeping them would hold every handicap round's ledgers. What a plan keeps
+lives as long as its configuration: on the 2-flats pattern over K7 at n=4,
+105 tables and the ledgers of every distinct relative handicap seen, about
+0.6 MiB of peak memory in the benchmark's joints workload.
+
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
 outside the edge, ascending) lands in that edge's recorded set. Admissible
@@ -37,12 +53,15 @@ reported outcomes.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
                      NotConnected)
@@ -113,6 +132,8 @@ class Chart:
     k: int
     cols: tuple          # k columns, each a length-k tuple
     shift: tuple         # length-k
+    _tables: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)  # n -> PullbackTable
 
     @classmethod
     def translation(cls, field, shift) -> "Chart":
@@ -129,6 +150,34 @@ class Chart:
         """(constant, per-variable coefficients) of output coordinate `coord`."""
         return self.shift[coord], tuple(col[coord] for col in self.cols)
 
+    def table(self, n: int) -> "PullbackTable":
+        """The chart's pullback table at degree cap n, built on first use."""
+        table = self._tables.get(n)
+        if table is None:
+            table = self._tables[n] = PullbackTable(self, n)
+        return table
+
+
+class _Shape(NamedTuple):
+    """The chart-independent part of a pullback table in k variables."""
+
+    monomials: list          # |beta| <= n, graded order
+    index: dict              # monomial -> position
+    transition: tuple        # [t][i]: index of monomial_i + e_t, -1 past n
+    by_degree: tuple         # [r]: the exponents of degree r, decreasing lex
+
+
+@functools.cache
+def _table_shape(k: int, n: int) -> _Shape:
+    monomials = monomials_upto(k, n)
+    index = {m: i for i, m in enumerate(monomials)}
+    transition = tuple(
+        tuple(index.get(m[:t] + (m[t] + 1,) + m[t + 1:], -1)
+              for m in monomials)
+        for t in range(k))
+    by_degree = tuple(tuple(monomials_of_degree(k, r)) for r in range(n + 1))
+    return _Shape(monomials, index, transition, by_degree)
+
 
 class PullbackTable:
     """Coefficient vectors of (y^beta) composed with a chart, for |beta| <= n."""
@@ -138,18 +187,8 @@ class PullbackTable:
         self.n = n
         self.k = chart.k
         field = chart.field
-        self.monomials = monomials_upto(self.k, n)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.monomials, self.index, self.transition, _ = _table_shape(self.k, n)
         dim = len(self.monomials)
-        # transition[t][i] = index of monomial_i + e_t, or -1 past degree n
-        self.transition = []
-        for t in range(self.k):
-            row = []
-            for m in self.monomials:
-                up = list(m)
-                up[t] += 1
-                row.append(self.index.get(tuple(up), -1))
-            self.transition.append(row)
         self.columns: list[list] = [None] * dim
         const = [field.zero] * dim
         const[self.index[(0,) * self.k]] = field.one
@@ -258,12 +297,13 @@ def _hermite_line(field, k: int, joint_charts) -> bool:
 def _eliminate(field, k: int, n: int, joint_charts, pairs):
     """Yield (r, rank, gamma) for every pivot of the priority-order elimination."""
     dim = comb(n + k, k)
-    tables = {rank: PullbackTable(chart, n)
-              for rank, chart, _ in joint_charts}
+    tables = {rank: chart.table(n) for rank, chart, _ in joint_charts}
+    by_degree = _table_shape(k, n).by_degree
     store = _Echelon(field, dim)
     for r, rank in pairs:
-        for gamma in monomials_of_degree(k, r):
-            if store.insert(tables[rank].row(gamma)):
+        table = tables[rank]
+        for gamma in by_degree[r]:
+            if store.insert(table.row(gamma)):
                 yield r, rank, gamma
             if store.rank == dim:
                 return
@@ -351,46 +391,77 @@ def default_chosen(h: Hypergraph, config, *, cap: int = 10000) -> dict:
     return chosen
 
 
-def _ledger_rounds(h: Hypergraph, config, chosen, n: int):
-    """Build the charts of every flat carrying a joint, which do not depend
-    on alpha, once; return the step alpha -> LedgerSet over them."""
-    order = preassigned_order(config)
-    field = config.field
-    flat_by_edge = {}
-    for rank in range(len(order)):
-        for i in range(len(h.edges)):
-            flat_by_edge[(rank, i)] = config.flat_of(
-                h.colors[i], chosen[rank].assignment[i])
-    charts = []
-    for fl in dict.fromkeys(fl for cls in config.classes for fl in cls):
-        joint_charts = []
-        for rank, idx in enumerate(order):
-            point = config.points[idx]
-            if not fl.contains(point):
-                continue
-            chart = Chart.translation(field, fl.coords_of_point(point))
-            kind = "reference"
-            for i, e in enumerate(h.edges):
-                if flat_by_edge[(rank, i)] == fl:
-                    cols = tuple(
-                        fl.coords_of_direction(chosen[rank].witness.columns[j - 1])
-                        for j in range(1, h.d + 1) if j not in e)
-                    chart = Chart(field, fl.dim, cols, chart.shift)
-                    kind = "witness"
-                    break
-            joint_charts.append((rank, chart, kind))
-        if joint_charts:
-            charts.append((fl, joint_charts))
+class _LedgerPlan:
+    """The part of a ledger set that does not depend on alpha: the flat of
+    every (joint, edge) and the charts of every flat carrying a joint, with
+    their pullback tables cached on the charts, plus a memo of eliminated
+    ledgers keyed on (flat, alpha of its joints minus their minimum). The
+    configuration is passed to each call, not kept."""
 
-    def ledger_set(alpha) -> LedgerSet:
+    def __init__(self, h: Hypergraph, config, chosen, n: int):
+        self.h, self.chosen, self.n = h, chosen, n
+        self.order = order = preassigned_order(config)
+        field = config.field
+        self.flat_by_edge = flat_by_edge = {}
+        for rank in range(len(order)):
+            for i in range(len(h.edges)):
+                flat_by_edge[(rank, i)] = config.flat_of(
+                    h.colors[i], chosen[rank].assignment[i])
+        self.charts = []  # (flat, joint charts, ledger memoised)
+        for fl in dict.fromkeys(fl for cls in config.classes for fl in cls):
+            joint_charts = []
+            for rank, idx in enumerate(order):
+                point = config.points[idx]
+                if not fl.contains(point):
+                    continue
+                chart = Chart.translation(field, fl.coords_of_point(point))
+                kind = "reference"
+                for i, e in enumerate(h.edges):
+                    if flat_by_edge[(rank, i)] == fl:
+                        cols = tuple(
+                            fl.coords_of_direction(
+                                chosen[rank].witness.columns[j - 1])
+                            for j in range(1, h.d + 1) if j not in e)
+                        chart = Chart(field, fl.dim, cols, chart.shift)
+                        kind = "witness"
+                        break
+                joint_charts.append((rank, chart, kind))
+            if joint_charts:
+                self.charts.append((fl, joint_charts, not _hermite_line(
+                    field, fl.dim, joint_charts)))
+        self.memo: dict = {}
+
+    def ledger_set(self, config, alpha) -> LedgerSet:
+        n, order = self.n, self.order
         alpha = {r: int(alpha[r]) for r in range(len(order))}
-        context = (n, tuple(sorted(alpha.items())), field.key())
-        ledgers = {fl: build_flat_ledger(fl, jc, alpha, n, context=context)
-                   for fl, jc in charts}
-        return LedgerSet(h, config, n, alpha, order, chosen, ledgers,
-                         flat_by_edge, context)
+        context = (n, tuple(sorted(alpha.items())), config.field.key())
+        ledgers = {}
+        for fl, jc, memoised in self.charts:
+            if not memoised:
+                ledgers[fl] = build_flat_ledger(fl, jc, alpha, n,
+                                                context=context)
+                continue
+            low = min(alpha[rank] for rank, _, _ in jc)
+            key = (fl, tuple(alpha[rank] - low for rank, _, _ in jc))
+            if key in self.memo:
+                ledgers[fl] = dataclasses.replace(self.memo[key],
+                                                  context=context)
+            else:
+                ledgers[fl] = self.memo[key] = build_flat_ledger(
+                    fl, jc, alpha, n, context=context)
+        return LedgerSet(self.h, config, n, alpha, order, self.chosen,
+                         ledgers, self.flat_by_edge, context)
 
-    return ledger_set
+
+def _ledger_plan(h: Hypergraph, config, n: int, cap: int) -> _LedgerPlan:
+    """The configuration's plan for (h, n, cap), the inputs of
+    default_chosen, built on first use."""
+    key = (h, n, cap)
+    plan = config._ledger_plans.get(key)
+    if plan is None:
+        plan = config._ledger_plans[key] = _LedgerPlan(
+            h, config, default_chosen(h, config, cap=cap), n)
+    return plan
 
 
 def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4, *,
@@ -398,30 +469,25 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4, *,
     """Ledgers for every configuration flat carrying at least one joint."""
     if alpha is None:
         alpha = dict.fromkeys(range(len(config.points)), 0)
-    if chosen is None:
-        chosen = default_chosen(h, config, cap=cap)
-    return _ledger_rounds(h, config, chosen, n)(alpha)
+    plan = (_ledger_plan(h, config, n, cap) if chosen is None
+            else _LedgerPlan(h, config, chosen, n))
+    return plan.ledger_set(config, alpha)
 
 
 # ---------------------------------------------------------------------------
 # admissible exponent sets and the two counting laws
 # ---------------------------------------------------------------------------
 
-def edge_projection(edge, gamma):
-    """Coordinates of gamma outside the edge, ascending vertex order."""
-    return tuple(g for j, g in enumerate(gamma, start=1) if j not in edge)
-
-
 def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
                              ) -> list[tuple[int, ...]]:
     """All |gamma| <= n whose projections lie in every per-edge set."""
-    sets = [set(map(tuple, s)) for s in per_edge_sets]
-    out = []
-    for gamma in monomials_upto(h.d, n):
-        if all(edge_projection(e, gamma) in sets[i]
-               for i, e in enumerate(h.edges)):
-            out.append(gamma)
-    return out
+    # per edge: the coordinates outside it (ascending) and its recorded set
+    checks = [([j - 1 for j in range(1, h.d + 1) if j not in e],
+               set(map(tuple, per_edge_sets[i])))
+              for i, e in enumerate(h.edges)]
+    return [gamma for gamma in monomials_upto(h.d, n)
+            if all(tuple([gamma[j] for j in outside]) in recorded
+                   for outside, recorded in checks)]
 
 
 def point_exponents(ls: LedgerSet, rank: int) -> list[tuple[int, ...]]:
@@ -579,8 +645,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
         delta = c0 / math.log(n)
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
-    chosen = default_chosen(h, config, cap=cap)
-    ledger_set = _ledger_rounds(h, config, chosen, n)
+    plan = _ledger_plan(h, config, n, cap)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -589,7 +654,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     ls = None
     scores = None
     for rounds in range(max_rounds + 1):
-        ls = ledger_set(alpha)
+        ls = plan.ledger_set(config, alpha)
         scores = _score_ranks(ls, h, w, W, sigma, cap)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
@@ -708,12 +773,11 @@ def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
     if max_gap is None:
         max_gap = 2 * n + 4
     nj = len(preassigned_order(config))
-    chosen = default_chosen(h, config, cap=cap)
-    ledger_set = _ledger_rounds(h, config, chosen, n)
+    plan = _ledger_plan(h, config, n, cap)
     for g in range(max_gap + 1):
         alpha = {r: 0 for r in range(nj)}
         alpha[target_rank] = -g
-        ls = ledger_set(alpha)
+        ls = plan.ledger_set(config, alpha)
         if ls.count(target_rank, flat) == 0:
             return g
     raise RuntimeError(f"no vanishing gap found up to {max_gap}")

@@ -399,6 +399,25 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
     assert err.startswith("error: ") and "1/0" in err
 
 
+@pytest.mark.parametrize("entries", [6, 3])
+def test_vanishing_alpha_of_the_wrong_length_exits_two(workdir, capsys,
+                                                      tmp_path, entries):
+    # the generic K4 configuration has 4 points: extra entries were dropped
+    # silently, and a short list failed with a bare KeyError
+    cfg_path = tmp_path / "g.cfg"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    save_json(tmp_path / "alpha.json", {"alpha": [0] * entries})
+    code = main([str(a) for a in ["vanishing", "--config", cfg_path,
+                                  "--pattern", workdir / "k3.hg",
+                                  "--alpha", tmp_path / "alpha.json",
+                                  "--n", "2"]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ")
+    assert f"{entries} entries" in err and "4 points" in err
+
+
 @pytest.mark.parametrize("site", ["color", "d", "host-n", "prime-scalar",
                                   "axis-count", "alpha"])
 def test_non_integral_scalars_exit_two(workdir, capsys, tmp_path, site):

@@ -12,7 +12,8 @@ from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
                      enumerate_witness_tuples, generic_hyperplanes,
                      generically_induced, intersect_flats,
                      projected_generically_induced, witness_check)
-from hjoints.errors import DimensionMismatch, PointNotOnFlat, SizeMismatch
+from hjoints.errors import (BudgetExceeded, DimensionMismatch,
+                            PointNotOnFlat, SizeMismatch)
 from hjoints.geometry import candidate_points_from_flats, has_witness_tuple
 from hjoints import geometry, linalg
 
@@ -358,8 +359,7 @@ def _memo_fixture(case, field):
         h = cone_pattern(3, 1)
         cfg = generically_induced(SimpleHypergraph.complete(6, 3), h,
                                   generic_hyperplanes(6, 4, field=field))
-        # candidate_points_from_flats returns exactly these 15 points, but
-        # over Q it intersects 6,175 combinations of the 20 lines first
+        # candidate_points_from_flats returns exactly these 15 points
         return h, cfg, cfg.points
     if case == "projected-K5":
         cfg = projected_generically_induced(
@@ -493,3 +493,97 @@ def test_dimension_mismatch_raised_at_every_point():
             enumerate_witness_tuples(K3, point, cfg)
         with pytest.raises(DimensionMismatch):
             has_witness_tuple(K3, point, cfg)
+
+
+# ---------------------------------------------------------------------------
+# candidate points against the per-subset loop
+# ---------------------------------------------------------------------------
+
+def _oracle_candidate_points(config):
+    """Every subset of 2..d distinct flats intersected from scratch, in
+    order of size then lexicographically; (points, intersections made)."""
+    flats = list(dict.fromkeys(f for cls in config.classes for f in cls))
+    points, made = [], 0
+    for size in range(2, config.d + 1):
+        for combo in itertools.combinations(flats, size):
+            inter = combo[0]
+            for other in combo[1:]:
+                inter = intersect_flats([inter, other])
+                made += 1
+                if inter is None:
+                    break
+            if inter is not None and inter.dim == 0 and inter.base not in points:
+                points.append(inter.base)
+    return points, made
+
+
+def _check_candidates(config):
+    want, made = _oracle_candidate_points(config)
+    assert candidate_points_from_flats(config) == want
+    # the budget counts intersections; pruning never makes more than the loop
+    assert candidate_points_from_flats(config, budget=made) == want
+    if made:
+        with pytest.raises(BudgetExceeded):
+            candidate_points_from_flats(config, budget=0)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@seed(5516)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_candidate_points_match_subset_loop_on_k3_hosts(field, data):
+    m = data.draw(st.integers(3, 6))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=m,
+                               max_size=len(pairs), unique=True))
+    host = SimpleHypergraph.from_sets(m, edges)
+    cfg = generically_induced(
+        host, K3, generic_hyperplanes(m, 3, seed=data.draw(st.integers(0, 99)),
+                                      field=field))
+    event(f"joints={len(cfg.points) > 0}")
+    _check_candidates(cfg)
+
+
+def test_candidate_points_match_subset_loop_on_the_cone():
+    cfg = _memo_fixture("cone-K6", F)[1]
+    _check_candidates(cfg)
+    # 20 lines in F^4: the loop makes 10,057 intersections, the live
+    # prefixes 190
+    assert len(candidate_points_from_flats(cfg, budget=190)) == 15
+
+
+@seed(5517)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_candidate_points_with_duplicate_flats_and_a_class_of_points(data):
+    # random lines, planes and 0-flats of F^3 over small coordinates, with
+    # repeats: duplicates are merged, and a 0-flat is a prefix of size one
+    def rand_flat(dim):
+        base = [data.draw(st.integers(0, 2)) for _ in range(3)]
+        dirs = [[data.draw(st.integers(0, 1)) for _ in range(3)]
+                for _ in range(dim)]
+        return fl(base, dirs)
+
+    classes = []
+    for dim in (0, 1, 2):
+        pool = [rand_flat(dim) for _ in range(data.draw(st.integers(1, 3)))]
+        cls = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                       max_size=5)))
+        classes.append(tuple(f for f in cls if f.dim == dim) or (pool[0],))
+    cfg = JointsConfiguration(F, 3, tuple(c[0].dim for c in classes),
+                              tuple(classes), ())
+    event(f"points={len(_oracle_candidate_points(cfg)[0])}")
+    _check_candidates(cfg)
+
+
+def test_candidate_points_hand_built_class_of_points():
+    # two points on the x-axis, the x-axis itself and the plane z = 0: the
+    # points come from the size-2 subsets, in subset order
+    p, q = fl((1, 0, 0), []), fl((2, 0, 0), [])
+    x_axis = line((0, 0, 0), (1, 0, 0))
+    plane = fl((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+    cfg = JointsConfiguration(F, 3, (0, 1, 2), ((q, p, q), (x_axis,), (plane,)),
+                              ())
+    want, _ = _oracle_candidate_points(cfg)
+    assert want == [q.base, p.base]
+    assert candidate_points_from_flats(cfg) == want

@@ -17,7 +17,7 @@ from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      point_exponents, sum_of_conditions_check)
 from hjoints import linalg, vanishing
 from hjoints.configs import JointsConfiguration, axis_parallel_from_functions, axis_parallel_pattern
-from hjoints.errors import NotConnected
+from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
 from hjoints.vanishing import build_flat_ledger, monomials_upto
 
@@ -372,6 +372,13 @@ def _no_elimination(*args):
     raise AssertionError("the elimination ran on a line")
 
 
+def _fresh_ledger_set(h, cfg, alpha, n):
+    """A ledger set from a plan of its own: an explicit chosen skips the
+    configuration's plan, so charts, tables and ledgers are all new."""
+    return build_ledger_set(h, cfg, alpha, n,
+                            chosen=vanishing.default_chosen(h, cfg))
+
+
 def _pinned(build, *, eliminate: bool):
     """Run `build` with every ledger eliminated, or with elimination barred."""
     with pytest.MonkeyPatch.context() as mp:
@@ -398,9 +405,9 @@ def test_hermite_closed_form_matches_elimination(m, field, n, data):
     nj = len(cfg.points)
     alpha = dict(enumerate(data.draw(
         st.lists(st.integers(-4, 4), min_size=nj, max_size=nj))))
-    closed = _pinned(lambda: build_ledger_set(K3, cfg, alpha, n),
+    closed = _pinned(lambda: _fresh_ledger_set(K3, cfg, alpha, n),
                      eliminate=False)
-    oracle = _pinned(lambda: build_ledger_set(K3, cfg, alpha, n),
+    oracle = _pinned(lambda: _fresh_ledger_set(K3, cfg, alpha, n),
                      eliminate=True)
     assert closed.ledgers.keys() == oracle.ledgers.keys()
     for fl, ledger in closed.ledgers.items():
@@ -486,23 +493,33 @@ def test_handicap_generic_k3_flagship():
     assert audit48.wprime_spread < audit.wprime_spread
 
 
-def test_handicap_rounds_match_fresh_ledger_sets():
-    # K3 on host K6 decrements for 17 rounds before a state repeats; the
-    # reference loop rebuilds the public ledger set from scratch every round
-    cfg = _generic_k3(6)
-    w = WeightFunction.uniform(K3, Fraction(1, 2))
-    n = 24
-    res = handicap_iteration(K3, w, cfg, n=n)
-    assert (res.status, res.rounds) == ("cycle", 17)
+FLATS2 = Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)), (1, 1, 1))
+
+
+@functools.cache
+def _flats2_config(field):
+    """The 2-flats pattern over K7: 7 joints on 35 planes, 90 tuples each."""
+    return generically_induced(SimpleHypergraph.complete(7, 4), FLATS2,
+                               generic_hyperplanes(7, 6, field=field))
+
+
+def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
+    # the dynamic decrements until a state repeats; the reference loop
+    # builds every round's ledger set from scratch, with no plan shared
+    # between rounds, while the dynamic keeps one plan (and, on planes, its
+    # memo of eliminated ledgers)
+    w = WeightFunction.uniform(h, Fraction(1, 2))
+    res = handicap_iteration(h, w, cfg, n=n)
+    assert (res.status, res.rounds) == ("cycle", rounds)
 
     nj = len(cfg.points)
-    W = {r: 1.0 / (nj * 6) for r in range(nj)}
+    W = {r: 1.0 / (nj * math.factorial(h.d)) for r in range(nj)}
     sigma = [float(we) / float(w.total - 1) for we in w.weights]
     alpha = {r: 0 for r in range(nj)}
     seen, trace = set(), []
     while True:
-        ls = build_ledger_set(K3, cfg, alpha, n)
-        scores = vanishing._score_ranks(ls, K3, w, W, sigma, 10000)
+        ls = _fresh_ledger_set(h, cfg, alpha, n)
+        scores = vanishing._score_ranks(ls, h, w, W, sigma, 10000)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
@@ -516,12 +533,117 @@ def test_handicap_rounds_match_fresh_ledger_sets():
         seen.add(state)
         for r in ranked[:cut + 1]:
             alpha[r] -= 1
-    b = {(rank, fl): Fraction(count, n)
+    b = {(rank, fl): Fraction(count, n ** fl.dim)
          for fl, ledger in ls.ledgers.items()
          for rank, count in ledger.counts.items()}
     assert res.alpha == alpha
     assert res.trace == trace
     assert res.b == b
+    for fl, ledger in res.ledger_set.ledgers.items():
+        assert ledger.digest() == ls.ledgers[fl].digest()
+
+
+def test_handicap_rounds_match_fresh_ledger_sets():
+    _check_rounds_against_fresh_ledger_sets(K3, _generic_k3(6), 24, 17)
+
+
+def test_plane_handicap_rounds_match_fresh_ledger_sets():
+    _check_rounds_against_fresh_ledger_sets(FLATS2, _flats2_config(F), 4, 7)
+
+
+# ---------------------------------------------------------------------------
+# the ledger plan kept on the configuration
+# ---------------------------------------------------------------------------
+
+def _assert_same_ledger_set(ls, ref):
+    assert (ls.h, ls.n, ls.alpha, ls.context, ls.rank_order) == \
+        (ref.h, ref.n, ref.alpha, ref.context, ref.rank_order)
+    assert ls.flat_by_edge == ref.flat_by_edge
+    assert ls.ledgers.keys() == ref.ledgers.keys()
+    for fl, ledger in ls.ledgers.items():
+        assert ledger.digest() == ref.ledgers[fl].digest()
+        assert ledger.chart_kind == ref.ledgers[fl].chart_kind
+
+
+@functools.cache
+def _plan_case(case):
+    """(pattern, configuration, its fresh copy, degree caps to draw from)."""
+    if case == "K3-dup":
+        # a second joint at a stored point: every line through it has two
+        # charts with one shift, so the elimination (and the memo) runs
+        base = _generic_k3(4)
+        cfg = JointsConfiguration(base.field, base.d, base.dims, base.classes,
+                                  base.points + base.points[:1])
+        h, caps = K3, (2, 3, 5)
+    else:
+        field = QQ if case.endswith("Q") else F
+        h, cfg = FLATS2, _flats2_config(field)
+        caps = (2,) if field is QQ else (2, 3, 4)
+    return h, cfg, JointsConfiguration.from_dict(cfg.to_dict()), caps
+
+
+@pytest.mark.parametrize("case", ["2-flats-GF", "2-flats-Q", "K3-dup"])
+@seed(2411)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_ledger_plan_matches_fresh_ledger_sets(case, data):
+    # a run of handicaps on one configuration: random ones, shifts of the
+    # previous one (every memoised ledger hits) and one-joint changes; each
+    # ledger set must equal one built on a fresh copy from nothing
+    h, cfg, fresh, caps = _plan_case(case)
+    n = data.draw(st.sampled_from(caps))
+    nj = len(cfg.points)
+    alpha = {r: 0 for r in range(nj)}
+    for _ in range(data.draw(st.integers(2, 5))):
+        step = data.draw(st.sampled_from(["random", "shift", "one"]))
+        if step == "random":
+            alpha = {r: data.draw(st.integers(-3, 3)) for r in range(nj)}
+        elif step == "shift":
+            c = data.draw(st.integers(-4, 4))
+            alpha = {r: a + c for r, a in alpha.items()}
+        else:
+            alpha = dict(alpha)
+            alpha[data.draw(st.integers(0, nj - 1))] += data.draw(
+                st.sampled_from([-1, 1]))
+        ls = build_ledger_set(h, cfg, alpha, n)
+        plan = cfg._ledger_plans[(h, n, 10000)]
+        memoised = len(plan.memo)
+        assert any(m for _, _, m in plan.charts)
+        _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
+        shifted = {r: a + 3 for r, a in alpha.items()}
+        _assert_same_ledger_set(build_ledger_set(h, cfg, shifted, n),
+                                _fresh_ledger_set(h, fresh, shifted, n))
+        assert len(plan.memo) == memoised  # a shift only hits the memo
+
+
+def test_ledger_plan_cache_key_covers_every_input():
+    h, cfg, fresh, _ = _plan_case("2-flats-GF")
+    cfg = JointsConfiguration.from_dict(cfg.to_dict())  # no plans yet
+    nj = len(cfg.points)
+    rng = random.Random(7)
+    alpha = {r: rng.randrange(-2, 3) for r in range(nj)}
+    rotated = Hypergraph(6, h.edges[1:] + h.edges[:1], h.colors)
+    last = {rank: vanishing.ChosenTuple(wt.assignment, wt.witness)
+            for rank, wt in enumerate(
+                fresh.tuples_at(h, idx)[-1]
+                for idx in vanishing.preassigned_order(fresh))}
+    for _ in range(2):  # the second pass finds every plan cached
+        for n in (2, 3):
+            _assert_same_ledger_set(build_ledger_set(h, cfg, alpha, n),
+                                    _fresh_ledger_set(h, fresh, alpha, n))
+            _assert_same_ledger_set(
+                build_ledger_set(rotated, cfg, alpha, n),
+                _fresh_ledger_set(rotated, fresh, alpha, n))
+            explicit = build_ledger_set(h, cfg, alpha, n, chosen=last)
+            assert explicit.chosen is last
+            _assert_same_ledger_set(
+                explicit, build_ledger_set(h, fresh, alpha, n, chosen=last))
+        assert build_ledger_set(h, cfg, alpha, 2).chosen != last
+        # a cap below the 90 tuples per joint is checked, not served cached
+        with pytest.raises(CapExceeded):
+            build_ledger_set(h, cfg, alpha, 2, cap=89)
+    assert set(cfg._ledger_plans) == {
+        (pattern, n, 10000) for pattern in (h, rotated) for n in (2, 3)}
 
 
 def test_round_cap_returns_the_alpha_of_the_final_ledgers():
