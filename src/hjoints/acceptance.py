@@ -80,9 +80,9 @@ def simple_bound_record(name, h, w, cfg) -> CheckRecord:
                        note="log2 scale, exact-direction")
 
 
-def multiplicities(h, w, cfg, *, cap=10000, tol=1e-9):
+def multiplicities(h, w, cfg, *, tol=1e-9):
     """joint_multiplicity at every stored point, in point order."""
-    return [joint_multiplicity(h, w, cfg.tuples_at(h, idx, cap=cap), tol=tol)
+    return [joint_multiplicity(h, w, cfg.tuples_at(h, idx), tol=tol)
             for idx in range(len(cfg.points))]
 
 
@@ -105,43 +105,42 @@ def _random_distribution(rng, k):
     return [v / tot for v in raw]
 
 
-def geo_shearer_random_record(h, w, cfg, rng, count, cap=10000) -> CheckRecord:
+def geo_shearer_random_record(h, w, cfg, rng, count) -> CheckRecord:
     """Worst geometric Shearer slack over `count` random (point, tuple)
     distribution pairs drawn from `rng`."""
     worst = math.inf
     for _ in range(count):
         point_probs = _random_distribution(rng, len(cfg.points))
-        tuple_probs = [_random_distribution(rng, len(cfg.tuples_at(h, idx, cap=cap)))
+        tuple_probs = [_random_distribution(rng, len(cfg.tuples_at(h, idx)))
                        for idx in range(len(cfg.points))]
-        rep = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs,
-                                      cap=cap)
+        rep = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs)
         worst = min(worst, rep.slack)
     return CheckRecord("geo-shearer-random", PASS if worst >= -1e-9 else FAIL,
                        slack=worst,
                        note=f"{count} random (point, tuple) distribution pairs")
 
 
-def geo_shearer_optimal_record(h, w, cfg, cap=10000) -> CheckRecord:
+def geo_shearer_optimal_record(h, w, cfg) -> CheckRecord:
     """The audit at the multiplicity optimizers: its lhs is log2(sum eta)
     for any distributions, and its slack must be nonnegative."""
-    results = multiplicities(h, w, cfg, cap=cap)
+    results = multiplicities(h, w, cfg)
     if not results:
         return CheckRecord("geo-shearer-optimal", PASS, note="no points")
     tot = sum(res.value for res in results)
     rep = geometric_shearer_audit(h, w, cfg, [res.value / tot for res in results],
-                                  [res.distribution for res in results], cap=cap)
+                                  [res.distribution for res in results])
     ok = abs(rep.lhs - math.log2(tot)) <= 1e-6 and rep.slack >= -1e-9
     return CheckRecord("geo-shearer-optimal", PASS if ok else FAIL,
                        rep.lhs, math.log2(tot), rep.slack,
                        note="lhs = log2(sum of multiplicities)")
 
 
-def key_audit_records(h, w, cfg, b, W, *, cond1_factor=0.8, cond2_tol=0.1,
-                      cap=10000) -> list[CheckRecord]:
+def key_audit_records(h, w, cfg, b, W, *, cond1_factor=0.8, cond2_tol=0.1
+                      ) -> list[CheckRecord]:
     """The key_inequality_audit of one certificate (b, W) as records:
     conditions (1) and (2), and the equalization spread as INFO."""
     audit = key_inequality_audit(h, w, cfg, b, W, cond1_factor=cond1_factor,
-                                 cond2_tol=cond2_tol, cap=cap)
+                                 cond2_tol=cond2_tol)
     return [CheckRecord("condition-1", PASS if audit.cond1_pass else FAIL,
                         slack=audit.cond1_worst,
                         note=f"factor {cond1_factor}; raw margin "

@@ -168,7 +168,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eta(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "eta")
-    tuples = cfg.tuples_at(h, args.point, cap=args.cap)
+    tuples = cfg.tuples_at(h, args.point)
     res = joint_multiplicity(h, w, tuples, tol=args.tol)
     status = PASS if res.converged else UNCONVERGED
     rep.add(CheckRecord("multiplicity", status, lhs=res.value,
@@ -247,10 +247,10 @@ def cmd_lw(args) -> int:
 def cmd_geo_shearer(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "geo-shearer", seed=args.seed)
     if args.mode == "optimal":
-        rep.add(geo_shearer_optimal_record(h, w, cfg, args.cap))
+        rep.add(geo_shearer_optimal_record(h, w, cfg))
     else:
         rep.add(geo_shearer_random_record(h, w, cfg, random.Random(args.seed),
-                                          args.count, args.cap))
+                                          args.count))
     return _emit(args, rep)
 
 
@@ -314,7 +314,7 @@ def cmd_vanishing(args) -> int:
     cfg = load_config(args.config)
     h = load_hypergraph(args.pattern)
     alpha = _load_alpha(args.alpha, len(cfg.points))
-    ls = build_ledger_set(h, cfg, alpha, args.n, cap=args.cap)
+    ls = build_ledger_set(h, cfg, alpha, args.n)
     rep = _new_report(args, "vanishing", [args.config, args.pattern])
     table = []
     ok = True
@@ -347,7 +347,7 @@ def cmd_handicap_run(args) -> int:
         data = load_json(args.W)
         W = {r: float(parse_fraction(v)) for r, v in enumerate(data["W"])}
     res = handicap_iteration(h, w, cfg, W=W, n=args.n, delta=args.delta,
-                             max_rounds=args.rounds, cap=args.cap)
+                             max_rounds=args.rounds)
     status = PASS if res.status in ("flat", "cycle") else UNCONVERGED
     rep.add(CheckRecord("handicap-termination", status, slack=res.max_gap,
                         note=f"status={res.status}, rounds={res.rounds}, "
@@ -356,7 +356,7 @@ def cmd_handicap_run(args) -> int:
         save_json(args.output, certificate_to_dict(h, res))
         print(f"certificate written to {args.output}")
         # what key-audit reports for the written certificate at its defaults
-        rep.extend(key_audit_records(h, w, cfg, res.b, res.W, cap=args.cap))
+        rep.extend(key_audit_records(h, w, cfg, res.b, res.W))
     return _emit(args, rep)
 
 
@@ -380,7 +380,7 @@ def cmd_key_audit(args) -> int:
         raise ValueError("certificate W values must be positive and finite")
     rep.extend(key_audit_records(h, w, cfg, b, W,
                                  cond1_factor=args.cond1_factor,
-                                 cond2_tol=args.cond2_tol, cap=args.cap))
+                                 cond2_tol=args.cond2_tol))
     return _emit(args, rep)
 
 
@@ -396,7 +396,7 @@ def cmd_verify_simple_bound(args) -> int:
 
 def cmd_verify_mult_bound(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "verify-mult-bound")
-    results = multiplicities(h, w, cfg, cap=args.cap, tol=args.tol)
+    results = multiplicities(h, w, cfg, tol=args.tol)
     rec = rep.add(mult_bound_record("multiplicity-bound", h, w, cfg, results))
     worst_gap = max([0.0] + [res.gap for res in results])
     if worst_gap > args.tol:
@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--point", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=10000)
 
     for name, fn in (("shearer", cmd_shearer), ("holder", cmd_holder),
                      ("lw", cmd_lw)):
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("random", "optimal"), default="random")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=10000)
 
     p = add("mcount", cmd_mcount, help="inducing vertex-set count")
     p.add_argument("--host", required=True)
@@ -525,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'zero', 'random:SEED', or a JSON file with 'alpha'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weights", help="enables the per-joint LW-step check")
-    p.add_argument("--cap", type=int, default=10000)
 
     p = add("handicap-run", cmd_handicap_run, help="balance handicaps, emit certificate")
     p.add_argument("--config", required=True)
@@ -536,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=200)
     p.add_argument("--W", default="uniform",
                    help="'uniform' or a JSON file with 'W'")
-    p.add_argument("--cap", type=int, default=10000)
     p.add_argument("-o", "--output")
 
     p = add("key-audit", cmd_key_audit, help="audit a balance certificate")
@@ -546,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--cond1-factor", type=float, default=0.8)
     p.add_argument("--cond2-tol", type=float, default=0.1)
-    p.add_argument("--cap", type=int, default=10000)
 
     p = add("verify-simple-bound", cmd_verify_simple_bound,
             help="joint count vs the covering-constant bound")
@@ -560,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=10000)
 
     p = add("suite", cmd_suite, help="run the full acceptance battery")
     p.add_argument("--fast", action="store_true",

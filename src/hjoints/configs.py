@@ -57,7 +57,7 @@ class JointsConfiguration:
                 if fl.d != self.d or fl.field != self.field:
                     raise SizeMismatch("flat ambient mismatch")
         self._tuple_cache: dict = {}
-        self._ledger_plans: dict = {}  # (h, n, cap) -> vanishing._LedgerPlan
+        self._ledger_plans: dict = {}  # (h, n) -> vanishing._LedgerPlan
 
     @property
     def r(self) -> int:
@@ -66,13 +66,12 @@ class JointsConfiguration:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def tuples_at(self, h: Hypergraph, point_index: int, *, cap: int = 10000,
-                  seed: int = 0) -> list[WitnessTuple]:
+    def tuples_at(self, h: Hypergraph, point_index: int) -> list[WitnessTuple]:
         """Cached witness-tuple enumeration for one stored point."""
-        key = (h, point_index, cap, seed)
+        key = (h, point_index)
         if key not in self._tuple_cache:
             self._tuple_cache[key] = enumerate_witness_tuples(
-                h, self.points[point_index], self, cap=cap, seed=seed)
+                h, self.points[point_index], self)
         return self._tuple_cache[key]
 
     def flat_of(self, color: int, instance: int) -> Flat:

@@ -388,8 +388,7 @@ class GeoShearerReport:
 
 
 def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
-                            point_probs, tuple_probs, *, cap: int = 10000
-                            ) -> GeoShearerReport:
+                            point_probs, tuple_probs) -> GeoShearerReport:
     """Check H(p) + sum_i wbar_i (H(F_i | p) - H(e_i)) <= sum_i wbar_i H(F_i) + log2 C.
 
     point_probs: probability per stored config point; tuple_probs: per point,
@@ -405,7 +404,7 @@ def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
     for pi, pp in enumerate(point_probs):
         if pp <= 0:
             continue
-        tuples = config.tuples_at(h, pi, cap=cap)
+        tuples = config.tuples_at(h, pi)
         dist = tuple_probs[pi]
         per_point: list[dict] = [dict() for _ in setup]
         for t, tp in zip(tuples, dist):

@@ -57,6 +57,7 @@ from .errors import (BudgetExceeded, CapExceeded, DimensionMismatch,
 from .hypergraph import Hypergraph
 
 DRAWS = 8  # random transversals tried before the exact rank test
+TUPLE_CAP = 10000  # qualifying tuples at one point before CapExceeded
 
 
 class Flat:
@@ -435,19 +436,19 @@ def _witnessed_assignments(h: Hypergraph, point, config, seed):
     yield from _walk(h, point, config.field, candidates, random.Random(seed))
 
 
-def enumerate_witness_tuples(h: Hypergraph, point, config, *, cap: int = 10000,
+def enumerate_witness_tuples(h: Hypergraph, point, config, *,
                              seed: int = 0) -> list[WitnessTuple]:
     """All qualifying flat-instance assignments at one point (the set T_p).
 
     Multiset copies count as distinct instances; geometry is deduplicated so
     identical canonical tuples share one witness check. Raises CapExceeded
-    when more than `cap` qualifying tuples exist.
+    when more than TUPLE_CAP qualifying tuples exist.
     """
     out: list[WitnessTuple] = []
     for assignment, wit in _witnessed_assignments(h, point, config, seed):
         out.append(WitnessTuple(tuple(assignment), wit))
-        if len(out) > cap:
-            raise CapExceeded(cap)
+        if len(out) > TUPLE_CAP:
+            raise CapExceeded(TUPLE_CAP)
     return out
 
 

@@ -20,9 +20,7 @@ and no scale c is zero. Other inputs, and k >= 2, run the elimination,
 which tests keep as the closed form's oracle.
 
 Ledger sets over one configuration share a plan, kept on the configuration
-per (pattern, n, cap), the inputs of the default chosen tuples; a call with
-an explicit chosen builds a plan of its own. The plan holds each flat's
-joint charts, which do not depend on alpha. Each chart caches its pullback
+per (pattern, n). The plan holds each flat's joint charts, which do not depend on alpha. Each chart caches its pullback
 table per n, and the chart-independent part of a table (monomials,
 transitions, exponents per degree) is shared per (k, n), so a plan builds
 each table once. The plan also memoises eliminated ledgers on (flat, alpha
@@ -378,12 +376,12 @@ def preassigned_order(config) -> tuple[int, ...]:
                         key=lambda i: config.points[i]))
 
 
-def default_chosen(h: Hypergraph, config, *, cap: int = 10000) -> dict:
+def default_chosen(h: Hypergraph, config) -> dict:
     """First enumerated witness tuple per joint, keyed by preassigned rank."""
     order = preassigned_order(config)
     chosen = {}
     for rank, idx in enumerate(order):
-        tuples = config.tuples_at(h, idx, cap=cap)
+        tuples = config.tuples_at(h, idx)
         if not tuples:
             raise ChartMissing(f"stored point {idx} admits no witness tuple")
         wt = tuples[0]
@@ -453,25 +451,22 @@ class _LedgerPlan:
                          ledgers, self.flat_by_edge, context)
 
 
-def _ledger_plan(h: Hypergraph, config, n: int, cap: int) -> _LedgerPlan:
-    """The configuration's plan for (h, n, cap), the inputs of
-    default_chosen, built on first use."""
-    key = (h, n, cap)
+def _ledger_plan(h: Hypergraph, config, n: int) -> _LedgerPlan:
+    """The configuration's plan for (h, n), built on first use."""
+    key = (h, n)
     plan = config._ledger_plans.get(key)
     if plan is None:
         plan = config._ledger_plans[key] = _LedgerPlan(
-            h, config, default_chosen(h, config, cap=cap), n)
+            h, config, default_chosen(h, config), n)
     return plan
 
 
-def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4, *,
-                     chosen=None, cap: int = 10000) -> LedgerSet:
+def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
+                     ) -> LedgerSet:
     """Ledgers for every configuration flat carrying at least one joint."""
     if alpha is None:
         alpha = dict.fromkeys(range(len(config.points)), 0)
-    plan = (_ledger_plan(h, config, n, cap) if chosen is None
-            else _LedgerPlan(h, config, chosen, n))
-    return plan.ledger_set(config, alpha)
+    return _ledger_plan(h, config, n).ledger_set(config, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +552,7 @@ def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> float:
 # handicap dynamic and the certificate audit
 # ---------------------------------------------------------------------------
 
-def used_flat_connectivity(h: Hypergraph, config, *, cap: int = 10000) -> bool:
+def used_flat_connectivity(h: Hypergraph, config) -> bool:
     """Union-find over joints sharing a flat used by some witness tuple."""
     order = preassigned_order(config)
     parent = list(range(len(order)))
@@ -570,7 +565,7 @@ def used_flat_connectivity(h: Hypergraph, config, *, cap: int = 10000) -> bool:
 
     by_flat: dict = {}
     for rank, idx in enumerate(order):
-        for wt in config.tuples_at(h, idx, cap=cap):
+        for wt in config.tuples_at(h, idx):
             for i in range(len(h.edges)):
                 fl = config.flat_of(h.colors[i], wt.assignment[i])
                 if fl in by_flat:
@@ -598,12 +593,12 @@ class HandicapResult:
     ledger_set: LedgerSet
 
 
-def _score_ranks(ls: LedgerSet, h, w, W, sigma, cap):
+def _score_ranks(ls: LedgerSet, h, w, W, sigma):
     """Per rank: (W', S, min-product) from the current ledgers."""
     n = ls.n
     out = {}
     for rank, idx in enumerate(ls.rank_order):
-        tuples = ls.config.tuples_at(h, idx, cap=cap)
+        tuples = ls.config.tuples_at(h, idx)
         best = None
         best_s = None
         for wt in tuples:
@@ -627,11 +622,11 @@ def _score_ranks(ls: LedgerSet, h, w, W, sigma, cap):
 
 def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
                        W=None, n: int = 24, c0: float = 1.0,
-                       delta: float | None = None, max_rounds: int = 200,
-                       cap: int = 10000) -> HandicapResult:
+                       delta: float | None = None, max_rounds: int = 200
+                       ) -> HandicapResult:
     """Decrement-the-leaders dynamic driving the W' scores delta-flat."""
     w.require_covering()
-    if not used_flat_connectivity(h, config, cap=cap):
+    if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")
     order = preassigned_order(config)
     nj = len(order)
@@ -645,7 +640,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
         delta = c0 / math.log(n)
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
-    plan = _ledger_plan(h, config, n, cap)
+    plan = _ledger_plan(h, config, n)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -655,7 +650,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     scores = None
     for rounds in range(max_rounds + 1):
         ls = plan.ledger_set(config, alpha)
-        scores = _score_ranks(ls, h, w, W, sigma, cap)
+        scores = _score_ranks(ls, h, w, W, sigma)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [wps[i] - wps[i + 1] for i in range(nj - 1)]
@@ -706,8 +701,8 @@ class AuditReport:
 
 
 def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
-                         cond1_factor: float = 0.8, cond2_tol: float = 0.1,
-                         cap: int = 10000) -> AuditReport:
+                         cond1_factor: float = 0.8, cond2_tol: float = 0.1
+                         ) -> AuditReport:
     """Check a certificate (b values keyed by (rank, flat), target weights W)
     against both sides of the target inequality.
 
@@ -725,7 +720,7 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
     cond1_margin = math.inf
     wprime = {}
     for rank, idx in enumerate(order):
-        tuples = config.tuples_at(h, idx, cap=cap)
+        tuples = config.tuples_at(h, idx)
         target = Fraction(cond1_factor) * Fraction(W[rank])
         best = math.inf
         for wt in tuples:
@@ -767,13 +762,12 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
 
 
 def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
-                             n: int, *, max_gap: int | None = None,
-                             cap: int = 10000) -> int:
+                             n: int, *, max_gap: int | None = None) -> int:
     """Smallest handicap gap g with B_{p,F}(alpha_p = -g, n) = 0, by sweep."""
     if max_gap is None:
         max_gap = 2 * n + 4
     nj = len(preassigned_order(config))
-    plan = _ledger_plan(h, config, n, cap)
+    plan = _ledger_plan(h, config, n)
     for g in range(max_gap + 1):
         alpha = {r: 0 for r in range(nj)}
         alpha[target_rank] = -g

@@ -62,18 +62,18 @@ def test_tuples_at_cache_key_covers_every_input(monkeypatch):
     real = configs.enumerate_witness_tuples
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return real(*args, **kwargs)
+    def counting(h, point, config):
+        calls.append(point)
+        return real(h, point, config)
 
     monkeypatch.setattr(configs, "enumerate_witness_tuples", counting)
     first = cfg.tuples_at(K3, 0)
     # an equal hypergraph built separately is the same key
     twin = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
     assert twin is not K3 and cfg.tuples_at(twin, 0) is first
-    assert calls == [0]
-    cfg.tuples_at(K3, 0, seed=1)
-    assert calls == [0, 1]
+    assert calls == [cfg.points[0]]
+    cfg.tuples_at(K3, 1)
+    assert calls == [cfg.points[0], cfg.points[1]]
 
 
 def test_generically_induced_no_triangle_no_joints():

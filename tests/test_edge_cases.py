@@ -19,6 +19,7 @@ from hjoints.configs import (axis_parallel_from_functions,
 from hjoints.errors import (BudgetExceeded, CapExceeded, DegreeOverflow,
                             InconsistentLedgers, NotCovering, SizeMismatch,
                             WorkLimitExceeded)
+from hjoints import geometry
 from hjoints.extremal import ColexFamily
 from hjoints.vanishing import key_inequality_audit
 
@@ -26,12 +27,15 @@ F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 
 
-def test_cap_exceeded_on_tuple_enumeration():
+def test_cap_exceeded_on_tuple_enumeration(monkeypatch):
     h = axis_parallel_pattern(2, [(1,), (2,)])
     cfg = axis_parallel_from_functions(2, [(1,), (2,)],
                                        [{(0,): 3}, {(0,): 3}], 1)
+    monkeypatch.setattr(geometry, "TUPLE_CAP", 8)  # 9 tuples at the point
     with pytest.raises(CapExceeded):
-        enumerate_witness_tuples(h, cfg.points[0], cfg, cap=5)
+        enumerate_witness_tuples(h, cfg.points[0], cfg)
+    monkeypatch.setattr(geometry, "TUPLE_CAP", 9)
+    assert len(enumerate_witness_tuples(h, cfg.points[0], cfg)) == 9
 
 
 def test_budget_exceeded_on_candidate_generation():

@@ -319,7 +319,8 @@ def test_loomis_whitney_axis_joints_found_at_every_seed():
     for rng_seed in range(20):
         joints = detect_joints(h, cfg, list(cfg.points), seed=rng_seed)
         assert joints == sorted(cfg.points), rng_seed
-        assert all(cfg.tuples_at(h, i, seed=rng_seed) for i in range(8))
+        assert all(enumerate_witness_tuples(h, p, cfg, seed=rng_seed)
+                   for p in cfg.points)
 
 
 def test_detect_joints_axis_grid():

@@ -15,10 +15,12 @@ from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      handicap_iteration, hasse_derivative,
                      key_inequality_audit, lw_step_check, param_counting_check,
                      point_exponents, sum_of_conditions_check)
-from hjoints import linalg, vanishing
+from hjoints import geometry, linalg, vanishing
+from hjoints.cli import main
 from hjoints.configs import JointsConfiguration, axis_parallel_from_functions, axis_parallel_pattern
 from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
+from hjoints.serialize import save_json
 from hjoints.vanishing import build_flat_ledger, monomials_upto
 
 F = GF()
@@ -373,10 +375,10 @@ def _no_elimination(*args):
 
 
 def _fresh_ledger_set(h, cfg, alpha, n):
-    """A ledger set from a plan of its own: an explicit chosen skips the
-    configuration's plan, so charts, tables and ledgers are all new."""
-    return build_ledger_set(h, cfg, alpha, n,
-                            chosen=vanishing.default_chosen(h, cfg))
+    """A ledger set from a plan of its own, not the configuration's, so
+    charts, tables and ledgers are all new."""
+    plan = vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
+    return plan.ledger_set(cfg, alpha)
 
 
 def _pinned(build, *, eliminate: bool):
@@ -519,7 +521,7 @@ def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
     seen, trace = set(), []
     while True:
         ls = _fresh_ledger_set(h, cfg, alpha, n)
-        scores = vanishing._score_ranks(ls, h, w, W, sigma, 10000)
+        scores = vanishing._score_ranks(ls, h, w, W, sigma)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
@@ -606,7 +608,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
             alpha[data.draw(st.integers(0, nj - 1))] += data.draw(
                 st.sampled_from([-1, 1]))
         ls = build_ledger_set(h, cfg, alpha, n)
-        plan = cfg._ledger_plans[(h, n, 10000)]
+        plan = cfg._ledger_plans[(h, n)]
         memoised = len(plan.memo)
         assert any(m for _, _, m in plan.charts)
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
@@ -623,10 +625,6 @@ def test_ledger_plan_cache_key_covers_every_input():
     rng = random.Random(7)
     alpha = {r: rng.randrange(-2, 3) for r in range(nj)}
     rotated = Hypergraph(6, h.edges[1:] + h.edges[:1], h.colors)
-    last = {rank: vanishing.ChosenTuple(wt.assignment, wt.witness)
-            for rank, wt in enumerate(
-                fresh.tuples_at(h, idx)[-1]
-                for idx in vanishing.preassigned_order(fresh))}
     for _ in range(2):  # the second pass finds every plan cached
         for n in (2, 3):
             _assert_same_ledger_set(build_ledger_set(h, cfg, alpha, n),
@@ -634,16 +632,30 @@ def test_ledger_plan_cache_key_covers_every_input():
             _assert_same_ledger_set(
                 build_ledger_set(rotated, cfg, alpha, n),
                 _fresh_ledger_set(rotated, fresh, alpha, n))
-            explicit = build_ledger_set(h, cfg, alpha, n, chosen=last)
-            assert explicit.chosen is last
-            _assert_same_ledger_set(
-                explicit, build_ledger_set(h, fresh, alpha, n, chosen=last))
-        assert build_ledger_set(h, cfg, alpha, 2).chosen != last
-        # a cap below the 90 tuples per joint is checked, not served cached
-        with pytest.raises(CapExceeded):
-            build_ledger_set(h, cfg, alpha, 2, cap=89)
     assert set(cfg._ledger_plans) == {
-        (pattern, n, 10000) for pattern in (h, rotated) for n in (2, 3)}
+        (pattern, n) for pattern in (h, rotated) for n in (2, 3)}
+
+
+def test_tuple_cap_applies_on_the_ledger_path(monkeypatch, tmp_path, capsys):
+    # the 2-flats pattern has 90 witness tuples at every joint
+    h, cfg, _, _ = _plan_case("2-flats-GF")
+    save_json(tmp_path / "p.cfg", cfg.to_dict())
+    save_json(tmp_path / "p.hg", h.to_dict())
+    save_json(tmp_path / "half.w",
+              WeightFunction.uniform(h, Fraction(1, 2)).to_dict())
+    eta = ["eta", "--config", str(tmp_path / "p.cfg"), "--pattern",
+           str(tmp_path / "p.hg"), "--weights", str(tmp_path / "half.w"),
+           "--point", "0"]
+    monkeypatch.setattr(geometry, "TUPLE_CAP", 89)
+    with pytest.raises(CapExceeded):  # a configuration with no plans yet
+        build_ledger_set(h, JointsConfiguration.from_dict(cfg.to_dict()),
+                         None, 2)
+    assert main(eta) == 2
+    assert "exceeded cap 89" in capsys.readouterr().err
+    monkeypatch.setattr(geometry, "TUPLE_CAP", 90)
+    assert build_ledger_set(h, JointsConfiguration.from_dict(cfg.to_dict()),
+                            None, 2).ledgers
+    assert main(eta) == 0
 
 
 def test_round_cap_returns_the_alpha_of_the_final_ledgers():
