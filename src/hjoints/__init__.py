@@ -8,20 +8,18 @@ derivative-condition ledgers with a handicap balancing dynamic. See the CLI
 
 __version__ = "0.1.0"
 
-from .cover import CoverSolution, dual_cover, rho_star, verify_cover
+from .cover import CoverSolution, dual_cover, rho_star
 from .configs import (HyperplaneFamily, JointsConfiguration,
                       axis_parallel_from_functions, axis_parallel_pattern,
                       generic_hyperplanes, generically_induced,
                       projected_generically_induced)
 from .entropy import (FiniteDistribution, GeoShearerReport, MultiplicityResult,
-                      conditional_entropy, entropy, geometric_shearer_audit,
-                      holder_check, jensen_bound_check, joint_entropy,
-                      joint_multiplicity, loomis_whitney_check, shearer_check,
-                      uniform_bound_check)
-from .extremal import (ColexFamily, SearchResult, ShadowReport,
-                       SimpleHypergraph, colex_sets, cone_pattern,
-                       contains_copy, count_inducing_sets, inducing_sets,
-                       kruskal_katona_count, lovasz_bound,
+                      entropy, geometric_shearer_audit, holder_check,
+                      joint_entropy, joint_multiplicity, loomis_whitney_check,
+                      shearer_check)
+from .extremal import (SearchResult, ShadowReport, SimpleHypergraph,
+                       colex_sets, cone_pattern, count_inducing_sets,
+                       inducing_sets, kruskal_katona_count, lovasz_bound,
                        partial_shadow_check, search_M)
 from .fields import GF, QQ, DEFAULT_PRIME
 from .geometry import (Flat, Witness, WitnessTuple, detect_joints,
@@ -29,12 +27,12 @@ from .geometry import (Flat, Witness, WitnessTuple, detect_joints,
                        witness_check)
 from .hypergraph import (CoveringConstant, Hypergraph, UniformityProfile,
                          WeightFunction, cone, covering_constant,
-                         joint_count_bound, subtotal_sequence, total_weight)
+                         joint_count_bound)
 from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,
                         LedgerSet, assemble_point_exponents,
                         bounded_domain_threshold, build_flat_ledger,
-                        build_ledger_set, functional_row, handicap_iteration,
-                        hasse_derivative, key_inequality_audit, lw_step_check,
+                        build_ledger_set, handicap_iteration,
+                        key_inequality_audit, lw_step_check,
                         param_counting_check, point_exponents,
                         sum_of_conditions_check)

@@ -171,12 +171,3 @@ def dual_cover(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     c = [-ONE] * h.d + [ZERO] * ne
     value, x = simplex_standard_min(A, b, c)
     return -value, x[:h.d]
-
-
-def verify_cover(h: Hypergraph, weights) -> tuple[Fraction, ...]:
-    """Per-vertex slack sum_{e ∋ j} w(e) - 1; covering iff all >= 0."""
-    if isinstance(weights, WeightFunction):
-        wf = weights
-    else:
-        wf = WeightFunction.for_hypergraph(h, weights)
-    return tuple(load - 1 for load in wf.vertex_loads)

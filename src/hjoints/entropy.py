@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (EmptyTupleSet, NotCovering, RowSumExceedsA)
+from .errors import EmptyTupleSet, NotCovering
 from .hypergraph import Hypergraph, WeightFunction, covering_constant
 
 LOG2 = math.log(2.0)
@@ -80,62 +80,12 @@ def joint_entropy(joint: dict) -> float:
     return entropy(joint.values())
 
 
-def marginal(joint: dict, index: int) -> dict:
-    out: dict = {}
-    for key, p in joint.items():
-        k = key[index]
-        out[k] = out.get(k, 0.0) + float(p)
-    return out
-
-
 def project_joint(joint: dict, positions) -> dict:
     out: dict = {}
     for key, p in joint.items():
         k = tuple(key[i] for i in positions)
         out[k] = out.get(k, 0.0) + float(p)
     return out
-
-
-def conditional_entropy(joint: dict) -> float:
-    """H(X | Y) for a joint over (x, y) pairs, via H(X,Y) - H(Y)."""
-    return joint_entropy(joint) - entropy(marginal(joint, 1).values())
-
-
-def uniform_bound_check(dist: FiniteDistribution):
-    """log2 |supp| - H >= 0; equality iff uniform on the support."""
-    support_probs = [p for p in dist.probs if p > 0]
-    slack = math.log2(len(support_probs)) - entropy(support_probs)
-    equal = max(support_probs) - min(support_probs) < 1e-12
-    return slack, equal
-
-
-def jensen_bound_check(x_matrix, bound_a: float, joint: dict):
-    """E[-log2 x_{s,t}] - (H(t|s) - log2 A) with row sums of x at most A.
-
-    joint maps (s, t) index pairs to probabilities. A zero x-entry carrying
-    positive probability makes the left side +inf; the gap is reported as
-    math.inf (the inequality holds).
-    """
-    for s, row in enumerate(x_matrix):
-        total = math.fsum(row)
-        if total > bound_a + 1e-12:
-            raise RowSumExceedsA(s, total, bound_a)
-    lhs = 0.0
-    infinite = False
-    for (s, t), p in joint.items():
-        p = float(p)
-        if p <= 0:
-            continue
-        xv = float(x_matrix[s][t])
-        if xv <= 0:
-            infinite = True
-            continue
-        lhs -= p * math.log2(xv)
-    rhs = conditional_entropy({(t, s): p for (s, t), p in joint.items()}) \
-        - math.log2(bound_a)
-    if infinite:
-        return math.inf
-    return lhs - rhs
 
 
 def shearer_check(d: int, subsets, weights, joint: dict) -> float:
@@ -352,26 +302,6 @@ def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
     log2_val = phi_of(margs) - edge_entropy
     return MultiplicityResult(2.0 ** log2_val, log2_val, mu, gap, iters,
                               gap <= tol, margs)
-
-
-def tuple_injectivity_violations(h: Hypergraph, tuples) -> list:
-    """Tuples where two same-color edges received the same flat instance.
-
-    Geometrically impossible for genuine witnesses (distinct coordinate
-    subspaces have distinct images under an invertible map); surfaced rather
-    than assumed so the multiplicity >= 1 property can cite evidence.
-    """
-    bad = []
-    classes = h.color_classes()
-    for t in tuples:
-        assign = t.assignment if hasattr(t, "assignment") else tuple(t)
-        for c, idxs in classes.items():
-            seen = {}
-            for i in idxs:
-                if assign[i] in seen and h.edges[i] != h.edges[seen[assign[i]]]:
-                    bad.append((assign, c))
-                seen[assign[i]] = i
-    return bad
 
 
 # ---------------------------------------------------------------------------

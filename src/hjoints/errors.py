@@ -85,12 +85,6 @@ class NegativeValue(HJointsError):
         super().__init__(f"negative value {value} at {where}")
 
 
-class RowSumExceedsA(HJointsError):
-    def __init__(self, row, total, bound):
-        self.row, self.total, self.bound = row, total, bound
-        super().__init__(f"row {row} sums to {total} > {bound}")
-
-
 class EmptyTupleSet(HJointsError):
     pass
 

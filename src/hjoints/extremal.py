@@ -5,7 +5,7 @@ colex segment is the extremal family for clique counts, so enumerating the
 first n colex (k)-sets and counting cliques directly gives the exact
 extremal value without needing the cascade formula.
 
-contains_copy / count_inducing_sets treat the pattern as uncolored: a
+find_embedding and count_inducing_sets treat the pattern as uncolored: a
 vertex-set A of the host counts when some bijection onto the pattern's
 vertices maps every pattern edge to a host edge inside A.
 
@@ -75,12 +75,6 @@ class SimpleHypergraph:
     def edge_sizes(self) -> set[int]:
         return {e.bit_count() for e in self.edges}
 
-    def induced(self, vertices) -> "SimpleHypergraph":
-        """Sub-hypergraph on the given vertices, keeping original labels."""
-        am = _mask(vertices)
-        return SimpleHypergraph(self.n, tuple(e for e in self.edges
-                                              if e & am == e))
-
     def restrict(self, vertices) -> "SimpleHypergraph":
         """Induced sub-hypergraph relabeled onto 1..len(vertices).
 
@@ -93,10 +87,6 @@ class SimpleHypergraph:
             _mask(tuple(relabel[v] for v in _unmask(e)))
             for e in self.edges if e & am == e]
         return SimpleHypergraph(len(order), tuple(kept))
-
-    def relabeled(self, perm: dict) -> "SimpleHypergraph":
-        return SimpleHypergraph(self.n, tuple(
-            _mask(tuple(perm[v] for v in _unmask(e))) for e in self.edges))
 
     def to_dict(self):
         return {"n": self.n, "edges": [list(_unmask(e)) for e in self.edges]}
@@ -174,11 +164,6 @@ def find_embedding(host: SimpleHypergraph, h) -> dict | None:
     return None
 
 
-def contains_copy(induced: SimpleHypergraph, h) -> bool:
-    """Does the induced host contain the (uncolored) pattern as a subgraph?"""
-    return find_embedding(induced, h) is not None
-
-
 def _inducing_embeddings(host: SimpleHypergraph, h):
     """Yield (A, embedding of the pattern into host.restrict(A)) for each
     d-subset A of the host with a pattern copy inside host[A]."""
@@ -219,17 +204,6 @@ def colex_sets(k: int, count: int) -> list[tuple[int, ...]]:
         v += 1
     all_sets = sorted(itertools.combinations(range(1, v + 1), k), key=colex_key)
     return all_sets[:count]
-
-
-@dataclass(frozen=True)
-class ColexFamily:
-    k: int
-    n: int
-    sets: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def first(cls, k: int, n: int) -> "ColexFamily":
-        return cls(k, n, tuple(colex_sets(k, n)))
 
 
 def kruskal_katona_count(n: int, d: int) -> int:

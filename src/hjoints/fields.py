@@ -95,9 +95,6 @@ class RationalField:
     def dot(self, u, v):
         return sum(map(operator.mul, u, v), self.zero)
 
-    def div(self, a, b):
-        return a / b
-
     def is_zero(self, a):
         return a == 0
 
@@ -171,9 +168,6 @@ class PrimeField:
 
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

@@ -104,13 +104,6 @@ class Flat:
         """Chart coordinates of a vector in the direction space."""
         return tuple(vec[c] for c in self._pivots)
 
-    def point_at(self, coords):
-        out = list(self.base)
-        for t, row in zip(coords, self.dirs):
-            if not self.field.is_zero(t):
-                out = self.field.sub_scaled_row(out, self.field.neg(t), row)
-        return tuple(out)
-
     def direction_annihilator(self):
         """Cached basis of functionals vanishing on the direction space."""
         if self._ann is None:

@@ -219,15 +219,6 @@ class WeightFunction:
         return {"weights": [str(w) for w in self.weights]}
 
 
-def total_weight(w: WeightFunction) -> Fraction:
-    return w.total
-
-
-def subtotal_sequence(h: Hypergraph, w: WeightFunction) -> tuple[Fraction, ...]:
-    # recomputed against h so callers can pass weights built elsewhere
-    return WeightFunction.for_hypergraph(h, w.weights).subtotals
-
-
 @dataclass(frozen=True)
 class CoveringConstant:
     """The bound constant, exactly in log space plus a float convenience."""
@@ -273,10 +264,3 @@ def joint_count_bound(h: Hypergraph, w: WeightFunction,
             return None
         log2 = log2 + Log2Value.of_int_log(size, wbar)
     return log2
-
-
-def cover_equality_identity(h: Hypergraph, w: WeightFunction) -> Fraction:
-    """sum_i wbar_i (d - k_i); equals d exactly when w covers with equality."""
-    profile = h.validate_uniform_coloring()
-    return sum((w.subtotals[c] * profile.edge_sizes[c] for c in range(h.r)),
-               Fraction(0))

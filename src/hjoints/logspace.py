@@ -164,10 +164,6 @@ class Log2Value:
     def __neg__(self) -> "Log2Value":
         return Log2Value({p: -q for p, q in self._coeff.items()})
 
-    def scaled(self, c) -> "Log2Value":
-        c = Fraction(c)
-        return Log2Value({p: q * c for p, q in self._coeff.items()})
-
     # -- exact queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -176,9 +172,6 @@ class Log2Value:
     def sign(self) -> int:
         """Exact sign: reduce to one big-integer comparison."""
         return log2_sum_sign(self._coeff.items())
-
-    def compare(self, other: "Log2Value") -> int:
-        return (self - other).sign()
 
     def terms(self):
         """Sorted (q, p) pairs; the value is sum q * log2(p)."""

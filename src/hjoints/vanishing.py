@@ -68,7 +68,7 @@ from .logspace import log2_sum_sign
 
 
 # ---------------------------------------------------------------------------
-# monomials and Hasse derivatives
+# monomials
 # ---------------------------------------------------------------------------
 
 def monomials_upto(k: int, n: int) -> list[tuple[int, ...]]:
@@ -94,32 +94,8 @@ def monomials_of_degree(k: int, r: int, *, decreasing_lex: bool = True):
     return sorted(gammas, reverse=decreasing_lex)
 
 
-def hasse_derivative(poly: dict, gamma, field) -> dict:
-    """Monomial rule x^beta -> C(beta, gamma) x^(beta-gamma), linearly extended.
-
-    `poly` maps exponent tuples to field coefficients.
-    """
-    gamma = tuple(gamma)
-    out: dict = {}
-    for beta, coeff in poly.items():
-        if any(b < g for b, g in zip(beta, gamma)):
-            continue
-        mult = 1
-        for b, g in zip(beta, gamma):
-            mult *= comb(b, g)
-        target = tuple(b - g for b, g in zip(beta, gamma))
-        val = field.mul(coeff, field.from_int(mult))
-        if target in out:
-            val = field.add(out[target], val)
-        if field.is_zero(val):
-            out.pop(target, None)
-        else:
-            out[target] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
-# charts and functional rows
+# charts and pullback tables
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -139,10 +115,6 @@ class Chart:
         cols = tuple(tuple(field.one if i == j else field.zero
                            for i in range(k)) for j in range(k))
         return cls(field, k, cols, tuple(shift))
-
-    @classmethod
-    def identity(cls, field, k: int) -> "Chart":
-        return cls.translation(field, (field.zero,) * k)
 
     def linear_form(self, coord: int):
         """(constant, per-variable coefficients) of output coordinate `coord`."""
@@ -226,11 +198,6 @@ class PullbackTable:
             raise DegreeOverflow(sum(gamma), self.n)
         gi = self.index[gamma]
         return [col[gi] for col in self.columns]
-
-
-def functional_row(chart: Chart, gamma, n: int) -> list:
-    """One-off row extraction (tests and small audits)."""
-    return PullbackTable(chart, n).row(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +332,6 @@ class LedgerSet:
 
     def count(self, rank: int, flat) -> int:
         return self.ledgers[flat].counts.get(rank, 0)
-
-    def point_of_rank(self, rank: int):
-        return self.config.points[self.rank_order[rank]]
 
 
 def preassigned_order(config) -> tuple[int, ...]:

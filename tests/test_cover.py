@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hjoints import Hypergraph, dual_cover, rho_star, verify_cover
+from hjoints import Hypergraph, WeightFunction, dual_cover, rho_star
 from hjoints.errors import IsolatedVertex
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -95,12 +95,14 @@ def test_optimum_invariant_under_relabeling():
 
 
 def test_verify_cover_examples():
-    assert verify_cover(K3, [Fraction(1, 2)] * 3) == (0, 0, 0)
-    assert verify_cover(K3, [Fraction(1, 3)] * 3) == \
-        (Fraction(-1, 3),) * 3
+    def loads(h, weights):
+        return WeightFunction.for_hypergraph(h, weights).vertex_loads
+
+    assert loads(K3, [Fraction(1, 2)] * 3) == (1, 1, 1)
+    assert loads(K3, [Fraction(1, 3)] * 3) == (Fraction(2, 3),) * 3
     h = Hypergraph(4, ((1, 2), (3, 4)), (1, 1))
-    assert verify_cover(h, [Fraction(1), Fraction(1, 2)]) == \
-        (0, 0, Fraction(-1, 2), Fraction(-1, 2))
+    assert loads(h, [Fraction(1), Fraction(1, 2)]) == \
+        (1, 1, Fraction(1, 2), Fraction(1, 2))
 
 
 def test_value_dominates_vertex_count_ratio():
@@ -122,4 +124,4 @@ def test_returned_weights_feasible_and_deterministic():
     a = rho_star(h)
     b = rho_star(h)
     assert a.weights.weights == b.weights.weights  # Bland => reproducible
-    assert all(s >= 0 for s in verify_cover(h, a.weights))
+    assert all(load >= 1 for load in a.weights.vertex_loads)

@@ -9,7 +9,7 @@ import pytest
 from hjoints import (GF, Chart, Hypergraph, SimpleHypergraph, WeightFunction,
                      build_ledger_set, colex_sets, count_inducing_sets,
                      covering_constant, detect_joints,
-                     enumerate_witness_tuples, functional_row,
+                     enumerate_witness_tuples,
                      generic_hyperplanes, generically_induced,
                      geometric_shearer_audit, joint_multiplicity,
                      kruskal_katona_count, lw_step_check,
@@ -20,8 +20,7 @@ from hjoints.errors import (BudgetExceeded, CapExceeded, DegreeOverflow,
                             InconsistentLedgers, NotCovering, SizeMismatch,
                             WorkLimitExceeded)
 from hjoints import geometry
-from hjoints.extremal import ColexFamily
-from hjoints.vanishing import key_inequality_audit
+from hjoints.vanishing import PullbackTable, key_inequality_audit
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -65,15 +64,14 @@ def test_generically_induced_size_mismatch():
 
 
 def test_colex_family_is_initial_segment():
-    fam = ColexFamily.first(2, 5)
-    assert fam.sets == tuple(colex_sets(2, 5))
+    fam = colex_sets(2, 5)
     # downward closed in colex order: any smaller 2-set is in the family
     from hjoints.extremal import colex_key
     all_sets = sorted(itertools.combinations(range(1, 5), 2), key=colex_key)
-    boundary = max((colex_key(s) for s in fam.sets))
+    boundary = max((colex_key(s) for s in fam))
     for s in all_sets:
         if colex_key(s) <= boundary:
-            assert s in fam.sets
+            assert s in fam
 
 
 @pytest.mark.parametrize("x", range(4, 9))
@@ -133,9 +131,9 @@ def test_inconsistent_ledgers_guard():
 
 
 def test_degree_overflow():
-    chart = Chart.identity(GF(), 1)
+    table = PullbackTable(Chart.translation(GF(), (0,)), 3)
     with pytest.raises(DegreeOverflow):
-        functional_row(chart, (5,), 3)
+        table.row((5,))
 
 
 def test_exponent_set_sizes_match_counts():

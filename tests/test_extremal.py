@@ -7,24 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjoints import (Hypergraph, SimpleHypergraph, colex_sets, cone_pattern,
-                     contains_copy, count_inducing_sets, inducing_sets,
-                     kruskal_katona_count, lovasz_bound, partial_shadow_check,
-                     search_M)
+                     count_inducing_sets, inducing_sets, kruskal_katona_count,
+                     lovasz_bound, partial_shadow_check, search_M)
 from hjoints.errors import SizeMismatch, UniformityMismatch
-from hjoints.extremal import binom_real, colex_key
+from hjoints.extremal import binom_real, colex_key, find_embedding
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 P3 = Hypergraph(3, ((1, 2), (2, 3)), (1, 1))
 
 
 def test_contains_copy_examples():
-    assert contains_copy(SimpleHypergraph.complete(3, 2), K3)
+    assert find_embedding(SimpleHypergraph.complete(3, 2), K3) is not None
     path = SimpleHypergraph.from_sets(3, [(1, 2), (2, 3)])
-    assert not contains_copy(path, K3)
+    assert find_embedding(path, K3) is None
     # cone of K3 inside the complete 3-uniform on 4 vertices
-    assert contains_copy(SimpleHypergraph.complete(4, 3), cone_pattern(3, 1))
+    assert find_embedding(SimpleHypergraph.complete(4, 3),
+                          cone_pattern(3, 1)) is not None
     with pytest.raises(SizeMismatch):
-        contains_copy(SimpleHypergraph.complete(4, 2), K3)
+        find_embedding(SimpleHypergraph.complete(4, 2), K3)
 
 
 def test_count_inducing_sets_examples():
@@ -44,7 +44,8 @@ def test_count_isomorphism_invariance():
     for _ in range(5):
         perm = list(range(1, 7))
         rng.shuffle(perm)
-        moved = host.relabeled({v: perm[v - 1] for v in range(1, 7)})
+        moved = SimpleHypergraph.from_sets(
+            6, [[perm[v - 1] for v in e] for e in host.edge_tuples()])
         assert count_inducing_sets(moved, K3) == base
 
 

@@ -1,12 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no private module-level function or class goes unused."""
+no private module-level function or class goes unused, and every public
+function, class or method has a caller in the package or a README mention."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hjoints"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hjoints"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -80,3 +83,59 @@ def test_private_detector_flags_unused_and_accepts_used():
 def test_no_unused_private_definitions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert unused_private_definitions(sources) == []
+
+
+def readme_names(text: str) -> set[str]:
+    """Identifiers inside the inline backtick spans of a markdown text
+    (fenced code blocks excluded)."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    return {name for span in re.findall(r"`([^`]+)`", text)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def unused_public_definitions(sources: dict[str, str], readme: str
+                              ) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    module-level classes, that no module but __init__.py reads outside
+    their own body and that the README does not name in backticks."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = [n for module, tree in trees.items() if module != "__init__.py"
+             for n in _names_read(tree)]
+    named = readme_names(readme)
+    out = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            for qualname, d in defs:
+                if (not d.name.startswith("_") and d.name not in named
+                        and reads.count(d.name)
+                        == _names_read(d).count(d.name)):
+                    out.append(f"{module}:{qualname}")
+    return out
+
+
+def test_public_detector_flags_unused_and_accepts_used():
+    sources = {"a.py": "def dead(n):\n    return dead(n - 1)\n"
+                       "def used():\n    pass\n"
+                       "def documented():\n    pass\n"
+                       "class Kept:\n"
+                       "    def stale(self):\n        pass\n"
+                       "    def _private(self):\n        pass\n",
+               "b.py": "from .a import used\nx = Kept\n",
+               "__init__.py": "from .a import dead, Kept\nKept.stale\n"}
+    readme = ("Call `documented(x)`.\n```\nstale()\n```\n")
+    assert unused_public_definitions(sources, readme) == [
+        "a.py:dead", "a.py:Kept.stale"]
+
+
+def test_every_public_definition_has_a_caller():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    readme = (ROOT / "README.md").read_text()
+    assert unused_public_definitions(sources, readme) == []

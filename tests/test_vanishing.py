@@ -11,25 +11,52 @@ from hypothesis import strategies as st
 from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      WeightFunction, assemble_point_exponents,
                      bounded_domain_threshold, build_ledger_set,
-                     functional_row, generic_hyperplanes, generically_induced,
-                     handicap_iteration, hasse_derivative,
-                     key_inequality_audit, lw_step_check, param_counting_check,
-                     point_exponents, sum_of_conditions_check)
+                     generic_hyperplanes, generically_induced,
+                     handicap_iteration, key_inequality_audit, lw_step_check,
+                     param_counting_check, point_exponents,
+                     sum_of_conditions_check)
 from hjoints import geometry, linalg, vanishing
 from hjoints.cli import main
 from hjoints.configs import JointsConfiguration, axis_parallel_from_functions, axis_parallel_pattern
 from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
 from hjoints.serialize import save_json
-from hjoints.vanishing import build_flat_ledger, monomials_upto
+from hjoints.vanishing import PullbackTable, build_flat_ledger, monomials_upto
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
-# Hasse derivatives and functional rows
+# Hasse derivatives and functional rows: the PullbackTable oracles
 # ---------------------------------------------------------------------------
+
+def hasse_derivative(poly: dict, gamma, field) -> dict:
+    """Monomial rule x^beta -> C(beta, gamma) x^(beta-gamma), linearly
+    extended; `poly` maps exponent tuples to field coefficients."""
+    gamma = tuple(gamma)
+    out: dict = {}
+    for beta, coeff in poly.items():
+        if any(b < g for b, g in zip(beta, gamma)):
+            continue
+        mult = 1
+        for b, g in zip(beta, gamma):
+            mult *= comb(b, g)
+        target = tuple(b - g for b, g in zip(beta, gamma))
+        val = field.mul(coeff, field.from_int(mult))
+        if target in out:
+            val = field.add(out[target], val)
+        if field.is_zero(val):
+            out.pop(target, None)
+        else:
+            out[target] = val
+    return out
+
+
+def functional_row(chart: Chart, gamma, n: int) -> list:
+    """One row from a table of its own, not the chart's cached one."""
+    return PullbackTable(chart, n).row(gamma)
+
 
 def test_hasse_derivative_univariate():
     x3 = {(3,): QQ.one}
@@ -49,7 +76,7 @@ def test_hasse_derivative_degree_drop():
 
 
 def test_functional_row_identity_chart():
-    chart = Chart.identity(QQ, 2)
+    chart = Chart.translation(QQ, (QQ.zero, QQ.zero))
     monos = monomials_upto(2, 3)
     for gamma in ((0, 0), (1, 1), (0, 3)):
         row = functional_row(chart, gamma, 3)
@@ -114,6 +141,9 @@ def test_functional_row_agrees_with_hasse_pullback():
         row = functional_row(chart, gamma, n)
         applied = sum(r * coeffs[m] for r, m in zip(row, monos))
         assert applied == composed.get(gamma, Fraction(0))
+        # the same functional: the order-gamma Hasse derivative at 0
+        assert applied == hasse_derivative(composed, gamma, QQ).get(
+            (0, 0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +197,7 @@ def test_ledger_two_joints_explicit_elimination_oracle():
     ledger = ls.ledgers[horizontal]
     params = {}
     for rank in ledger.joints:
-        point = ls.point_of_rank(rank)
+        point = cfg.points[ls.rank_order[rank]]
         params[rank] = horizontal.coords_of_point(point)[0]
     order = sorted(((r, rank) for rank in ledger.joints for r in range(n + 1)))
     rows = []
@@ -342,7 +372,7 @@ def test_admissible_conditions_kill_all_polynomials():
             ls = build_ledger_set(K3, cfg, alpha, n)
             rows = []
             for rank in range(4):
-                point = ls.point_of_rank(rank)
+                point = cfg.points[ls.rank_order[rank]]
                 chosen = ls.chosen[rank]
                 ambient = Chart(cfg.field, 3, chosen.witness.columns, point)
                 table = PullbackTable(ambient, n)
