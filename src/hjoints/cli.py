@@ -168,6 +168,9 @@ def cmd_detect(args) -> int:
 
 def cmd_eta(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "eta")
+    if not 0 <= args.point < len(cfg.points):
+        raise ValueError(f"--point {args.point} is not the index of one of "
+                         f"the configuration's {len(cfg.points)} points")
     tuples = cfg.tuples_at(h, args.point)
     res = joint_multiplicity(h, w, tuples, tol=args.tol)
     status = PASS if res.converged else UNCONVERGED

@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
     n < 3.18e23 (Sorenson-Webster)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0

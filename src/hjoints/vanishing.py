@@ -89,9 +89,9 @@ def _compositions(total: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def monomials_of_degree(k: int, r: int, *, decreasing_lex: bool = True):
-    gammas = _compositions(r, k)
-    return sorted(gammas, reverse=decreasing_lex)
+def monomials_of_degree(k: int, r: int):
+    """All exponent vectors in k variables of total degree r, decreasing lex."""
+    return sorted(_compositions(r, k), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +428,8 @@ def _ledger_plan(h: Hypergraph, config, n: int) -> _LedgerPlan:
 def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
                      ) -> LedgerSet:
     """Ledgers for every configuration flat carrying at least one joint."""
+    if n < 0:
+        raise ValueError(f"degree n = {n} is negative")
     if alpha is None:
         alpha = dict.fromkeys(range(len(config.points)), 0)
     return _ledger_plan(h, config, n).ledger_set(config, alpha)
@@ -589,6 +591,11 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
                        delta: float | None = None, max_rounds: int = 200
                        ) -> HandicapResult:
     """Decrement-the-leaders dynamic driving the W' scores delta-flat."""
+    if not config.points:
+        raise ValueError("the configuration has 0 points to balance")
+    if n < 1 or (n < 2 and delta is None):
+        raise ValueError(f"degree n = {n} is out of range: need n >= 1, "
+                         "and n >= 2 for the default delta = c0 / ln(n)")
     w.require_covering()
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")

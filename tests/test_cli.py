@@ -399,6 +399,31 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
     assert err.startswith("error: ") and "1/0" in err
 
 
+@pytest.mark.parametrize("host,argv,named", [
+    ("k4", ["eta", "--weights", "half.w", "--point", "99"], "--point 99"),
+    ("k4", ["eta", "--weights", "half.w", "--point", "-1"], "--point -1"),
+    ("k4", ["handicap-run", "--weights", "half.w", "--n", "1"], "n = 1"),
+    ("k4", ["handicap-run", "--weights", "half.w", "--n", "0",
+            "--delta", "0.1"], "n = 0"),
+    ("path", ["handicap-run", "--weights", "half.w"], "0 points"),
+    ("k4", ["vanishing", "--n", "-1"], "n = -1"),
+])
+def test_out_of_range_integers_exit_two(workdir, capsys, host, argv, named):
+    # each raised IndexError or ZeroDivisionError, or (--point -1,
+    # --n -1) ran on a value nothing defines
+    save_json(workdir / "path.hg",
+              SimpleHypergraph.from_sets(3, [(1, 2), (2, 3)]).to_dict())
+    cfg_path = workdir / f"{host}.cfg"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / f"{host}.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    argv = [workdir / a if a.endswith(".w") else a for a in argv]
+    code = main([str(a) for a in [*argv, "--config", cfg_path,
+                                  "--pattern", workdir / "k3.hg"]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ") and named in err
+
+
 @pytest.mark.parametrize("entries", [6, 3])
 def test_vanishing_alpha_of_the_wrong_length_exits_two(workdir, capsys,
                                                       tmp_path, entries):
