@@ -101,7 +101,7 @@ def mult_bound_record(name, h, w, cfg, results) -> CheckRecord:
 
 def _random_distribution(rng, k):
     raw = [rng.random() + 1e-6 for _ in range(k)]
-    tot = sum(raw)
+    tot = math.fsum(raw)
     return [v / tot for v in raw]
 
 

@@ -301,7 +301,7 @@ def test_suite_fast(capsys, tmp_path):
     records = json.dumps(load_json(tmp_path / "r.json")["records"],
                          sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == \
-        "a8a271c6f34ef858846efaed18f00c237e4e76e58b93ada8696a15e7e7694fe8"
+        "13b52092374105eaab8be3839fe82f843fe591cbe5ec0e0b910246bf246e2c4b"
 
 
 def test_bound_commands_pass_on_an_empty_class(capsys, tmp_path):
