@@ -20,18 +20,19 @@ and no scale c is zero. Other inputs, and k >= 2, run the elimination,
 which tests keep as the closed form's oracle.
 
 Ledger sets over one configuration share a plan, kept on the configuration
-per (pattern, n). The plan holds each flat's joint charts, which do not depend on alpha. Each chart caches its pullback
-table per n, and the chart-independent part of a table (monomials,
-transitions, exponents per degree) is shared per (k, n), so a plan builds
-each table once. The plan also memoises eliminated ledgers on (flat, alpha
-of the flat's joints minus their minimum): the priority order (r - alpha,
-rank) does not move under that shift, and a hit is re-stamped with the
-call's context, so its digest is that of a fresh build. Closed-form line
-ledgers are not memoised: they cost less to read off than to keep, and
-keeping them would hold every handicap round's ledgers. What a plan keeps
-lives as long as its configuration: on the 2-flats pattern over K7 at n=4,
-105 tables and the ledgers of every distinct relative handicap seen, about
-0.6 MiB of peak memory in the benchmark's joints workload.
+per (pattern, n). The plan holds each flat's joint charts, which do not
+depend on alpha. Each chart caches its pullback table per n, and the
+chart-independent part of a table (monomials, transitions, exponents per
+degree) is shared per (k, n), so a plan builds each table once. The plan also
+memoises eliminated ledgers on (flat, alpha of the flat's joints minus
+their minimum): the priority order (r - alpha, rank) does not move under
+that shift, and a hit is re-stamped with the call's context, so its digest
+is that of a fresh build. Closed-form line ledgers are not memoised: they
+cost less to read off than to keep, and keeping them would hold every
+handicap round's ledgers. What a plan keeps lives as long as its
+configuration: on the 2-flats pattern over K7 at n=4, 105 tables and the
+ledgers of every distinct relative handicap seen, about 0.6 MiB of peak
+memory in the benchmark's joints workload.
 
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates

@@ -407,7 +407,8 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
             "--delta", "0.1"], "n = 0"),
     ("path", ["handicap-run", "--weights", "half.w"], "0 points"),
     ("k4", ["vanishing", "--n", "-1"], "n = -1"),
-])
+], ids=["eta-point-99", "eta-point-minus-1", "handicap-n-1",
+        "handicap-n-0-with-delta", "handicap-no-points", "vanishing-n-minus-1"])
 def test_out_of_range_integers_exit_two(workdir, capsys, host, argv, named):
     # each raised IndexError or ZeroDivisionError, or (--point -1,
     # --n -1) ran on a value nothing defines

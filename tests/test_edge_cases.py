@@ -9,17 +9,17 @@ import pytest
 from hjoints import (GF, Chart, Hypergraph, SimpleHypergraph, WeightFunction,
                      build_ledger_set, colex_sets, count_inducing_sets,
                      covering_constant, detect_joints,
-                     enumerate_witness_tuples,
-                     generic_hyperplanes, generically_induced,
-                     geometric_shearer_audit, joint_multiplicity,
+                     enumerate_witness_tuples, generic_hyperplanes,
+                     generically_induced, geometric_shearer_audit,
+                     joint_multiplicity,
                      kruskal_katona_count, lw_step_check,
                      param_counting_check, rho_star, search_M)
+from hjoints import geometry
 from hjoints.configs import (axis_parallel_from_functions,
                              axis_parallel_pattern)
 from hjoints.errors import (BudgetExceeded, CapExceeded, DegreeOverflow,
                             InconsistentLedgers, NotCovering, SizeMismatch,
                             WorkLimitExceeded)
-from hjoints import geometry
 from hjoints.vanishing import PullbackTable, key_inequality_audit
 
 F = GF()
