@@ -108,6 +108,9 @@ def _random_distribution(rng, k):
 def geo_shearer_random_record(h, w, cfg, rng, count) -> CheckRecord:
     """Worst geometric Shearer slack over `count` random (point, tuple)
     distribution pairs drawn from `rng`."""
+    if count < 1:
+        raise ValueError(f"count = {count}: the audit needs at least one "
+                         "distribution pair")
     worst = math.inf
     for _ in range(count):
         point_probs = _random_distribution(rng, len(cfg.points))

@@ -597,6 +597,8 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     if n < 1 or (n < 2 and delta is None):
         raise ValueError(f"degree n = {n} is out of range: need n >= 1, "
                          "and n >= 2 for the default delta = c0 / ln(n)")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds = {max_rounds} is negative")
     w.require_covering()
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")

@@ -406,12 +406,17 @@ def test_zero_denominator_exits_two(workdir, capsys, tmp_path, target):
     ("k4", ["handicap-run", "--weights", "half.w", "--n", "0",
             "--delta", "0.1"], "n = 0"),
     ("path", ["handicap-run", "--weights", "half.w"], "0 points"),
+    ("k4", ["handicap-run", "--weights", "half.w", "--rounds", "-1"],
+     "max_rounds = -1"),
     ("k4", ["vanishing", "--n", "-1"], "n = -1"),
+    ("k4", ["geo-shearer", "--weights", "half.w", "--count", "0"],
+     "count = 0"),
 ], ids=["eta-point-99", "eta-point-minus-1", "handicap-n-1",
-        "handicap-n-0-with-delta", "handicap-no-points", "vanishing-n-minus-1"])
+        "handicap-n-0-with-delta", "handicap-no-points",
+        "handicap-rounds-minus-1", "vanishing-n-minus-1", "geo-shearer-count-0"])
 def test_out_of_range_integers_exit_two(workdir, capsys, host, argv, named):
-    # each raised IndexError or ZeroDivisionError, or (--point -1,
-    # --n -1) ran on a value nothing defines
+    # each raised IndexError, ZeroDivisionError or AttributeError, or
+    # (--point -1, --n -1, --count 0) ran on a value nothing defines
     save_json(workdir / "path.hg",
               SimpleHypergraph.from_sets(3, [(1, 2), (2, 3)]).to_dict())
     cfg_path = workdir / f"{host}.cfg"
