@@ -201,6 +201,8 @@ def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
     instances per edge); instances are identified as (color, index) atoms so
     multiset copies count separately.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol = {tol} is out of range: need tol >= 0")
     if not tuples:
         raise EmptyTupleSet("no witness tuples at this point")
     assignments = [t.assignment if hasattr(t, "assignment") else tuple(t)

@@ -7,7 +7,9 @@ either field cheap and lets the same linear-algebra code serve both.
 Row arithmetic lives in one place per field, the row kernels `scale_row(c,
 row)`, `sub_scaled_row(u, c, v)` (u - c*v) and `dot(u, v)`: every
 elimination and every combination of rows calls them, and GF(p) reduces
-`% p` once per entry there (once per sum in `dot`).
+`% p` once per entry there (once per sum in `dot`). The one exception is the
+GF(p) echelon of the ledger elimination (`vanishing._Echelon`), which packs
+each row into one int and reduces it with a single big-int multiply-add.
 
 The default prime is 2^61 - 1. Randomized genericity tests (Schwartz-Zippel
 style) should only be run over primes of at least ~2^31 so the quoted

@@ -36,12 +36,21 @@ flat for a single flat and per walk for a set of several. A final W_j that
 is zero ends the branch. Otherwise its rows are reduced into an echelon
 carried down the walk, and the branch ends when the echelon rank plus, for
 each unfinished group, the smallest d - |e| over its avoiding edges (a
-bound on its dimension) falls below d. At a leaf every W_j is nonzero and
-the echelon has rank d, which is the spanning filter itself. Pruned branches
-hold only assignments that fail that filter, which never draw, so the
-witnesses and their rng draws are those of a loop over every assignment in
-product order; identical flat tuples share one check. witness_check is the
-same walk with one candidate per edge.
+bound on its dimension) falls below d. The echelon is the sum of the final
+W_j, so it depends only on the set of their flat sets, not on the order in
+which the edges chose the flats: the walk keeps it per such set, or only
+its rank where that fell short of the branch's need, and each set is
+reduced once however many orders reach it. It keeps ranks, not verdicts:
+when one flat fills two edges, a set comes back at another group with
+another need, and where a kept rank meets the smaller need the span is
+built after all. At a leaf every W_j is nonzero and the echelon has rank
+d, which is the spanning filter itself. Pruned branches hold only
+assignments that fail that filter, which never draw, so the witnesses and
+their rng draws are those of a loop over every assignment in product order;
+identical flat tuples share one check. witness_check is the same walk with
+one candidate per edge. The walk keeps its state in lists indexed by depth,
+not in a recursive closure, so nothing it holds outlives it in a reference
+cycle waiting for the collector.
 """
 
 from __future__ import annotations
@@ -248,9 +257,9 @@ class _Span:
         self.free = [c for c in range(d) if c not in pivots]
         self.cols = [[row[c] for row in rows] for c in self.free]
 
-    def extend(self, basis, need, field) -> Optional["_Span"]:
-        """The span of self and the rows of basis, or None when its
-        dimension is below need."""
+    def extend(self, basis, need, field) -> "_Span | int":
+        """The span of self and the rows of basis, or only its dimension
+        when that is below need."""
         if not self.free:
             return self
         # the rows of basis modulo self, on the free columns, brought to
@@ -272,7 +281,7 @@ class _Span:
             new.append((t, x))
         rank = len(self.pivots) + len(new)
         if rank < need:
-            return None
+            return rank
         d = len(self.free) + len(self.pivots)
         if rank == d:
             return _Span(tuple(range(d)), [], d)
@@ -373,11 +382,18 @@ def _walk(h, point, field, candidates, rng):
             spaces[j] = basis
         span = span.extend(basis, d, field)
     cache: dict = {}
+    # the final W_j sum to a span that depends only on the set of their flat
+    # sets: per set, the _Span, or its rank where that fell below the need
+    memo: dict[frozenset, _Span | int] = {}
     flats = [None] * m
     assignment = [0] * m
     checked: dict[tuple, Optional[Witness]] = {}
-
-    def extend(i, span):
+    # per depth i: the span and key of edges 0..i-1, and the next candidate
+    span_at = [span] + [None] * m
+    key_at = [frozenset()] + [None] * m
+    nxt = [0] * m
+    i = 0
+    while i >= 0:
         if i == m:
             key = tuple(flats)
             if key not in checked:
@@ -388,22 +404,32 @@ def _walk(h, point, field, candidates, rng):
                 checked[key] = wit
             if checked[key] is not None:
                 yield tuple(assignment), checked[key]
-            return
-        for k, fl in candidates[i]:
-            assignment[i], flats[i] = k, fl
-            sub = span
-            for edges, vertices, need in final_at[i]:
-                basis = _meet(frozenset(flats[e] for e in edges), d, field,
-                              cache)
-                sub = sub.extend(basis, need, field) if basis else None
-                if sub is None:
-                    break
-                for j in vertices:
-                    spaces[j] = basis
-            else:
-                yield from extend(i + 1, sub)
-
-    return extend(0, span)
+            i -= 1
+            continue
+        if nxt[i] == len(candidates[i]):
+            nxt[i] = 0
+            i -= 1
+            continue
+        assignment[i], flats[i] = candidates[i][nxt[i]]
+        nxt[i] += 1
+        sub, key = span_at[i], key_at[i]
+        for edges, vertices, need in final_at[i]:
+            flat_set = frozenset(flats[e] for e in edges)
+            basis = _meet(flat_set, d, field, cache)
+            if not basis:
+                break
+            key = key | {flat_set}
+            got = memo.get(key)
+            if got is None or (type(got) is int and got >= need):
+                got = memo[key] = sub.extend(basis, need, field)
+            if type(got) is int or len(got.pivots) < need:
+                break
+            sub = got
+            for j in vertices:
+                spaces[j] = basis
+        else:
+            i += 1
+            span_at[i], key_at[i] = sub, key
 
 
 def _witnessed_assignments(h: Hypergraph, point, config, seed):

@@ -19,6 +19,12 @@ n + 1 pairs, read off without elimination when the shifts u are distinct
 and no scale c is zero. Other inputs, and k >= 2, run the elimination,
 which tests keep as the closed form's oracle.
 
+Over GF(p) the elimination packs each row into one int, one fixed-width
+slot per entry wide enough that a row can take every reduction unreduced
+(see _Echelon), so reducing a row by a stored one is one big-int
+multiply-add instead of a list of dim products mod p. Over Q rows stay
+Fraction lists.
+
 Ledger sets over one configuration share a plan, kept on the configuration
 per (pattern, n). The plan holds each flat's joint charts, which do not
 depend on alpha. Each chart caches its pullback table per n, and the
@@ -64,6 +70,7 @@ from typing import NamedTuple
 
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
                      NotConnected)
+from .fields import PrimeField
 from .hypergraph import Hypergraph, WeightFunction
 from .logspace import log2_sum_sign
 
@@ -206,12 +213,54 @@ class PullbackTable:
 # ---------------------------------------------------------------------------
 
 class _Echelon:
+    """Rows in echelon form: each stored row is reduced against the rows
+    stored before it and scaled to 1 at its pivot, its first nonzero column.
+
+    Over GF(p) a row is one int, entry i in slot i of `size` bytes, enough
+    for 2*bitlen(p) + bitlen(dim) + 2 bits. The reduction u - f*v is
+    u + (p - f)*v: it adds less than p^2 to each slot, and a row meets at
+    most dim of them, so a slot stays below (dim + 1)*p^2 and never
+    overflows into the next. Slots are reduced mod p only where a pivot
+    slot is read and where a row is normalised to be stored; whole bytes
+    let a row pack and unpack through int.to_bytes. Over Q rows stay
+    Fraction lists."""
+
     def __init__(self, field, dim):
         self.field = field
         self.dim = dim
-        self.rows: list[tuple[int, list]] = []  # (pivot column, reduced row)
+        # (pivot column, row) over Q; (bit offset of the pivot slot, packed
+        # row) over GF(p)
+        self.rows: list[tuple[int, object]] = []
+        self.size = None
+        if isinstance(field, PrimeField):
+            self.size = (2 * field.p.bit_length() + dim.bit_length() + 9) // 8
 
     def insert(self, row) -> bool:
+        """Reduce row against the stored rows and store it unless it
+        reduces to zero; whether it was stored."""
+        size = self.size
+        if size is None:
+            return self._insert_list(row)
+        p = self.field.p
+        mask = (1 << 8 * size) - 1
+        u = int.from_bytes(b"".join([(a % p).to_bytes(size, "little")
+                                     for a in row]), "little")
+        for shift, v in self.rows:
+            f = (u >> shift & mask) % p
+            if f:
+                u += (p - f) * v
+        raw = u.to_bytes(size * self.dim, "little")
+        slots = [int.from_bytes(raw[i:i + size], "little") % p
+                 for i in range(0, len(raw), size)]
+        pivot = next((i for i, a in enumerate(slots) if a), None)
+        if pivot is None:
+            return False
+        c = pow(slots[pivot], -1, p)
+        self.rows.append((8 * size * pivot, int.from_bytes(b"".join(
+            [(a * c % p).to_bytes(size, "little") for a in slots]), "little")))
+        return True
+
+    def _insert_list(self, row) -> bool:
         field = self.field
         row = list(row)
         for pc, prow in self.rows:
@@ -447,7 +496,7 @@ def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
     checks = [([j - 1 for j in range(1, h.d + 1) if j not in e],
                set(map(tuple, per_edge_sets[i])))
               for i, e in enumerate(h.edges)]
-    return [gamma for gamma in monomials_upto(h.d, n)
+    return [gamma for gamma in _table_shape(h.d, n).monomials
             if all(tuple([gamma[j] for j in outside]) in recorded
                    for outside, recorded in checks)]
 
@@ -599,6 +648,10 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
                          "and n >= 2 for the default delta = c0 / ln(n)")
     if max_rounds < 0:
         raise ValueError(f"max_rounds = {max_rounds} is negative")
+    if delta is None:
+        delta = c0 / math.log(n)
+    if not delta >= 0:  # a negative delta cuts at every gap; NaN at none
+        raise ValueError(f"delta = {delta} is out of range: need delta >= 0")
     w.require_covering()
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")
@@ -610,8 +663,6 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
         W = {rank: float(W[rank]) for rank in range(nj)}
     if any(v <= 0 for v in W.values()):
         raise ValueError("W must be strictly positive")
-    if delta is None:
-        delta = c0 / math.log(n)
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
     plan = _ledger_plan(h, config, n)

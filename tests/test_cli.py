@@ -430,6 +430,22 @@ def test_out_of_range_integers_exit_two(workdir, capsys, host, argv, named):
     assert err.startswith("error: ValueError: ") and named in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["handicap-run", "--weights", "half.w", "--delta", "-1"], "delta = -1.0"),
+    (["handicap-run", "--weights", "half.w", "--delta", "nan"], "delta = nan"),
+    (["eta", "--weights", "half.w", "--point", "0", "--tol", "-1"],
+     "tol = -1.0"),
+    (["eta", "--weights", "half.w", "--point", "0", "--tol", "nan"],
+     "tol = nan"),
+    (["verify-mult-bound", "--weights", "half.w", "--tol", "-1"], "tol = -1.0"),
+], ids=["handicap-delta-minus-1", "handicap-delta-nan", "eta-tol-minus-1",
+        "eta-tol-nan", "verify-mult-bound-tol-minus-1"])
+def test_out_of_range_tolerances_exit_two(workdir, capsys, argv, named):
+    # a negative delta cut at every gap and passed handicap-termination; a
+    # negative tol reported UNCONVERGED; both exited 0
+    test_out_of_range_integers_exit_two(workdir, capsys, "k4", argv, named)
+
+
 @pytest.mark.parametrize("entries", [6, 3])
 def test_vanishing_alpha_of_the_wrong_length_exits_two(workdir, capsys,
                                                       tmp_path, entries):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from hjoints import geometry, linalg
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
+C5 = Hypergraph.cycle(5)
 
 
 def fl(base, dirs, field=F, d=None):
@@ -260,20 +262,19 @@ def test_joints_of_flats_direct_criterion_agreement():
 
 
 def test_five_cycle_witness_and_equivalent_condition():
-    c5 = Hypergraph.cycle(5)
     rng = random.Random(4)
     m, shift = _random_affine(rng, 5, F)
     p = tuple(shift)
     flats = []
-    for e in c5.edges:
+    for e in C5.edges:
         rows = [tuple(F.one if k == j - 1 else F.zero for k in range(5))
                 for j in range(1, 6) if j not in e]
         flats.append(_apply_affine(m, shift, fl((0,) * 5, rows)))
-    assert witness_check(c5, p, flats) is not None
+    assert witness_check(C5, p, flats) is not None
     # second oracle: F_i cap F_{i+2} is a line inside F_{i+1}, and the five
     # lines are linearly independent (indices along the cycle order)
     cyc = {}
-    for idx, e in enumerate(c5.edges):
+    for idx, e in enumerate(C5.edges):
         lo, hi = e
         pos = lo if (lo % 5) + 1 == hi else hi  # edge {i, i+1} -> i
         cyc[pos] = flats[idx]
@@ -371,6 +372,11 @@ def _memo_fixture(case, field):
                                   generic_hyperplanes(6, 4, field=field))
         # candidate_points_from_flats returns exactly these 15 points
         return h, cfg, cfg.points
+    if case == "C5":  # one class, so a flat is a candidate for every edge
+        host = SimpleHypergraph.from_sets(5, [(1, 2), (2, 3), (3, 4), (4, 5),
+                                              (1, 5), (1, 3)])
+        cfg = generically_induced(host, C5, generic_hyperplanes(5, 5, field=field))
+        return C5, cfg, cfg.points
     if case == "projected-K5":
         cfg = projected_generically_induced(
             SimpleHypergraph.complete(5, 3), K3, 1,
@@ -382,21 +388,23 @@ def _memo_fixture(case, field):
     return K3, cfg, candidate_points_from_flats(cfg)
 
 
-def _oracle_witness(h, point, flats, rng):
+def _oracle_witness(h, point, flats, rng, meets=None):
     """The witness core from scratch for one assignment: each W_j as the
     nullspace of the direction annihilators of the flats on edges avoiding
     j, the stacked-rank spanning filter, then the draws and, when all of
-    them are singular, Rado's condition."""
+    them are singular, Rado's condition. meets, when given, keeps each W
+    across calls, keyed on the ordered flats whose rows it is the nullspace
+    of: a function of its key, so keeping it changes no result."""
     d, field = h.d, flats[0].field
-    meets, spaces = {}, []  # vertices avoiding the same edges share one W
+    meets = {} if meets is None else meets
+    spaces = []
     for j in range(1, d + 1):
-        avoiding = tuple(i for i, e in enumerate(h.edges) if j not in e)
-        if avoiding not in meets:
-            rows = [row for i in avoiding
-                    for row in flats[i].direction_annihilator()]
-            meets[avoiding] = (linalg.nullspace(rows, field, d) if rows
-                               else linalg.identity_rows(d, field))
-        spaces.append(meets[avoiding])
+        key = tuple(flats[i] for i, e in enumerate(h.edges) if j not in e)
+        if key not in meets:
+            rows = [row for fl in key for row in fl.direction_annihilator()]
+            meets[key] = (linalg.nullspace(rows, field, d) if rows
+                          else linalg.identity_rows(d, field))
+        spaces.append(meets[key])
     if not all(spaces) or linalg.rank(
             [row for basis in spaces for row in basis], field, d) < d:
         return None
@@ -413,11 +421,11 @@ def _uncached_tuples(h, point, cfg, seed):
     candidates = [[k for k, fl in enumerate(cfg.classes[c - 1]) if fl.contains(point)]
                   for c in h.colors]
     rng = random.Random(seed)
-    checked, out = {}, []
+    checked, meets, out = {}, {}, []
     for assignment in itertools.product(*candidates):
         flats = tuple(cfg.classes[c - 1][k] for c, k in zip(h.colors, assignment))
         if flats not in checked:
-            checked[flats] = _oracle_witness(h, point, flats, rng)
+            checked[flats] = _oracle_witness(h, point, flats, rng, meets)
         if checked[flats] is not None:
             out.append(WitnessTuple(assignment, checked[flats]))
     return out
@@ -458,10 +466,42 @@ def test_k3_enumeration_matches_uncached_loop(case, field, data):
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
 @seed(5513)
-@settings(max_examples=1, deadline=None)  # one point: about 9 s over Q
+@settings(max_examples=1, deadline=None)  # one point: about 5 s over Q
 @given(data=st.data())
 def test_joints_enumeration_matches_uncached_loop(field, data):
     _check_case("joints-K7", field, data)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@seed(5516)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_c5_enumeration_matches_uncached_loop(field, data):
+    # the five W_j each meet three flats, so the span memo sees every order
+    # of a set of flat sets, and repeats of one flat across edges
+    _check_case("C5", field, data)
+
+
+def test_span_memo_extends_a_short_rank_at_a_smaller_need():
+    # vertex 4's group is final at edge 2 (need -3), vertex 1's and vertex
+    # 3's at edge 3 (needs 0 and 3) and vertex 2's at edge 4 (need 4); with
+    # these planes a set of flat sets first met at vertex 3's group falls
+    # short of rank 3 there, and comes back at vertex 1's group, where its
+    # rank meets the need: the walk must extend that branch, which holds
+    # one of the two tuples, not prune it for the stored rank
+    gf7 = GF(7)
+    h = Hypergraph(4, ((3,), (2,), (3,), (4,), (1, 3, 4)), (1, 1, 1, 1, 2))
+    planes = tuple(fl((0,) * 4, dirs, field=gf7) for dirs in (
+        [(1, 0, 0, 4), (0, 1, 0, 5), (0, 0, 1, 0)],
+        [(1, 0, 0, 6), (0, 1, 0, 5), (0, 0, 1, 4)],
+        [(1, 0, 5, 0), (0, 1, 4, 0), (0, 0, 0, 1)]))
+    cfg = JointsConfiguration(gf7, 4, (3, 1),
+                              (planes, (fl((0,) * 4, [(1, 6, 3, 6)], field=gf7),)),
+                              ((gf7.zero,) * 4,))
+    point = cfg.points[0]
+    want = _uncached_tuples(h, point, cfg, 0)
+    assert len(want) == 2
+    assert enumerate_witness_tuples(h, point, cfg, seed=0) == want
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
@@ -490,6 +530,26 @@ def test_axis_enumeration_matches_uncached_loop(subsets, field, data):
     cfg = axis_parallel_from_functions(d, subsets, functions, 2, field=field)
     _check_against_uncached_loop(axis_parallel_pattern(d, subsets), cfg,
                                  candidate_points_from_flats(cfg), data)
+
+
+@pytest.mark.parametrize("case", ["K3-K5", "C5"])
+def test_enumeration_leaves_nothing_for_the_collector(case):
+    # the walk's state lives in its generator's frame, not in a closure
+    # that refers to itself, so it is freed when the walk ends, whether the
+    # walk ran out or was dropped after its first witness
+    h, cfg, points = _memo_fixture(case, F)
+    flats = [next(fl for fl in cfg.classes[c - 1] if fl.contains(points[0]))
+             for c in h.colors]
+    gc.collect()
+    gc.disable()
+    try:
+        for point in points:
+            enumerate_witness_tuples(h, point, cfg, seed=1)
+            has_witness_tuple(h, point, cfg, seed=1)
+        witness_check(h, points[0], flats, seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dimension_mismatch_raised_at_every_point():

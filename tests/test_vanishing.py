@@ -397,6 +397,111 @@ def test_rational_field_cross_check():
 
 
 # ---------------------------------------------------------------------------
+# the packed GF(p) echelon against the list kernel
+# ---------------------------------------------------------------------------
+
+class ListEchelon:
+    """The GF(p) echelon on lists, reduced mod p entry by entry through the
+    field's row kernels: the oracle of the packed rows."""
+
+    def __init__(self, field, dim):
+        self.field = field
+        self.dim = dim
+        self.rows = []  # (pivot column, reduced row)
+
+    def insert(self, row) -> bool:
+        field = self.field
+        row = [field.from_int(a) for a in row]
+        for pc, prow in self.rows:
+            if not field.is_zero(row[pc]):
+                row = field.sub_scaled_row(row, row[pc], prow)
+        pivot = next((i for i, a in enumerate(row) if not field.is_zero(a)),
+                     None)
+        if pivot is None:
+            return False
+        self.rows.append((pivot, field.scale_row(field.inv(row[pivot]), row)))
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def unpacked(ech):
+    """The packed echelon's (pivot column, row) pairs as lists."""
+    bits = 8 * ech.size
+    mask = (1 << bits) - 1
+    return [(shift // bits, [v >> (bits * i) & mask for i in range(ech.dim)])
+            for shift, v in ech.rows]
+
+
+PACKED_PRIMES = {"GF7": GF(7), "GF31": GF((1 << 31) - 1), "GF61": F}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_PRIMES))
+@seed(2412)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_echelon_matches_list_kernel(name, data):
+    # rows are random, extreme (0, 1, p - 1) or combinations of earlier rows,
+    # so many reduce to zero; after every insert the verdict, the pivots and
+    # the reduced rows must agree
+    field = PACKED_PRIMES[name]
+    p = field.p
+    dim = data.draw(st.integers(1, comb(6 + 2, 2)))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    packed, oracle = vanishing._Echelon(field, dim), ListEchelon(field, dim)
+    assert packed.size is not None
+    seen = []
+    for _ in range(data.draw(st.integers(1, dim + 6))):
+        if seen and data.draw(st.booleans()):
+            picks = data.draw(st.lists(st.sampled_from(seen), min_size=1,
+                                       max_size=3))
+            coeffs = data.draw(st.lists(entry, min_size=len(picks),
+                                        max_size=len(picks)))
+            row = [sum(c * r[i] for c, r in zip(coeffs, picks)) % p
+                   for i in range(dim)]
+        else:
+            row = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        seen.append(row)
+        assert packed.insert(row) == oracle.insert(row)
+        assert unpacked(packed) == oracle.rows
+        assert packed.rank == oracle.rank
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_PRIMES))
+@pytest.mark.parametrize("dim", [1, 2, 28, 325])
+def test_packed_echelon_slots_hold_the_largest_sums(name, dim):
+    # stored rows e_i + (p - 1)(e_{i+1} + ... ) and the row u_k = 1 - k make
+    # every reduction multiply by p - 1, so slot k reaches about k p^2
+    # before it is read and the top slot about dim p^2; a slot that spilled
+    # would corrupt its neighbour or overflow the packed width
+    field = PACKED_PRIMES[name]
+    p = field.p
+    packed, oracle = vanishing._Echelon(field, dim), ListEchelon(field, dim)
+    for i in range(dim):
+        row = [0] * i + [1] + [p - 1] * (dim - i - 1)
+        assert packed.insert(row) and oracle.insert(row)
+    row = [(1 - k) % p for k in range(dim)]
+    assert not packed.insert(row) and not oracle.insert(row)
+    assert unpacked(packed) == oracle.rows
+
+
+@seed(2413)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_plane_ledgers_match_the_list_kernel(data):
+    h, cfg = FLATS2, _flats2_config(F)
+    n = data.draw(st.sampled_from([2, 4]))
+    alpha = {r: data.draw(st.integers(-2, 2)) for r in range(len(cfg.points))}
+    packed = _fresh_ledger_set(h, cfg, alpha, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vanishing, "_Echelon", ListEchelon)
+        oracle = _fresh_ledger_set(h, cfg, alpha, n)
+    _assert_same_ledger_set(packed, oracle)
+
+
+# ---------------------------------------------------------------------------
 # the closed form on lines against the elimination
 # ---------------------------------------------------------------------------
 
