@@ -69,9 +69,6 @@ class FiniteDistribution:
         atoms = tuple(atoms)
         return cls(atoms, (1.0 / len(atoms),) * len(atoms))
 
-    def support(self) -> tuple:
-        return tuple(a for a, p in zip(self.atoms, self.probs) if p > 0)
-
     def entropy(self) -> float:
         return entropy(self.probs)
 

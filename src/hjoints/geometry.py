@@ -73,7 +73,7 @@ class Flat:
     """Affine subspace of F^d in canonical (rref directions, reduced base) form."""
 
     __slots__ = ("field", "d", "base", "dirs", "_pivots", "_hash", "_ann",
-                 "_basis")
+                 "_eqs", "_basis")
 
     def __init__(self, field, d, base, dirs):
         self.field = field
@@ -88,26 +88,27 @@ class Flat:
         self.dirs = tuple(red)
         self._pivots = tuple(pivots)
         self._hash = hash((field.key(), d, self.base, self.dirs))
-        self._ann = self._basis = None
+        self._ann = self._eqs = self._basis = None
 
     @property
     def dim(self) -> int:
         return len(self.dirs)
 
     def contains(self, point) -> bool:
-        v = list(linalg.vec_sub(point, self.base, self.field))
-        for row, c in zip(self.dirs, self._pivots):
-            f = v[c]
-            if not self.field.is_zero(f):
-                v = self.field.sub_scaled_row(v, f, row)
-        return all(self.field.is_zero(a) for a in v)
+        """Whether the point satisfies each equation normal . x = rhs of
+        the flat (see equations), cached on first use; exact over Q and
+        GF(p). The full space has no equations and contains every point."""
+        if self._eqs is None:
+            self._eqs = tuple(zip(*self.equations()))
+        dot = self.field.dot
+        return all(dot(normal, point) == rhs for normal, rhs in self._eqs)
 
     def coords_of_point(self, point):
         """Chart coordinates of a point on the flat (pivot-column reads)."""
         if not self.contains(point):
             raise ValueError("point not on flat")
-        diff = linalg.vec_sub(point, self.base, self.field)
-        return tuple(diff[c] for c in self._pivots)
+        return self.coords_of_direction(
+            linalg.vec_sub(point, self.base, self.field))
 
     def coords_of_direction(self, vec):
         """Chart coordinates of a vector in the direction space."""

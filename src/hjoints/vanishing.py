@@ -15,9 +15,13 @@ On a line (k = 1) with chart x -> u + c x, the order-r functional is c^r
 D^r at u, and priority order gives each joint a prefix 0..m_p - 1 of
 orders. By Hermite interpolation such conditions at distinct points are
 independent over any field up to n + 1 of them, so the pivots are the first
-n + 1 pairs, read off without elimination when the shifts u are distinct
-and no scale c is zero. Other inputs, and k >= 2, run the elimination,
-which tests keep as the closed form's oracle.
+n + 1 pairs when the shifts u are distinct and no scale c is zero. Their
+split is counted, not sorted: with s = -alpha a joint's keys are s..s + n,
+the key T of the last pair taken is the least where the joints with s <= T
+hold n + 1 keys up to T, each joint takes its max(T - s, 0) keys below T,
+and the keys at T fill the rest in rank order. Other inputs, and k >= 2,
+sort the pairs and run the elimination, which tests keep as the closed
+form's oracle.
 
 Over GF(p) the elimination packs each row into one int, one fixed-width
 slot per entry wide enough that a row can take every reduction unreduced
@@ -53,7 +57,10 @@ ledgers, score each joint by W'_p = min over witness tuples of
 prod_e (B_{p,F}/n^dim F)^(w(e)/(|w|-1)) / W(p), sort, and decrement the
 handicap of the block above the first gap exceeding delta. Termination by
 delta-flatness, cycle detection, or a round cap are all legitimate,
-reported outcomes.
+reported outcomes. The witness tuples do not change between rounds, so one
+iteration maps each tuple's flats once to their slots, the positions of
+their ledgers in every round's ledger set, and scores a round by reading
+B_{p,F} and n^dim F from lists by slot.
 """
 
 from __future__ import annotations
@@ -324,6 +331,26 @@ def _eliminate(field, k: int, n: int, joint_charts, pairs):
                 return
 
 
+def _hermite_counts(n: int, joint_charts, alpha) -> dict:
+    """Per rank, its share of the first n + 1 pairs in priority order,
+    counted as the module docstring says. T is within n of the least s, so
+    for the first j joints by s, when it lies at or above the j-th s and
+    below the next, it is the least T with j (T + 1) - (their s summed) >=
+    n + 1: one ceiling division per prefix."""
+    joints = sorted((-alpha[rank], rank) for rank, _, _ in joint_charts)
+    total = 0
+    for j, (s, _) in enumerate(joints, 1):
+        total += s
+        cut = max(s, -(-(n + 1 + total) // j) - 1)
+        if j == len(joints) or cut < joints[j][0]:
+            break
+    counts = {rank: max(cut + alpha[rank], 0) for rank, _, _ in joint_charts}
+    left = n + 1 - sum(counts.values())
+    for rank in sorted(rank for s, rank in joints if s <= cut)[:left]:
+        counts[rank] += 1
+    return counts
+
+
 def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
                       ) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
@@ -336,26 +363,28 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
     field = flat.field
     k = flat.dim
     kinds = {rank: kind for rank, _, kind in joint_charts}
-    pairs = sorted(((r, rank) for rank, _, _ in joint_charts
-                    for r in range(n + 1)),
-                   key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
     if _hermite_line(field, k, joint_charts):
-        pivots = ((r, rank, (r,)) for r, rank in pairs[:n + 1])
+        counts = _hermite_counts(n, joint_charts, alpha)
+        gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
+        per_order = {rank: dict.fromkeys(range(c), 1)
+                     for rank, c in counts.items()}
+        exponents = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
     else:
-        pivots = _eliminate(field, k, n, joint_charts, pairs)
-    counts = {rank: 0 for rank, _, _ in joint_charts}
-    per_order = {rank: {} for rank, _, _ in joint_charts}
-    exponents = {rank: [] for rank, _, _ in joint_charts}
-    for r, rank, gamma in pivots:
-        counts[rank] += 1
-        per_order[rank][r] = per_order[rank].get(r, 0) + 1
-        exponents[rank].append(gamma)
+        pairs = sorted(((r, rank) for rank, _, _ in joint_charts
+                        for r in range(n + 1)),
+                       key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
+        counts = {rank: 0 for rank, _, _ in joint_charts}
+        per_order = {rank: {} for rank, _, _ in joint_charts}
+        found = {rank: [] for rank, _, _ in joint_charts}
+        for r, rank, gamma in _eliminate(field, k, n, joint_charts, pairs):
+            counts[rank] += 1
+            per_order[rank][r] = per_order[rank].get(r, 0) + 1
+            found[rank].append(gamma)
+        exponents = {rank: tuple(g) for rank, g in found.items()}
     if context is None:
         context = (n, tuple(sorted(alpha.items())), field.key())
     return FlatLedger(flat, k, n, tuple(r for r, _, _ in joint_charts),
-                      counts, per_order,
-                      {rank: tuple(g) for rank, g in exponents.items()},
-                      kinds, context)
+                      counts, per_order, exponents, kinds, context)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +455,8 @@ class _LedgerPlan:
                 point = config.points[idx]
                 if not fl.contains(point):
                     continue
-                chart = Chart.translation(field, fl.coords_of_point(point))
+                chart = Chart.translation(field, fl.coords_of_direction(
+                    [field.sub(a, b) for a, b in zip(point, fl.base)]))
                 kind = "reference"
                 for i, e in enumerate(h.edges):
                     if flat_by_edge[(rank, i)] == fl:
@@ -609,30 +639,41 @@ class HandicapResult:
     ledger_set: LedgerSet
 
 
-def _score_ranks(ls: LedgerSet, h, w, W, sigma):
-    """Per rank: (W', S, min-product) from the current ledgers."""
+def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan) -> list:
+    """Per rank, per witness tuple: the position in plan.charts, which is
+    also the position in a ledger set's ledgers, of each edge's flat."""
+    slot = {fl: i for i, (fl, _, _) in enumerate(plan.charts)}
+    return [[[slot[config.flat_of(c, a)]
+              for c, a in zip(h.colors, wt.assignment)]
+             for wt in config.tuples_at(h, idx)]
+            for idx in plan.order]
+
+
+def _score_ranks(ls: LedgerSet, slots, W, sigma):
+    """Per rank: (W', S, min-product) from the current ledgers, with the
+    flats of its witness tuples given as slots (see _tuple_slots)."""
     n = ls.n
-    out = {}
-    for rank, idx in enumerate(ls.rank_order):
-        tuples = ls.config.tuples_at(h, idx)
+    counts = [led.counts for led in ls.ledgers.values()]
+    scale = [n ** led.k for led in ls.ledgers.values()]
+    out = []
+    for rank, tuples in enumerate(slots):
         best = None
         best_s = None
-        for wt in tuples:
+        for tup in tuples:
             prod = 1.0
             ssum = 0
-            for i in range(len(h.edges)):
-                fl = ls.config.flat_of(h.colors[i], wt.assignment[i])
-                bcount = ls.count(rank, fl)
+            for i, slot in enumerate(tup):
+                bcount = counts[slot][rank]
                 ssum += bcount
                 if sigma[i] == 0.0:
                     continue
                 if bcount == 0:
                     prod = 0.0
                 else:
-                    prod *= (bcount / n ** fl.dim) ** sigma[i]
+                    prod *= (bcount / scale[slot]) ** sigma[i]
             if best is None or prod < best or (prod == best and ssum < best_s):
                 best, best_s = prod, ssum
-        out[rank] = (best / W[rank], best_s, best)
+        out.append((best / W[rank], best_s, best))
     return out
 
 
@@ -666,6 +707,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
     plan = _ledger_plan(h, config, n)
+    slots = _tuple_slots(h, config, plan)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -675,7 +717,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     scores = None
     for rounds in range(max_rounds + 1):
         ls = plan.ledger_set(config, alpha)
-        scores = _score_ranks(ls, h, w, W, sigma)
+        scores = _score_ranks(ls, slots, W, sigma)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [wps[i] - wps[i + 1] for i in range(nj - 1)]

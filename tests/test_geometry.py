@@ -59,6 +59,53 @@ def test_contains_and_chart_coords():
     assert _point_at(plane, coords) == (3, 9, 5)
 
 
+def _reduced_contains(flat, point):
+    """Membership by reducing point - base against the canonical directions:
+    the oracle for the equation test of Flat.contains."""
+    f = flat.field
+    v = list(linalg.vec_sub(point, flat.base, f))
+    for row, c in zip(flat.dirs, flat._pivots):
+        if not f.is_zero(v[c]):
+            v = f.sub_scaled_row(v, v[c], row)
+    return all(f.is_zero(a) for a in v)
+
+
+CONTAINS_FIELDS = {"Q": QQ, "GF7": GF(7), "GF61": F}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINS_FIELDS))
+@seed(2414)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contains_matches_reduction(name, data):
+    # flats of every dimension 0..d (the full space included, which has no
+    # equations), points on them, points moved off them and random points
+    field = CONTAINS_FIELDS[name]
+    d = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, d))
+    scalar = st.integers(-3, 3) if field is QQ else st.integers(0, 6)
+
+    def vec():
+        return tuple(field.from_int(x) for x in data.draw(
+            st.lists(scalar, min_size=d, max_size=d)))
+
+    if k == d:
+        dirs = linalg.identity_rows(d, field)
+    else:
+        dirs = [vec() for _ in range(k)]
+    flat = Flat(field, d, vec(), dirs)
+    on = _point_at(flat, [field.from_int(data.draw(scalar))
+                          for _ in range(flat.dim)])
+    # a unit vector at a column without a pivot leaves the direction space
+    free = [c for c in range(d) if c not in flat._pivots]
+    j = data.draw(st.sampled_from(free)) if free else 0
+    off = on[:j] + (field.add(on[j], field.one),) + on[j + 1:]
+    for point in (on, off, vec()):
+        assert flat.contains(point) == _reduced_contains(flat, point)
+    assert flat.contains(on)
+    assert flat.contains(off) == (not free)
+
+
 def test_intersect_two_hyperplanes_is_line():
     h1 = fl((0, 0, 0), [(1, 0, 0), (0, 1, 0)])  # z = 0
     h2 = fl((0, 0, 0), [(1, 0, 0), (0, 0, 1)])  # y = 0

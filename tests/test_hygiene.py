@@ -55,6 +55,12 @@ def _names_read(tree) -> list[str]:
     return out
 
 
+def _attributes_read(tree) -> list[str]:
+    """Every attribute name a tree reads (x.name)."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)]
+
+
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level `_name` functions and classes that nothing outside their
     own body reads, anywhere in the given modules."""
@@ -97,10 +103,13 @@ def unused_public_definitions(sources: dict[str, str], readme: str
                               ) -> list[str]:
     """Public module-level functions and classes, and public methods of
     module-level classes, that no module but __init__.py reads outside
-    their own body and that the README does not name in backticks."""
+    their own body and that the README does not name in backticks. A
+    method counts only attribute reads (x.name), so a parameter or local
+    variable spelled like it does not count as a caller."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    reads = [n for module, tree in trees.items() if module != "__init__.py"
-             for n in _names_read(tree)]
+    callers = [tree for module, tree in trees.items() if module != "__init__.py"]
+    reads = [n for tree in callers for n in _names_read(tree)]
+    attr_reads = [n for tree in callers for n in _attributes_read(tree)]
     named = readme_names(readme)
     out = []
     for module, tree in trees.items():
@@ -109,14 +118,14 @@ def unused_public_definitions(sources: dict[str, str], readme: str
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [(node.name, node)]
+            defs = [(node.name, node, reads, _names_read)]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                defs += [(f"{node.name}.{m.name}", m, attr_reads,
+                          _attributes_read) for m in node.body
                          if isinstance(m, ast.FunctionDef)]
-            for qualname, d in defs:
+            for qualname, d, seen, read in defs:
                 if (not d.name.startswith("_") and d.name not in named
-                        and reads.count(d.name)
-                        == _names_read(d).count(d.name)):
+                        and seen.count(d.name) == read(d).count(d.name)):
                     out.append(f"{module}:{qualname}")
     return out
 
@@ -127,12 +136,15 @@ def test_public_detector_flags_unused_and_accepts_used():
                        "def documented():\n    pass\n"
                        "class Kept:\n"
                        "    def stale(self):\n        pass\n"
+                       "    def shadowed(self):\n        pass\n"
+                       "    def width(self):\n        pass\n"
                        "    def _private(self):\n        pass\n",
-               "b.py": "from .a import used\nx = Kept\n",
+               "b.py": "from .a import used\nx = Kept\n"
+                       "def _f(shadowed, k):\n    return shadowed + k.width()\n",
                "__init__.py": "from .a import dead, Kept\nKept.stale\n"}
     readme = ("Call `documented(x)`.\n```\nstale()\n```\n")
     assert unused_public_definitions(sources, readme) == [
-        "a.py:dead", "a.py:Kept.stale"]
+        "a.py:dead", "a.py:Kept.stale", "a.py:Kept.shadowed"]
 
 
 def test_every_public_definition_has_a_caller():

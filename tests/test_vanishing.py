@@ -551,6 +551,53 @@ def test_hermite_closed_form_matches_elimination(m, field, n, data):
         assert ledger.digest() == oracle.ledgers[fl].digest()
 
 
+def _sorted_line_ledger(line, joint_charts, alpha, n):
+    """A Hermite line's ledger as the first n + 1 pairs of the sorted
+    priority order: the oracle for the counted closed form."""
+    pairs = sorted(((r, rank) for rank, _, _ in joint_charts
+                    for r in range(n + 1)),
+                   key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
+    counts = {rank: 0 for rank, _, _ in joint_charts}
+    per_order = {rank: {} for rank, _, _ in joint_charts}
+    exponents = {rank: () for rank, _, _ in joint_charts}
+    for r, rank in pairs[:n + 1]:
+        counts[rank] += 1
+        per_order[rank][r] = per_order[rank].get(r, 0) + 1
+        exponents[rank] += ((r,),)
+    return vanishing.FlatLedger(
+        line, 1, n, tuple(rank for rank, _, _ in joint_charts), counts,
+        per_order, exponents, {rank: kind for rank, _, kind in joint_charts},
+        (n, tuple(sorted(alpha.items())), line.field.key()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 24])
+@seed(2415)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_counted_line_ledger_matches_sorted_pairs(n, data):
+    # 1-8 joints with distinct shifts and nonzero scales, in any rank order;
+    # equal handicaps tie every key and are split by rank alone, and
+    # spreads wider than n leave some joints nothing
+    field = data.draw(st.sampled_from([QQ, F]))
+    line = Flat(field, 2, (field.zero, field.zero), [(field.one, field.zero)])
+    ranks = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=8,
+                               unique=True))
+    shifts = data.draw(st.lists(st.integers(-50, 50), min_size=len(ranks),
+                                max_size=len(ranks), unique=True))
+    spread = data.draw(st.sampled_from([0, 1, n, 2 * n + 3]))
+    alpha = {rank: data.draw(st.integers(-spread, spread)) for rank in ranks}
+    charts = [(rank, Chart(field, 1, ((field.from_int(data.draw(
+        st.integers(1, 9))),),), (field.from_int(u),)), "witness")
+              for rank, u in zip(ranks, shifts)]
+    ledger = _pinned(lambda: build_flat_ledger(line, charts, alpha, n),
+                     eliminate=False)
+    oracle = _sorted_line_ledger(line, charts, alpha, n)
+    assert ledger.counts == oracle.counts
+    assert ledger.per_order == oracle.per_order
+    assert ledger.exponents == oracle.exponents
+    assert ledger.digest() == oracle.digest()
+
+
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
 @pytest.mark.parametrize("degenerate,counts", [
     ("coincident shifts", {0: 5, 1: 0}),
@@ -642,9 +689,9 @@ def _flats2_config(field):
 
 def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
     # the dynamic decrements until a state repeats; the reference loop
-    # builds every round's ledger set from scratch, with no plan shared
-    # between rounds, while the dynamic keeps one plan (and, on planes, its
-    # memo of eliminated ledgers)
+    # builds every round's ledger set and tuple slots from scratch, with no
+    # plan shared between rounds, while the dynamic keeps one plan (and, on
+    # planes, its memo of eliminated ledgers) and one slot table
     w = WeightFunction.uniform(h, Fraction(1, 2))
     res = handicap_iteration(h, w, cfg, n=n)
     assert (res.status, res.rounds) == ("cycle", rounds)
@@ -655,8 +702,10 @@ def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
     alpha = {r: 0 for r in range(nj)}
     seen, trace = set(), []
     while True:
-        ls = _fresh_ledger_set(h, cfg, alpha, n)
-        scores = vanishing._score_ranks(ls, h, w, W, sigma)
+        plan = vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
+        ls = plan.ledger_set(cfg, alpha)
+        scores = vanishing._score_ranks(
+            ls, vanishing._tuple_slots(h, cfg, plan), W, sigma)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
