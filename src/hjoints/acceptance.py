@@ -516,8 +516,8 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
     _, _, cfg4, _ = _generic_config("k3", 4)
     n = 4
     ls = build_ledger_set(K3, cfg4, None, n)
-    flat = next(fl for fl in ls.ledgers if len(ls.ledgers[fl].joints) >= 2)
-    target = max(ls.ledgers[flat].joints)
+    flat = next(fl for fl in ls.ledgers if len(ls.ledgers[fl].counts) >= 2)
+    target = max(ls.ledgers[flat].counts)
     g = bounded_domain_threshold(K3, cfg4, flat, target, n)
     beyond_ok = True
     for extra in (1, 4):

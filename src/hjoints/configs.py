@@ -11,9 +11,10 @@ certificate is re-verified exhaustively.
 Projected configurations cone the pattern by t vertices, build the generic
 configuration in dimension d+t and push it down to F^d through a random
 full-rank linear map; degeneracy (dimension drop, flat or point collision,
-witness failure) is detected a posteriori and triggers resampling, up to a
-retry cap. The generic builder is the same construction at t = 0 with
-nothing projected, so both share one code path and the same checks.
+witness failure) is detected a posteriori and triggers resampling, up to
+PROJECTION_RETRIES attempts. The generic builder is the same construction
+at t = 0 with nothing projected, so both share one code path and the same
+checks.
 
 Axis-parallel configurations encode nonnegative integer-valued functions
 f_i on S^{I_i}: each value f_i(p_i) contributes that many copies of the
@@ -34,6 +35,8 @@ from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
 from .fields import GF, PrimeField, as_int, field_from_key
 from .geometry import Flat, WitnessTuple, enumerate_witness_tuples, witness_check
 from .hypergraph import Hypergraph
+
+PROJECTION_RETRIES = 16
 
 
 @dataclass
@@ -56,6 +59,12 @@ class JointsConfiguration:
                         f"flat of dimension {fl.dim} in a class of dimension {k}")
                 if fl.d != self.d or fl.field != self.field:
                     raise SizeMismatch("flat ambient mismatch")
+        seen = set()
+        for p in self.points:
+            if p in seen:
+                text = ", ".join(str(self.field.fmt(x)) for x in p)
+                raise ValueError(f"point ({text}) is stored twice")
+            seen.add(p)
         self._tuple_cache: dict = {}
         self._ledger_plans: dict = {}  # (h, n) -> vanishing._LedgerPlan
 
@@ -226,7 +235,6 @@ def generically_induced(host, h: Hypergraph,
 def projected_generically_induced(host, h: Hypergraph, t: int,
                                   family: HyperplaneFamily,
                                   projection_seed: int = 0, *,
-                                  retries: int = 16,
                                   projection_override=None) -> JointsConfiguration:
     """Generic configuration in F^(d+t) pushed down to F^d; resample on
     any degeneracy (dimension drop, collision, witness failure). A fixed
@@ -240,7 +248,7 @@ def projected_generically_induced(host, h: Hypergraph, t: int,
     field = family.field
     rng = random.Random(projection_seed)
     last_error = "no attempt"
-    for attempt in range(retries):
+    for attempt in range(PROJECTION_RETRIES):
         proj = [tuple(field.rand(rng) for _ in range(family.D))
                 for _ in range(h.d)]
         try:
@@ -251,7 +259,8 @@ def projected_generically_induced(host, h: Hypergraph, t: int,
         cfg.meta.update({"projection": proj, "t": t, "attempts": attempt + 1})
         return cfg
     raise GenericityFailure(
-        f"no generic projection found in {retries} attempts: {last_error}")
+        f"no generic projection found in {PROJECTION_RETRIES} attempts: "
+        f"{last_error}")
 
 
 def axis_parallel_from_functions(d: int, subsets, functions, s: int,

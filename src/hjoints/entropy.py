@@ -190,13 +190,13 @@ def _color_setup(h: Hypergraph, w: WeightFunction):
 
 
 def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
-                       tol: float = 1e-9, max_iters: int = 100000
-                       ) -> MultiplicityResult:
+                       tol: float = 1e-9) -> MultiplicityResult:
     """Maximize sum_i wbar_i H(color-i flat marginal) over tuple distributions.
 
     `tuples` is the witness-tuple list at one point (assignments of flat
     instances per edge); instances are identified as (color, index) atoms so
-    multiset copies count separately.
+    multiset copies count separately. Frank-Wolfe stops at a duality gap of
+    at most tol, a stalled line search, or 100,000 iterations.
     """
     if not tol >= 0:
         raise ValueError(f"tol = {tol} is out of range: need tol >= 0")
@@ -250,7 +250,7 @@ def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
 
     gap = math.inf
     iters = 0
-    while iters < max_iters:
+    while iters < 100_000:
         iters += 1
         margs = marginals_of(mu)
         grads = gradient(margs)

@@ -197,6 +197,9 @@ def colex_key(s) -> tuple:
 
 def colex_sets(k: int, count: int) -> list[tuple[int, ...]]:
     """The first `count` k-subsets of the positive integers in colex order."""
+    if k < 1 or count < 0:
+        raise ValueError(f"colex sets need k >= 1 and count >= 0, got "
+                         f"k = {k}, count = {count}")
     if count == 0:
         return []
     v = k
@@ -208,6 +211,7 @@ def colex_sets(k: int, count: int) -> list[tuple[int, ...]]:
 
 def kruskal_katona_count(n: int, d: int) -> int:
     """Number of d-cliques in the first n colex (d-1)-sets (the extremal value)."""
+    _check_clique_args(n, d)
     family = {frozenset(s) for s in colex_sets(d - 1, n)}
     vertices = sorted({v for s in family for v in s})
     count = 0
@@ -218,6 +222,11 @@ def kruskal_katona_count(n: int, d: int) -> int:
     return count
 
 
+def _check_clique_args(n: int, d: int) -> None:
+    if d < 2 or n < 0:
+        raise ValueError(f"need d >= 2 and n >= 0, got d = {d}, n = {n}")
+
+
 def binom_real(x: float, d: int) -> float:
     """The polynomial x(x-1)...(x-d+1)/d!."""
     out = 1.0
@@ -226,17 +235,19 @@ def binom_real(x: float, d: int) -> float:
     return out / factorial(d)
 
 
-def lovasz_bound(n: int, d: int, *, tol: float = 1e-12):
-    """Solve binom(x, d-1) = n for real x >= d-1, return (x, binom(x, d)).
+def lovasz_bound(n: int, d: int):
+    """Solve binom(x, d-1) = n for real x >= d-1 to within 1e-12, return
+    (x, binom(x, d)).
 
     The bound is clamped at zero (it can only dip negative for x < d, which
     cannot occur here but is guarded anyway); `clamped` flags that case.
     """
+    _check_clique_args(n, d)
     lo = float(d - 1)
     hi = float(d)
     while binom_real(hi, d - 1) < n:
         hi *= 2
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if binom_real(mid, d - 1) < n:
             lo = mid
@@ -264,18 +275,18 @@ class ShadowReport:
     passed: bool
 
 
-def partial_shadow_check(host: SimpleHypergraph, d: int, t: int,
-                         *, guard: float = 1e-9) -> ShadowReport:
-    """count(host contains cone pattern) vs the Lovasz bound C(x,d), C(x,d-1)=n."""
+def partial_shadow_check(host: SimpleHypergraph, d: int, t: int
+                         ) -> ShadowReport:
+    """count(host contains cone pattern) vs the Lovasz bound C(x,d), C(x,d-1)=n,
+    with a relative and absolute guard of 1e-9."""
     sizes = host.edge_sizes()
     if sizes != {d + t - 1}:
         raise UniformityMismatch(d + t - 1, sizes)
-    pattern = cone_pattern(d, t)
-    count = count_inducing_sets(host, pattern)
     n = host.n_edges
     x, bound, _ = lovasz_bound(n, d)
+    count = count_inducing_sets(host, cone_pattern(d, t))
     return ShadowReport(n, count, x, bound,
-                        count <= bound * (1 + guard) + guard)
+                        count <= bound * (1 + 1e-9) + 1e-9)
 
 
 # ---------------------------------------------------------------------------

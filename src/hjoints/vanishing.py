@@ -7,21 +7,24 @@ at a single point. Processing joints on F in *priority order* -- pairs
 (p, r) sorted by r - handicap(p), ties by a fixed preassigned joint order --
 and within a pair the exponents |gamma| = r in decreasing lexicographic
 order, Gaussian elimination assigns each pair a pivot count. The ledger
-records those counts (their per-flat total is exactly C(n+k, k)), and, for
-joints whose stored witness chart produced the rows, the exponent sets of
-the pivots.
+records per joint those counts (their per-flat total is exactly C(n+k, k))
+and the exponent sets of the pivots, in its chart: the witness chart on
+the flats of the joint's chosen witness tuple, where point_exponents reads
+them, and a translation elsewhere.
 
 On a line (k = 1) with chart x -> u + c x, the order-r functional is c^r
 D^r at u, and priority order gives each joint a prefix 0..m_p - 1 of
 orders. By Hermite interpolation such conditions at distinct points are
 independent over any field up to n + 1 of them, so the pivots are the first
-n + 1 pairs when the shifts u are distinct and no scale c is zero. Their
-split is counted, not sorted: with s = -alpha a joint's keys are s..s + n,
-the key T of the last pair taken is the least where the joints with s <= T
-hold n + 1 keys up to T, each joint takes its max(T - s, 0) keys below T,
-and the keys at T fill the rest in rank order. Other inputs, and k >= 2,
-sort the pairs and run the elimination, which tests keep as the closed
-form's oracle.
+n + 1 pairs when the shifts u are distinct and no scale c is zero. Both
+always hold: a configuration's points are distinct, so their coordinates u
+on the line are, and c is 1 in a translation and a coordinate of a column
+of an invertible witness matrix otherwise. The split is counted, not
+sorted: with s = -alpha a joint's keys are s..s + n, the key T of the last
+pair taken is the least where the joints with s <= T hold n + 1 keys up to
+T, each joint takes its max(T - s, 0) keys below T, and the keys at T fill
+the rest in rank order. Every other dimension sorts the pairs and runs the
+elimination, which tests also run on lines as the closed form's oracle.
 
 Over GF(p) the elimination packs each row into one int, one fixed-width
 slot per entry wide enough that a row can take every reduction unreduced
@@ -290,45 +293,37 @@ class FlatLedger:
     """Elimination outcome for one flat under one handicap and degree cap."""
 
     flat: object
-    k: int
     n: int
-    joints: tuple[int, ...]            # global preassigned ranks on this flat
-    counts: dict                       # rank -> B_{p,F}
-    per_order: dict                    # rank -> {r: B^r}
+    counts: dict                       # rank -> B_{p,F}, every joint on F
     exponents: dict                    # rank -> tuple of recorded gammas
-    chart_kind: dict                   # rank -> "witness" | "reference"
     context: tuple                     # shared (n, alpha fingerprint, field)
 
     def digest(self) -> str:
-        payload = repr((self.flat.base, self.flat.dirs, self.k, self.n,
+        payload = repr((self.flat.base, self.flat.dirs, self.n,
                         sorted(self.counts.items()),
-                        sorted((r, sorted(v.items())) for r, v in
-                               self.per_order.items()),
                         sorted((r, tuple(g)) for r, g in self.exponents.items()),
                         self.context))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _hermite_line(field, k: int, joint_charts) -> bool:
-    """A line whose charts have distinct shifts and nonzero scales."""
-    shifts = {chart.shift for _, chart, _ in joint_charts}
-    return k == 1 and len(shifts) == len(joint_charts) and not any(
-        field.is_zero(chart.cols[0][0]) for _, chart, _ in joint_charts)
-
-
-def _eliminate(field, k: int, n: int, joint_charts, pairs):
-    """Yield (r, rank, gamma) for every pivot of the priority-order elimination."""
+def _eliminate(field, k: int, n: int, joint_charts, alpha):
+    """(counts, exponents) per rank: the pivots of the elimination in
+    priority order, which stops once the dual space is exhausted."""
     dim = comb(n + k, k)
-    tables = {rank: chart.table(n) for rank, chart, _ in joint_charts}
+    tables = {rank: chart.table(n) for rank, chart in joint_charts}
     by_degree = _table_shape(k, n).by_degree
+    pairs = sorted(((r, rank) for rank in tables for r in range(n + 1)),
+                   key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
+    found = {rank: [] for rank in tables}
     store = _Echelon(field, dim)
     for r, rank in pairs:
-        table = tables[rank]
         for gamma in by_degree[r]:
-            if store.insert(table.row(gamma)):
-                yield r, rank, gamma
             if store.rank == dim:
-                return
+                break
+            if store.insert(tables[rank].row(gamma)):
+                found[rank].append(gamma)
+    return ({rank: len(g) for rank, g in found.items()},
+            {rank: tuple(g) for rank, g in found.items()})
 
 
 def _hermite_counts(n: int, joint_charts, alpha) -> dict:
@@ -337,14 +332,14 @@ def _hermite_counts(n: int, joint_charts, alpha) -> dict:
     for the first j joints by s, when it lies at or above the j-th s and
     below the next, it is the least T with j (T + 1) - (their s summed) >=
     n + 1: one ceiling division per prefix."""
-    joints = sorted((-alpha[rank], rank) for rank, _, _ in joint_charts)
+    joints = sorted((-alpha[rank], rank) for rank, _ in joint_charts)
     total = 0
     for j, (s, _) in enumerate(joints, 1):
         total += s
         cut = max(s, -(-(n + 1 + total) // j) - 1)
         if j == len(joints) or cut < joints[j][0]:
             break
-    counts = {rank: max(cut + alpha[rank], 0) for rank, _, _ in joint_charts}
+    counts = {rank: max(cut + alpha[rank], 0) for rank, _ in joint_charts}
     left = n + 1 - sum(counts.values())
     for rank in sorted(rank for s, rank in joints if s <= cut)[:left]:
         counts[rank] += 1
@@ -355,47 +350,28 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
                       ) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
 
-    joint_charts: list of (global_rank, Chart, kind). Pairs (rank, r) are
-    processed by (r - alpha[rank], rank); within a pair, exponents of degree
-    r in decreasing lex order. Stops once the dual space is exhausted. Lines
-    take the Hermite closed form of the module docstring when it applies.
+    joint_charts: one (global_rank, Chart) pair per joint on the flat, the
+    charts at distinct points of the flat and with invertible linear parts.
+    Pairs (rank, r) are processed by (r - alpha[rank], rank); within a pair,
+    exponents of degree r in decreasing lex order. A line takes the Hermite
+    closed form of the module docstring, which that precondition makes
+    exact; any other flat runs the elimination.
     """
-    field = flat.field
-    k = flat.dim
-    kinds = {rank: kind for rank, _, kind in joint_charts}
-    if _hermite_line(field, k, joint_charts):
+    if flat.dim == 1:
         counts = _hermite_counts(n, joint_charts, alpha)
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
-        per_order = {rank: dict.fromkeys(range(c), 1)
-                     for rank, c in counts.items()}
         exponents = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
     else:
-        pairs = sorted(((r, rank) for rank, _, _ in joint_charts
-                        for r in range(n + 1)),
-                       key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
-        counts = {rank: 0 for rank, _, _ in joint_charts}
-        per_order = {rank: {} for rank, _, _ in joint_charts}
-        found = {rank: [] for rank, _, _ in joint_charts}
-        for r, rank, gamma in _eliminate(field, k, n, joint_charts, pairs):
-            counts[rank] += 1
-            per_order[rank][r] = per_order[rank].get(r, 0) + 1
-            found[rank].append(gamma)
-        exponents = {rank: tuple(g) for rank, g in found.items()}
+        counts, exponents = _eliminate(flat.field, flat.dim, n, joint_charts,
+                                       alpha)
     if context is None:
-        context = (n, tuple(sorted(alpha.items())), field.key())
-    return FlatLedger(flat, k, n, tuple(r for r, _, _ in joint_charts),
-                      counts, per_order, exponents, kinds, context)
+        context = (n, tuple(sorted(alpha.items())), flat.field.key())
+    return FlatLedger(flat, n, counts, exponents, context)
 
 
 # ---------------------------------------------------------------------------
 # configuration-level ledger sets
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ChosenTuple:
-    assignment: tuple[int, ...]
-    witness: object  # geometry.Witness
-
 
 @dataclass
 class LedgerSet:
@@ -404,7 +380,7 @@ class LedgerSet:
     n: int
     alpha: dict                      # rank -> int
     rank_order: tuple[int, ...]      # config point index per rank
-    chosen: dict                     # rank -> ChosenTuple
+    chosen: dict                     # rank -> geometry.WitnessTuple
     ledgers: dict                    # canonical Flat -> FlatLedger
     flat_by_edge: dict               # (rank, edge index) -> canonical Flat
     context: tuple
@@ -427,8 +403,7 @@ def default_chosen(h: Hypergraph, config) -> dict:
         tuples = config.tuples_at(h, idx)
         if not tuples:
             raise ChartMissing(f"stored point {idx} admits no witness tuple")
-        wt = tuples[0]
-        chosen[rank] = ChosenTuple(wt.assignment, wt.witness)
+        chosen[rank] = tuples[0]
     return chosen
 
 
@@ -436,8 +411,10 @@ class _LedgerPlan:
     """The part of a ledger set that does not depend on alpha: the flat of
     every (joint, edge) and the charts of every flat carrying a joint, with
     their pullback tables cached on the charts, plus a memo of eliminated
-    ledgers keyed on (flat, alpha of its joints minus their minimum). The
-    configuration is passed to each call, not kept."""
+    ledgers keyed on (flat, alpha of its joints minus their minimum). A
+    joint's chart is its witness chart on the flats flat_by_edge names for
+    it and a translation on the others. The configuration is passed to each
+    call, not kept."""
 
     def __init__(self, h: Hypergraph, config, chosen, n: int):
         self.h, self.chosen, self.n = h, chosen, n
@@ -448,7 +425,7 @@ class _LedgerPlan:
             for i in range(len(h.edges)):
                 flat_by_edge[(rank, i)] = config.flat_of(
                     h.colors[i], chosen[rank].assignment[i])
-        self.charts = []  # (flat, joint charts, ledger memoised)
+        self.charts = []  # (flat, joint charts)
         for fl in dict.fromkeys(fl for cls in config.classes for fl in cls):
             joint_charts = []
             for rank, idx in enumerate(order):
@@ -457,7 +434,6 @@ class _LedgerPlan:
                     continue
                 chart = Chart.translation(field, fl.coords_of_direction(
                     [field.sub(a, b) for a, b in zip(point, fl.base)]))
-                kind = "reference"
                 for i, e in enumerate(h.edges):
                     if flat_by_edge[(rank, i)] == fl:
                         cols = tuple(
@@ -465,12 +441,10 @@ class _LedgerPlan:
                                 chosen[rank].witness.columns[j - 1])
                             for j in range(1, h.d + 1) if j not in e)
                         chart = Chart(field, fl.dim, cols, chart.shift)
-                        kind = "witness"
                         break
-                joint_charts.append((rank, chart, kind))
+                joint_charts.append((rank, chart))
             if joint_charts:
-                self.charts.append((fl, joint_charts, not _hermite_line(
-                    field, fl.dim, joint_charts)))
+                self.charts.append((fl, joint_charts))
         self.memo: dict = {}
 
     def ledger_set(self, config, alpha) -> LedgerSet:
@@ -478,13 +452,13 @@ class _LedgerPlan:
         alpha = {r: int(alpha[r]) for r in range(len(order))}
         context = (n, tuple(sorted(alpha.items())), config.field.key())
         ledgers = {}
-        for fl, jc, memoised in self.charts:
-            if not memoised:
+        for fl, jc in self.charts:
+            if fl.dim == 1:
                 ledgers[fl] = build_flat_ledger(fl, jc, alpha, n,
                                                 context=context)
                 continue
-            low = min(alpha[rank] for rank, _, _ in jc)
-            key = (fl, tuple(alpha[rank] - low for rank, _, _ in jc))
+            low = min(alpha[rank] for rank, _ in jc)
+            key = (fl, tuple(alpha[rank] - low for rank, _ in jc))
             if key in self.memo:
                 ledgers[fl] = dataclasses.replace(self.memo[key],
                                                   context=context)
@@ -534,20 +508,15 @@ def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
 def point_exponents(ls: LedgerSet, rank: int) -> list[tuple[int, ...]]:
     """Admissible exponents of one joint from its chosen-tuple ledgers."""
     h = ls.h
-    per_edge = []
-    for i in range(len(h.edges)):
-        fl = ls.flat_by_edge[(rank, i)]
-        ledger = ls.ledgers[fl]
-        if ledger.chart_kind.get(rank) != "witness":
-            raise ChartMissing(
-                f"joint {rank} has no witness chart on its edge-{i} flat")
-        per_edge.append(ledger.exponents[rank])
+    per_edge = [ls.ledgers[ls.flat_by_edge[(rank, i)]].exponents[rank]
+                for i in range(len(h.edges))]
     return assemble_point_exponents(h, per_edge, ls.n)
 
 
 def sum_of_conditions_check(ledger: FlatLedger) -> tuple[int, int]:
     """(sum of counts, C(n+k,k)); equal for every completed ledger."""
-    return sum(ledger.counts.values()), comb(ledger.n + ledger.k, ledger.k)
+    k = ledger.flat.dim
+    return sum(ledger.counts.values()), comb(ledger.n + k, k)
 
 
 def param_counting_check(ls: LedgerSet) -> tuple[int, int, int]:
@@ -642,7 +611,7 @@ class HandicapResult:
 def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan) -> list:
     """Per rank, per witness tuple: the position in plan.charts, which is
     also the position in a ledger set's ledgers, of each edge's flat."""
-    slot = {fl: i for i, (fl, _, _) in enumerate(plan.charts)}
+    slot = {fl: i for i, (fl, _) in enumerate(plan.charts)}
     return [[[slot[config.flat_of(c, a)]
               for c, a in zip(h.colors, wt.assignment)]
              for wt in config.tuples_at(h, idx)]
@@ -654,7 +623,7 @@ def _score_ranks(ls: LedgerSet, slots, W, sigma):
     flats of its witness tuples given as slots (see _tuple_slots)."""
     n = ls.n
     counts = [led.counts for led in ls.ledgers.values()]
-    scale = [n ** led.k for led in ls.ledgers.values()]
+    scale = [n ** led.flat.dim for led in ls.ledgers.values()]
     out = []
     for rank, tuples in enumerate(slots):
         best = None
@@ -678,19 +647,19 @@ def _score_ranks(ls: LedgerSet, slots, W, sigma):
 
 
 def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
-                       W=None, n: int = 24, c0: float = 1.0,
-                       delta: float | None = None, max_rounds: int = 200
-                       ) -> HandicapResult:
-    """Decrement-the-leaders dynamic driving the W' scores delta-flat."""
+                       W=None, n: int = 24, delta: float | None = None,
+                       max_rounds: int = 200) -> HandicapResult:
+    """Decrement-the-leaders dynamic driving the W' scores delta-flat; delta
+    defaults to 1 / ln(n)."""
     if not config.points:
         raise ValueError("the configuration has 0 points to balance")
     if n < 1 or (n < 2 and delta is None):
         raise ValueError(f"degree n = {n} is out of range: need n >= 1, "
-                         "and n >= 2 for the default delta = c0 / ln(n)")
+                         "and n >= 2 for the default delta = 1 / ln(n)")
     if max_rounds < 0:
         raise ValueError(f"max_rounds = {max_rounds} is negative")
     if delta is None:
-        delta = c0 / math.log(n)
+        delta = 1 / math.log(n)
     if not delta >= 0:  # a negative delta cuts at every gap; NaN at none
         raise ValueError(f"delta = {delta} is out of range: need delta >= 0")
     w.require_covering()
@@ -829,10 +798,10 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
 
 
 def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
-                             n: int, *, max_gap: int | None = None) -> int:
-    """Smallest handicap gap g with B_{p,F}(alpha_p = -g, n) = 0, by sweep."""
-    if max_gap is None:
-        max_gap = 2 * n + 4
+                             n: int) -> int:
+    """Smallest handicap gap g with B_{p,F}(alpha_p = -g, n) = 0, by sweep
+    up to 2n + 4."""
+    max_gap = 2 * n + 4
     nj = len(preassigned_order(config))
     plan = _ledger_plan(h, config, n)
     for g in range(max_gap + 1):

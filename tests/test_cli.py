@@ -431,6 +431,21 @@ def test_out_of_range_integers_exit_two(workdir, capsys, host, argv, named):
 
 
 @pytest.mark.parametrize("argv,named", [
+    (["kk", "--n", "5", "--d", "1"], "d = 1"),
+    (["kk", "--n", "-1", "--d", "3"], "n = -1"),
+    (["shadow-check", "--host", "k4.hg", "--d", "1", "--t", "2"], "d = 1"),
+], ids=["kk-d-1", "kk-n-minus-1", "shadow-check-d-1"])
+def test_out_of_range_clique_counts_exit_two(workdir, capsys, argv, named):
+    # d = 1 looped forever (C(v, 0) = 1 never reaches n; the bisection for
+    # C(x, 0) = n doubled its bracket forever); n = -1 passed with exit 0
+    argv = [workdir / a if a.endswith(".hg") else a for a in argv]
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ") and named in err
+
+
+@pytest.mark.parametrize("argv,named", [
     (["handicap-run", "--weights", "half.w", "--delta", "-1"], "delta = -1.0"),
     (["handicap-run", "--weights", "half.w", "--delta", "nan"], "delta = nan"),
     (["eta", "--weights", "half.w", "--point", "0", "--tol", "-1"],

@@ -17,7 +17,9 @@ from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      sum_of_conditions_check)
 from hjoints import geometry, linalg, vanishing
 from hjoints.cli import main
-from hjoints.configs import JointsConfiguration, axis_parallel_from_functions, axis_parallel_pattern
+from hjoints.configs import (JointsConfiguration, axis_parallel_from_functions,
+                             axis_parallel_pattern,
+                             projected_generically_induced)
 from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
 from hjoints.serialize import save_json
@@ -177,13 +179,13 @@ def test_ledger_two_joints_alternate_orders():
     n = 3
     ls = build_ledger_set(pattern, cfg, None, n)
     horizontal = next(fl for fl in ls.ledgers if fl.dim == 1 and
-                      len(ls.ledgers[fl].joints) == 2)
+                      len(ls.ledgers[fl].counts) == 2)
     ledger = ls.ledgers[horizontal]
     assert sorted(ledger.counts.values()) == [2, 2]
     assert sum_of_conditions_check(ledger) == (4, 4)
     # each joint received derivative orders {0, 1}
-    for rank in ledger.joints:
-        assert sorted(ledger.per_order[rank]) == [0, 1]
+    for rank in ledger.counts:
+        assert sorted(ledger.exponents[rank]) == [(0,), (1,)]
 
 
 def test_ledger_two_joints_explicit_elimination_oracle():
@@ -193,16 +195,16 @@ def test_ledger_two_joints_explicit_elimination_oracle():
     n = 3
     ls = build_ledger_set(pattern, cfg, None, n)
     horizontal = next(fl for fl in ls.ledgers if fl.dim == 1 and
-                      len(ls.ledgers[fl].joints) == 2)
+                      len(ls.ledgers[fl].counts) == 2)
     ledger = ls.ledgers[horizontal]
     params = {}
-    for rank in ledger.joints:
+    for rank in ledger.counts:
         point = cfg.points[ls.rank_order[rank]]
         params[rank] = horizontal.coords_of_point(point)[0]
-    order = sorted(((r, rank) for rank in ledger.joints for r in range(n + 1)))
+    order = sorted(((r, rank) for rank in ledger.counts for r in range(n + 1)))
     rows = []
     prev_rank = 0
-    counts = {rank: 0 for rank in ledger.joints}
+    counts = {rank: 0 for rank in ledger.counts}
     for r, rank in order:
         c = params[rank]
         rows.append([F.mul(F.from_int(comb(j, r)),
@@ -220,8 +222,8 @@ def test_bounded_domain_sweep_and_beyond():
     n = 4
     ls = build_ledger_set(pattern, cfg, None, n)
     horizontal = next(fl for fl in ls.ledgers if fl.dim == 1 and
-                      len(ls.ledgers[fl].joints) == 2)
-    target = max(ledger_rank for ledger_rank in ls.ledgers[horizontal].joints)
+                      len(ls.ledgers[fl].counts) == 2)
+    target = max(ls.ledgers[horizontal].counts)
     g = bounded_domain_threshold(pattern, cfg, horizontal, target, n)
     assert g == n  # the spec's -(n+1) shift is safely past the threshold
     for extra in (1, 5):
@@ -509,20 +511,20 @@ def _no_elimination(*args):
     raise AssertionError("the elimination ran on a line")
 
 
+def _fresh_plan(h, cfg, n):
+    """A plan of its own, not the configuration's, so charts, tables and
+    ledgers are all new."""
+    return vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
+
+
 def _fresh_ledger_set(h, cfg, alpha, n):
-    """A ledger set from a plan of its own, not the configuration's, so
-    charts, tables and ledgers are all new."""
-    plan = vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
-    return plan.ledger_set(cfg, alpha)
+    return _fresh_plan(h, cfg, n).ledger_set(cfg, alpha)
 
 
-def _pinned(build, *, eliminate: bool):
-    """Run `build` with every ledger eliminated, or with elimination barred."""
+def _closed_form(build):
+    """Run `build` with the elimination barred."""
     with pytest.MonkeyPatch.context() as mp:
-        if eliminate:
-            mp.setattr(vanishing, "_hermite_line", lambda *args: False)
-        else:
-            mp.setattr(vanishing, "_eliminate", _no_elimination)
+        mp.setattr(vanishing, "_eliminate", _no_elimination)
         return build()
 
 
@@ -538,35 +540,35 @@ def _k3_config(m, field):
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_hermite_closed_form_matches_elimination(m, field, n, data):
+    # the oracle runs the elimination on each line's charts
     cfg = _k3_config(m, field)
     nj = len(cfg.points)
     alpha = dict(enumerate(data.draw(
         st.lists(st.integers(-4, 4), min_size=nj, max_size=nj))))
-    closed = _pinned(lambda: _fresh_ledger_set(K3, cfg, alpha, n),
-                     eliminate=False)
-    oracle = _pinned(lambda: _fresh_ledger_set(K3, cfg, alpha, n),
-                     eliminate=True)
-    assert closed.ledgers.keys() == oracle.ledgers.keys()
-    for fl, ledger in closed.ledgers.items():
-        assert ledger.digest() == oracle.ledgers[fl].digest()
+    plan = _fresh_plan(K3, cfg, n)
+    closed = _closed_form(lambda: plan.ledger_set(cfg, alpha))
+    assert list(closed.ledgers) == [fl for fl, _ in plan.charts]
+    for fl, joint_charts in plan.charts:
+        counts, exponents = vanishing._eliminate(field, 1, n, joint_charts,
+                                                 alpha)
+        ledger = closed.ledgers[fl]
+        assert list(ledger.counts.items()) == list(counts.items())
+        assert ledger.exponents == exponents
 
 
 def _sorted_line_ledger(line, joint_charts, alpha, n):
     """A Hermite line's ledger as the first n + 1 pairs of the sorted
     priority order: the oracle for the counted closed form."""
-    pairs = sorted(((r, rank) for rank, _, _ in joint_charts
+    pairs = sorted(((r, rank) for rank, _ in joint_charts
                     for r in range(n + 1)),
                    key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
-    counts = {rank: 0 for rank, _, _ in joint_charts}
-    per_order = {rank: {} for rank, _, _ in joint_charts}
-    exponents = {rank: () for rank, _, _ in joint_charts}
+    counts = {rank: 0 for rank, _ in joint_charts}
+    exponents = {rank: () for rank, _ in joint_charts}
     for r, rank in pairs[:n + 1]:
         counts[rank] += 1
-        per_order[rank][r] = per_order[rank].get(r, 0) + 1
         exponents[rank] += ((r,),)
     return vanishing.FlatLedger(
-        line, 1, n, tuple(rank for rank, _, _ in joint_charts), counts,
-        per_order, exponents, {rank: kind for rank, _, kind in joint_charts},
+        line, n, counts, exponents,
         (n, tuple(sorted(alpha.items())), line.field.key()))
 
 
@@ -587,37 +589,73 @@ def test_counted_line_ledger_matches_sorted_pairs(n, data):
     spread = data.draw(st.sampled_from([0, 1, n, 2 * n + 3]))
     alpha = {rank: data.draw(st.integers(-spread, spread)) for rank in ranks}
     charts = [(rank, Chart(field, 1, ((field.from_int(data.draw(
-        st.integers(1, 9))),),), (field.from_int(u),)), "witness")
+        st.integers(1, 9))),),), (field.from_int(u),)))
               for rank, u in zip(ranks, shifts)]
-    ledger = _pinned(lambda: build_flat_ledger(line, charts, alpha, n),
-                     eliminate=False)
+    ledger = _closed_form(lambda: build_flat_ledger(line, charts, alpha, n))
     oracle = _sorted_line_ledger(line, charts, alpha, n)
-    assert ledger.counts == oracle.counts
-    assert ledger.per_order == oracle.per_order
+    assert list(ledger.counts.items()) == list(oracle.counts.items())
     assert ledger.exponents == oracle.exponents
     assert ledger.digest() == oracle.digest()
 
 
-@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
-@pytest.mark.parametrize("degenerate,counts", [
-    ("coincident shifts", {0: 5, 1: 0}),
-    ("zero scale", {0: 1, 1: 4}),
-])
-def test_degenerate_line_charts_are_eliminated(field, degenerate, counts):
-    # the first n + 1 pairs would give {0: 3, 1: 2} in both cases
-    line = Flat(field, 2, (field.zero, field.zero), [(field.one, field.zero)])
-    u, c = field.from_int(3), field.from_int(2)
-    scale = field.zero if degenerate == "zero scale" else c
-    other = u if degenerate == "coincident shifts" else field.from_int(5)
-    charts = [(0, Chart(field, 1, ((scale,),), (u,)), "witness"),
-              (1, Chart.translation(field, (other,)), "reference")]
-    alpha, n = {0: 0, 1: -1}, 4
-    ledger = build_flat_ledger(line, charts, alpha, n)
-    oracle = _pinned(lambda: build_flat_ledger(line, charts, alpha, n),
-                     eliminate=True)
-    assert ledger.counts == counts
-    assert ledger.digest() == oracle.digest()
+def test_repeated_point_is_rejected(tmp_path, capsys):
+    # a repeated point gave two charts with one shift on each line through
+    # it, the one input the closed form does not cover
+    base = _generic_k3(5)
+    points = base.points + base.points[:1]
+    named = f"point {base.points[0]} is stored twice".replace(",)", ")")
+    with pytest.raises(ValueError) as exc:
+        JointsConfiguration(base.field, base.d, base.dims, base.classes, points)
+    assert str(exc.value) == named
+    data = base.to_dict()
+    data["points"].append(data["points"][0])
+    with pytest.raises(ValueError) as exc:
+        JointsConfiguration.from_dict(data)
+    assert str(exc.value) == named
+    save_json(tmp_path / "dup.cfg", data)
+    save_json(tmp_path / "k3.hg", K3.to_dict())
+    save_json(tmp_path / "half.w",
+              WeightFunction.uniform(K3, Fraction(1, 2)).to_dict())
+    inputs = ["--config", tmp_path / "dup.cfg", "--pattern", tmp_path / "k3.hg"]
+    for argv in (["handicap-run", *inputs, "--weights", tmp_path / "half.w",
+                  "--n", "24", "-o", tmp_path / "run.cert"],
+                 ["vanishing", *inputs, "--n", "4"]):
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: ") and named in err
+    assert not (tmp_path / "run.cert").exists()
 
+
+def _line_chart_cases():
+    """(pattern, configuration) pairs whose plans hold line charts."""
+    for m in range(4, 9):
+        for field in (QQ, F):
+            yield K3, _k3_config(m, field)
+    yield K3, projected_generically_induced(
+        SimpleHypergraph.complete(5, 3), K3, 1,
+        generic_hyperplanes(5, 4, seed=3), projection_seed=1)
+    subsets = [(2, 3), (1, 3), (1, 2)]
+    f = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3, (2, 1): 1, (2, 2): 2}
+    yield (axis_parallel_pattern(3, subsets),
+           axis_parallel_from_functions(3, subsets, [f] * 3, 3))
+
+
+def test_plan_line_charts_meet_the_closed_form_precondition():
+    # every line chart a plan builds has a nonzero scale, and the charts on
+    # one line have pairwise distinct shifts
+    lines = 0
+    for h, cfg in _line_chart_cases():
+        assert 1 in cfg.dims
+        for fl, joint_charts in _fresh_plan(h, cfg, 2).charts:
+            if fl.dim != 1:
+                continue
+            lines += 1
+            assert not any(cfg.field.is_zero(chart.cols[0][0])
+                           for _, chart in joint_charts)
+            shifts = [chart.shift for _, chart in joint_charts]
+            assert len(set(shifts)) == len(shifts)
+    assert lines > 100
 
 # ---------------------------------------------------------------------------
 # handicap dynamic and audit
@@ -748,27 +786,18 @@ def _assert_same_ledger_set(ls, ref):
     assert ls.ledgers.keys() == ref.ledgers.keys()
     for fl, ledger in ls.ledgers.items():
         assert ledger.digest() == ref.ledgers[fl].digest()
-        assert ledger.chart_kind == ref.ledgers[fl].chart_kind
 
 
 @functools.cache
 def _plan_case(case):
     """(pattern, configuration, its fresh copy, degree caps to draw from)."""
-    if case == "K3-dup":
-        # a second joint at a stored point: every line through it has two
-        # charts with one shift, so the elimination (and the memo) runs
-        base = _generic_k3(4)
-        cfg = JointsConfiguration(base.field, base.d, base.dims, base.classes,
-                                  base.points + base.points[:1])
-        h, caps = K3, (2, 3, 5)
-    else:
-        field = QQ if case.endswith("Q") else F
-        h, cfg = FLATS2, _flats2_config(field)
-        caps = (2,) if field is QQ else (2, 3, 4)
+    field = QQ if case.endswith("Q") else F
+    h, cfg = FLATS2, _flats2_config(field)
+    caps = (2,) if field is QQ else (2, 3, 4)
     return h, cfg, JointsConfiguration.from_dict(cfg.to_dict()), caps
 
 
-@pytest.mark.parametrize("case", ["2-flats-GF", "2-flats-Q", "K3-dup"])
+@pytest.mark.parametrize("case", ["2-flats-GF", "2-flats-Q"])
 @seed(2411)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
@@ -794,7 +823,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
         ls = build_ledger_set(h, cfg, alpha, n)
         plan = cfg._ledger_plans[(h, n)]
         memoised = len(plan.memo)
-        assert any(m for _, _, m in plan.charts)
+        assert memoised
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
         shifted = {r: a + 3 for r, a in alpha.items()}
         _assert_same_ledger_set(build_ledger_set(h, cfg, shifted, n),
