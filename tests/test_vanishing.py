@@ -598,6 +598,25 @@ def test_counted_line_ledger_matches_sorted_pairs(n, data):
     assert ledger.digest() == oracle.digest()
 
 
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("degenerate,counts", [
+    ("coincident shifts", {0: 5, 1: 0}),
+    ("zero scale", {0: 1, 1: 4}),
+])
+def test_degenerate_line_charts_are_eliminated(field, degenerate, counts):
+    # charts outside the closed form's precondition: the elimination, the
+    # oracle for lines, splits them unlike the first n + 1 pairs, which give
+    # {0: 3, 1: 2} in both cases; no plan builds such charts (see below)
+    u, c = field.from_int(3), field.from_int(2)
+    scale = field.zero if degenerate == "zero scale" else c
+    other = u if degenerate == "coincident shifts" else field.from_int(5)
+    charts = [(0, Chart(field, 1, ((scale,),), (u,))),
+              (1, Chart.translation(field, (other,)))]
+    alpha, n = {0: 0, 1: -1}, 4
+    assert vanishing._eliminate(field, 1, n, charts, alpha)[0] == counts
+    assert vanishing._hermite_counts(n, charts, alpha) == {0: 3, 1: 2}
+
+
 def test_repeated_point_is_rejected(tmp_path, capsys):
     # a repeated point gave two charts with one shift on each line through
     # it, the one input the closed form does not cover
@@ -791,13 +810,18 @@ def _assert_same_ledger_set(ls, ref):
 @functools.cache
 def _plan_case(case):
     """(pattern, configuration, its fresh copy, degree caps to draw from)."""
-    field = QQ if case.endswith("Q") else F
-    h, cfg = FLATS2, _flats2_config(field)
-    caps = (2,) if field is QQ else (2, 3, 4)
+    if case == "K3-dup":
+        # the K3 configuration that once stored a point twice, now with its
+        # distinct points only: every flat is a line, so nothing is memoised
+        h, cfg, caps = K3, _generic_k3(4), (2, 3, 5)
+    else:
+        field = QQ if case.endswith("Q") else F
+        h, cfg = FLATS2, _flats2_config(field)
+        caps = (2,) if field is QQ else (2, 3, 4)
     return h, cfg, JointsConfiguration.from_dict(cfg.to_dict()), caps
 
 
-@pytest.mark.parametrize("case", ["2-flats-GF", "2-flats-Q"])
+@pytest.mark.parametrize("case", ["2-flats-GF", "2-flats-Q", "K3-dup"])
 @seed(2411)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
@@ -823,7 +847,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
         ls = build_ledger_set(h, cfg, alpha, n)
         plan = cfg._ledger_plans[(h, n)]
         memoised = len(plan.memo)
-        assert memoised
+        assert bool(memoised) == any(fl.dim > 1 for fl, _ in plan.charts)
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
         shifted = {r: a + 3 for r, a in alpha.items()}
         _assert_same_ledger_set(build_ledger_set(h, cfg, shifted, n),
