@@ -59,12 +59,13 @@ class JointsConfiguration:
                         f"flat of dimension {fl.dim} in a class of dimension {k}")
                 if fl.d != self.d or fl.field != self.field:
                     raise SizeMismatch("flat ambient mismatch")
-        seen = set()
+        # stored point -> its incidence, filled on first use
+        self._incidence: dict = {}
         for p in self.points:
-            if p in seen:
+            if p in self._incidence:
                 text = ", ".join(str(self.field.fmt(x)) for x in p)
                 raise ValueError(f"point ({text}) is stored twice")
-            seen.add(p)
+            self._incidence[p] = None
         self._tuple_cache: dict = {}
         self._ledger_plans: dict = {}  # (h, n) -> vanishing._LedgerPlan
 
@@ -74,6 +75,17 @@ class JointsConfiguration:
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
+
+    def incidence(self, point) -> tuple[tuple[tuple[int, Flat], ...], ...]:
+        """Per class, the (instance index, flat) pairs whose flat contains
+        the point, in instance order; kept for a stored point."""
+        got = self._incidence.get(point)
+        if got is None:
+            got = tuple(tuple((k, fl) for k, fl in enumerate(cls)
+                              if fl.contains(point)) for cls in self.classes)
+            if point in self._incidence:
+                self._incidence[point] = got
+        return got
 
     def tuples_at(self, h: Hypergraph, point_index: int) -> list[WitnessTuple]:
         """Cached witness-tuple enumeration for one stored point."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, factorial
 
 from .errors import SizeMismatch, UniformityMismatch, WorkLimitExceeded
@@ -227,9 +228,10 @@ def _check_clique_args(n: int, d: int) -> None:
         raise ValueError(f"need d >= 2 and n >= 0, got d = {d}, n = {n}")
 
 
-def binom_real(x: float, d: int) -> float:
-    """The polynomial x(x-1)...(x-d+1)/d!."""
-    out = 1.0
+def binom_real(x, d: int):
+    """The polynomial x(x-1)...(x-d+1)/d!: a float for a float x, exact
+    for a Fraction."""
+    out = 1
     for i in range(d):
         out *= (x - i)
     return out / factorial(d)
@@ -241,6 +243,7 @@ def lovasz_bound(n: int, d: int):
 
     The bound is clamped at zero (it can only dip negative for x < d, which
     cannot occur here but is guarded anyway); `clamped` flags that case.
+    For n = 0 the bound is exactly 0.
     """
     _check_clique_args(n, d)
     lo = float(d - 1)
@@ -254,7 +257,7 @@ def lovasz_bound(n: int, d: int):
         else:
             hi = mid
     x = (lo + hi) / 2
-    bound = binom_real(x, d)
+    bound = binom_real(x, d) if n else 0.0  # C(x, d) = n(x - d + 1)/d
     clamped = bound < 0
     return x, (0.0 if clamped else bound), clamped
 
@@ -277,16 +280,21 @@ class ShadowReport:
 
 def partial_shadow_check(host: SimpleHypergraph, d: int, t: int
                          ) -> ShadowReport:
-    """count(host contains cone pattern) vs the Lovasz bound C(x,d), C(x,d-1)=n,
-    with a relative and absolute guard of 1e-9."""
+    """count(host contains cone pattern) vs the Lovasz bound C(x,d), C(x,d-1)=n.
+
+    The verdict is exact: C(x, d) = n(x - d + 1)/d, and C(., d-1) increases
+    from d - 1 on, so count <= C(x, d) iff C(d - 1 + count*d/n, d - 1) <= n,
+    decided in Fraction (a host with no edges is not uniform, so n > 0). x
+    and bound are the float bisection's."""
     sizes = host.edge_sizes()
     if sizes != {d + t - 1}:
         raise UniformityMismatch(d + t - 1, sizes)
     n = host.n_edges
     x, bound, _ = lovasz_bound(n, d)
     count = count_inducing_sets(host, cone_pattern(d, t))
-    return ShadowReport(n, count, x, bound,
-                        count <= bound * (1 + 1e-9) + 1e-9)
+    return ShadowReport(
+        n, count, x, bound,
+        binom_real(d - 1 + Fraction(count * d, n), d - 1) <= n)
 
 
 # ---------------------------------------------------------------------------

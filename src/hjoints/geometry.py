@@ -51,6 +51,19 @@ identical flat tuples share one check. witness_check is the same walk with
 one candidate per edge. The walk keeps its state in lists indexed by depth,
 not in a recursive closure, so nothing it holds outlives it in a reference
 cycle waiting for the collector.
+
+At a leaf where every group's W_j has dimension equal to the group's size,
+the W_j, which span F^d, form a direct sum. With S the stacked bases and T_g
+a group's square block of coefficients (a row per vertex, a column per basis
+row), det(v_1..v_d) = +-det(S) prod_g det(T_g), so a draw is decided by
+testing each T_g for singularity, and columns are built only for the draw
+that is kept. The coefficients are drawn in the same order as for the d x d
+determinant, so the rng stream and the witnesses are unchanged; a direct sum
+has a transversal, so Rado's condition is not needed there. Any other leaf,
+such as one with a group whose W_j is F^d, takes the d x d determinant. The
+blocks and the span ranks are found by cross-multiplied elimination, which
+takes no field inverse; rows are normalised only for a span that is kept
+below rank d.
 """
 
 from __future__ import annotations
@@ -260,36 +273,37 @@ class _Span:
 
     def extend(self, basis, need, field) -> "_Span | int":
         """The span of self and the rows of basis, or only its dimension
-        when that is below need."""
+        when that is below need. The rank is found without inverses; rows
+        are normalised only for a span that is kept below d."""
         if not self.free:
             return self
-        # the rows of basis modulo self, on the free columns, brought to
-        # reduced row echelon form among themselves
-        new: list[tuple[int, list]] = []
+        # the rows of basis modulo self, on the free columns
+        reduced = []
         for v in basis:
             coeffs = [v[c] for c in self.pivots]
-            x = [field.sub(v[c], field.dot(coeffs, col))
-                 for c, col in zip(self.free, self.cols)]
-            for t, y in new:
-                if not field.is_zero(x[t]):
-                    x = field.sub_scaled_row(x, x[t], y)
-            t = next((t for t, a in enumerate(x) if not field.is_zero(a)), None)
-            if t is None:
-                continue
-            x = field.scale_row(field.inv(x[t]), x)
-            new = [(s, y if field.is_zero(y[t]) else
-                    field.sub_scaled_row(y, y[t], x)) for s, y in new]
-            new.append((t, x))
+            reduced.append([field.sub(v[c], field.dot(coeffs, col))
+                            for c, col in zip(self.free, self.cols)])
+        new = _echelon(reduced, field)
         rank = len(self.pivots) + len(new)
         if rank < need:
             return rank
         d = len(self.free) + len(self.pivots)
         if rank == d:
             return _Span(tuple(range(d)), [], d)
+        # each echelon row is a nonzero multiple of its reduction modulo
+        # the rows before it in reduced form (both vanish at their pivots),
+        # so normalising it and clearing its pivot from those rows gives
+        # the reduced row echelon form
+        red: list[tuple[int, list]] = []
+        for t, x in new:
+            x = field.scale_row(field.inv(x[t]), x)
+            red = [(s, y if field.is_zero(y[t]) else
+                    field.sub_scaled_row(y, y[t], x)) for s, y in red]
+            red.append((t, x))
         # lift: a new row is 0 at the old pivots; clear the old rows at the
         # new pivots
         lifted = []
-        for t, x in new:
+        for t, x in red:
             u = [field.zero] * d
             for c, a in zip(self.free, x):
                 u[c] = a
@@ -302,24 +316,51 @@ class _Span:
                      rows + [u for _, u in lifted], d)
 
 
-def _sample_transversal(spaces, d, field, rng):
-    cols = []
-    for basis in spaces:
-        v = [field.zero] * d
-        for row in basis:
-            t = field.rand(rng)
-            if not field.is_zero(t):
-                v = field.sub_scaled_row(v, field.neg(t), row)
-        cols.append(tuple(v))
-    return cols
+def _echelon(rows, field):
+    """(pivot, row) for the nonzero rows left by cross-multiplied
+    elimination, y[t]*x - x[t]*y, which takes no inverse: each row is
+    nonzero at its pivot, its first nonzero entry, and zero at the pivots
+    before it, so their number is the rank."""
+    is_zero = field.is_zero
+    out: list[tuple[int, list]] = []
+    for x in rows:
+        for t, y in out:
+            if not is_zero(x[t]):
+                x = field.sub_scaled_row(field.scale_row(y[t], x), x[t], y)
+        for t, a in enumerate(x):
+            if not is_zero(a):
+                out.append((t, x))
+                break
+    return out
 
 
-def _sample_witness(point, spaces, d, field, rng) -> Optional[Witness]:
-    """Up to DRAWS random transversals; the first invertible one, or None."""
+def _combine(basis, coeffs, d, field):
+    v = [field.zero] * d
+    for row, t in zip(basis, coeffs):
+        if not field.is_zero(t):
+            v = field.sub_scaled_row(v, field.neg(t), row)
+    return tuple(v)
+
+
+def _sample_witness(point, spaces, d, field, rng, blocks
+                    ) -> Optional[Witness]:
+    """Up to DRAWS random transversals; the first invertible one, or None.
+
+    blocks, unless None, are vertex groups whose W_j form a direct sum of
+    F^d with dim W_j equal to the group's size; a draw is then decided on
+    each group's square block of coefficients, and columns are built only
+    for the draw that is kept. With None every draw is a d x d determinant."""
     for _ in range(DRAWS):
-        cols = _sample_transversal(spaces, d, field, rng)
-        if not field.is_zero(linalg.det([list(row) for row in zip(*cols)], field)):
-            return Witness(tuple(point), tuple(cols))
+        coeffs = [[field.rand(rng) for _ in basis] for basis in spaces]
+        if blocks is not None and any(
+                len(_echelon([coeffs[j] for j in g], field)) < len(g)
+                for g in blocks):
+            continue
+        cols = tuple(_combine(basis, c, d, field)
+                     for basis, c in zip(spaces, coeffs))
+        if blocks is not None or not field.is_zero(
+                linalg.det([list(row) for row in zip(*cols)], field)):
+            return Witness(tuple(point), cols)
     return None
 
 
@@ -371,6 +412,7 @@ def _walk(h, point, field, candidates, rng):
     spaces = [None] * d  # W_j of the current assignment, per vertex
     span = _Span((), [], d)
     groups = sorted(_vertex_groups(h), key=lambda g: g[0][-1:])
+    blocks = [vertices for _, vertices, _ in groups]
     pending = sum(bound for _, _, bound in groups)  # of the unfinished groups
     final_at = [[] for _ in range(m)]  # per edge: (edges, vertices, need)
     for edges, vertices, bound in groups:
@@ -398,10 +440,15 @@ def _walk(h, point, field, candidates, rng):
         if i == m:
             key = tuple(flats)
             if key not in checked:
-                wit = _sample_witness(point, spaces, d, field, rng)
-                if wit is None and _has_transversal(spaces, d, field):
+                # the W_j span F^d here, so with dim W_j = |group| for every
+                # group they form a direct sum, which has a transversal
+                square = (blocks if all(len(spaces[g[0]]) == len(g)
+                                        for g in blocks) else None)
+                wit = _sample_witness(point, spaces, d, field, rng, square)
+                if wit is None and (square or _has_transversal(spaces, d, field)):
                     while wit is None:
-                        wit = _sample_witness(point, spaces, d, field, rng)
+                        wit = _sample_witness(point, spaces, d, field, rng,
+                                              square)
                 checked[key] = wit
             if checked[key] is not None:
                 yield tuple(assignment), checked[key]
@@ -444,16 +491,11 @@ def _witnessed_assignments(h: Hypergraph, point, config, seed):
         k = config.dims[h.colors[i] - 1]
         if k != h.d - len(e):
             raise DimensionMismatch(i, h.d - len(e), k)
-    by_color: dict[int, list] = {}
-    candidates = []
-    for c in h.colors:
-        if c not in by_color:  # edges of one colour share its class scan
-            by_color[c] = [(k, fl) for k, fl in enumerate(config.classes[c - 1])
-                           if fl.contains(point)]
-        if not by_color[c]:
-            return
-        candidates.append(by_color[c])
-    yield from _walk(h, point, config.field, candidates, random.Random(seed))
+    incidence = config.incidence(point)
+    candidates = [incidence[c - 1] for c in h.colors]
+    if all(candidates):
+        yield from _walk(h, point, config.field, candidates,
+                         random.Random(seed))
 
 
 def enumerate_witness_tuples(h: Hypergraph, point, config, *,

@@ -425,13 +425,16 @@ class _LedgerPlan:
             for i in range(len(h.edges)):
                 flat_by_edge[(rank, i)] = config.flat_of(
                     h.colors[i], chosen[rank].assignment[i])
+        ranks_on = {fl: [] for cls in config.classes for fl in cls}
+        for rank, idx in enumerate(order):
+            incidence = config.incidence(config.points[idx])
+            for fl in dict.fromkeys(fl for cls in incidence for _, fl in cls):
+                ranks_on[fl].append(rank)
         self.charts = []  # (flat, joint charts)
-        for fl in dict.fromkeys(fl for cls in config.classes for fl in cls):
+        for fl, ranks in ranks_on.items():
             joint_charts = []
-            for rank, idx in enumerate(order):
-                point = config.points[idx]
-                if not fl.contains(point):
-                    continue
+            for rank in ranks:
+                point = config.points[order[rank]]
                 chart = Chart.translation(field, fl.coords_of_direction(
                     [field.sub(a, b) for a, b in zip(point, fl.base)]))
                 for i, e in enumerate(h.edges):

@@ -128,6 +128,12 @@ def test_kk_and_shadow_cli(workdir, capsys, tmp_path):
     code, out = run(capsys, "shadow-check", "--host", tmp_path / "h53.hg",
                     "--d", "3", "--t", "1")
     assert code == 0
+    # K4 at d = 3 is a tie: 4 triangles against C(4, 3)
+    code, out = run(capsys, "shadow-check", "--host", workdir / "k4.hg",
+                    "--d", "3", "--t", "0")
+    assert code == 0 and "PASS" in out
+    code, out = run(capsys, "kk", "--n", "0", "--d", "2")
+    assert code == 0 and first_json(out)["bound"] == 0
 
 
 def test_mcount_and_search_cli(workdir, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hjoints import (Hypergraph, SimpleHypergraph, colex_sets, cone_pattern,
                      count_inducing_sets, inducing_sets, kruskal_katona_count,
                      lovasz_bound, partial_shadow_check, search_M)
+from hjoints import extremal
 from hjoints.errors import SizeMismatch, UniformityMismatch
 from hjoints.extremal import binom_real, colex_key, find_embedding
 
@@ -110,6 +111,29 @@ def test_partial_shadow_random_3uniform_hosts():
         n = rng.randrange(4, 13)
         host = SimpleHypergraph.from_sets(nverts, rng.sample(pool, min(n, len(pool))))
         assert partial_shadow_check(host, 3, 1).passed
+
+
+@pytest.mark.parametrize("d, x", [(3, x) for x in range(3, 9)]
+                         + [(4, x) for x in range(4, 8)])
+def test_partial_shadow_ties_are_exact(monkeypatch, d, x):
+    # the complete (d-1)-uniform host on x vertices has n = C(x, d-1)
+    # edges and C(x, d) copies of K_d: a tie, which the float bisection
+    # misses by a rounding error (K4 at d = 3: bound 4 - 2e-12)
+    host = SimpleHypergraph.complete(x, d - 1)
+    rep = partial_shadow_check(host, d, 0)
+    assert (rep.n_edges, rep.count) == (comb(x, d - 1), comb(x, d))
+    assert rep.passed
+    real = extremal.count_inducing_sets
+    monkeypatch.setattr(extremal, "count_inducing_sets",
+                        lambda host, h: real(host, h) + 1)
+    assert not partial_shadow_check(host, d, 0).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lovasz_bound_of_no_edges_is_zero(d):
+    assert lovasz_bound(0, d)[1] == 0.0
+    with pytest.raises(UniformityMismatch):  # so the verdict never sees n = 0
+        partial_shadow_check(SimpleHypergraph.from_sets(d, []), d, 0)
 
 
 def test_bound_matches_across_t_for_same_n():

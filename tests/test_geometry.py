@@ -233,6 +233,101 @@ def test_rado_condition_matches_symbolic_determinant(family):
     assert geometry._has_transversal(spaces, d, field) is want
 
 
+@st.composite
+def direct_sums(draw):
+    """(field, d, W_1..W_d, groups): vertex groups of sizes 1-3, not
+    necessarily adjacent, each sharing the span of its own rows of an
+    invertible matrix, so the W_j form a direct sum of F^d with dim W_j
+    equal to the group's size."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    d = sum(sizes)
+    rows = [tuple(field.from_int(x) for x in draw(
+                st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+            for _ in range(d)]
+    basis = []  # the independent drawn rows, completed by unit rows
+    for row in rows + _unit_rows(field, d, *range(d)):
+        if linalg.rank(basis + [row], field, d) > len(basis):
+            basis.append(row)
+    order = draw(st.permutations(range(d)))
+    spaces, groups, start = [None] * d, [], 0
+    for size in sizes:
+        group = sorted(order[start:start + size])
+        for j in group:
+            spaces[j] = basis[start:start + size]
+        groups.append(group)
+        start += size
+    return field, d, spaces, groups
+
+
+@seed(8809)
+@settings(max_examples=300, deadline=None)
+@given(family=direct_sums(), rng_seed=st.integers(0, 1 << 16))
+def test_block_decision_matches_the_determinant(family, rng_seed):
+    # the same draws decided on the groups' square coefficient blocks and
+    # by the d x d determinant: same witness or None, same rng state after
+    field, d, spaces, groups = family
+    point = (field.zero,) * d
+    rng_det, rng_blocks = random.Random(rng_seed), random.Random(rng_seed)
+    want = geometry._sample_witness(point, spaces, d, field, rng_det, None)
+    event(f"witness={want is not None}")
+    assert geometry._sample_witness(point, spaces, d, field, rng_blocks,
+                                    groups) == want
+    assert rng_blocks.getstate() == rng_det.getstate()
+
+
+def test_walk_decides_square_leaves_on_blocks(monkeypatch):
+    # K3 and the 2-flats pattern have dim W_j = |group| at every leaf; the
+    # cone's apex group has W = F^d and keeps the determinant
+    seen = []
+    real = geometry._sample_witness
+
+    def spy(point, spaces, d, field, rng, blocks):
+        seen.append(blocks and sorted(map(tuple, blocks)))
+        return real(point, spaces, d, field, rng, blocks)
+
+    monkeypatch.setattr(geometry, "_sample_witness", spy)
+    for case, want in (("K3-K5", [(0,), (1,), (2,)]),
+                       ("joints-K7", [(0, 1), (2, 3), (4, 5)]),
+                       ("cone-K6", None)):
+        h, cfg, points = _memo_fixture(case, F)
+        seen.clear()
+        assert enumerate_witness_tuples(h, points[0], cfg)
+        assert seen and all(blocks == want for blocks in seen)
+
+
+@seed(8810)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_span_extend_matches_rref(data):
+    # the rank _Span.extend returns, and the span it keeps, against rref
+    # of the stacked rows, with the need below and above the rank
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    d = data.draw(st.integers(1, 6))
+    vec = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda xs: tuple(field.from_int(x) for x in xs))
+    first = data.draw(st.lists(vec, max_size=d))
+    second = data.draw(st.lists(vec, max_size=3))
+    need = data.draw(st.integers(-1, d))
+
+    def check(got, rows, need):
+        red, pivots = linalg.rref(rows, field, d)
+        if len(pivots) < need:
+            assert got == len(pivots)
+        elif len(pivots) == d:
+            assert got.pivots == tuple(range(d)) and not got.free
+        else:
+            assert sorted(zip(got.pivots, map(tuple, got.rows))) == list(
+                zip(pivots, red))
+        return len(pivots)
+
+    span = geometry._Span((), [], d).extend(first, 0, field)
+    check(span, first, 0)
+    rank = check(span.extend(second, need, field), first + second, need)
+    event(f"need {'<=' if need <= rank else '>'} rank, "
+          f"{'full' if rank == d else 'kept' if need <= rank else 'short'}")
+
+
 def test_witness_validation_errors():
     p = (F.zero, F.zero, F.zero)
     plane = fl((0, 0, 0), [(1, 0, 0), (0, 1, 0)])
@@ -455,10 +550,10 @@ def _oracle_witness(h, point, flats, rng, meets=None):
     if not all(spaces) or linalg.rank(
             [row for basis in spaces for row in basis], field, d) < d:
         return None
-    wit = geometry._sample_witness(point, spaces, d, field, rng)
+    wit = geometry._sample_witness(point, spaces, d, field, rng, None)
     if wit is None and geometry._has_transversal(spaces, d, field):
         while wit is None:
-            wit = geometry._sample_witness(point, spaces, d, field, rng)
+            wit = geometry._sample_witness(point, spaces, d, field, rng, None)
     return wit
 
 

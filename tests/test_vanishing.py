@@ -676,6 +676,33 @@ def test_plan_line_charts_meet_the_closed_form_precondition():
             assert len(set(shifts)) == len(shifts)
     assert lines > 100
 
+def test_incidence_matches_the_contains_scan():
+    # a stored point's incidence is kept on its configuration and read by
+    # the witness walk and the ledger plan: it must list the instances a
+    # Flat.contains scan gives, multiset copies included, and the plan must
+    # give each flat its joints in rank order as a scan over flats did
+    subsets = [(2, 3), (1, 3), (1, 2)]
+    f = {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3, (2, 1): 1, (2, 2): 2}
+    axis = axis_parallel_from_functions(3, subsets, [f] * 3, 3)
+    assert any(len(set(cls)) < len(cls) for cls in axis.classes)
+    cases = [(axis_parallel_pattern(3, subsets), axis), (K3, _k3_config(6, QQ))]
+    for h, cfg in cases + [(h, JointsConfiguration.from_dict(cfg.to_dict()))
+                           for h, cfg in cases]:
+        off = tuple(cfg.field.from_int(9) for _ in range(cfg.d))
+        for point in (*cfg.points, off):
+            assert cfg.incidence(point) == tuple(
+                tuple((k, fl) for k, fl in enumerate(cls) if fl.contains(point))
+                for cls in cfg.classes)
+        assert all(cfg.incidence(p) is cfg.incidence(p) for p in cfg.points)
+        assert off not in cfg._incidence
+        plan = _fresh_plan(h, cfg, 2)
+        points = [cfg.points[idx] for idx in plan.order]
+        flats = dict.fromkeys(fl for cls in cfg.classes for fl in cls)
+        assert [(fl, [rank for rank, _ in jc]) for fl, jc in plan.charts] == [
+            (fl, ranks) for fl in flats
+            if (ranks := [r for r, p in enumerate(points) if fl.contains(p)])]
+
+
 # ---------------------------------------------------------------------------
 # handicap dynamic and audit
 # ---------------------------------------------------------------------------
