@@ -26,7 +26,7 @@ from .geometry import (Flat, Witness, WitnessTuple, detect_joints,
                        enumerate_witness_tuples, intersect_flats,
                        witness_check)
 from .hypergraph import (CoveringConstant, Hypergraph, UniformityProfile,
-                         WeightFunction, cone, covering_constant,
+                         WeightFunction, covering_constant,
                          joint_count_bound)
 from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,

@@ -132,7 +132,6 @@ class HyperplaneFamily:
     D: int
     normals: tuple[tuple, ...]
     offsets: tuple
-    parameters: tuple  # the moment-curve parameters t_i
     certificate: str   # "vandermonde" or "exhaustive"
 
     @property
@@ -141,13 +140,9 @@ class HyperplaneFamily:
 
     def intersection(self, labels: Sequence[int]) -> Optional[Flat]:
         """Canonical intersection of the labelled hyperplanes (0-based)."""
-        rows = [list(self.normals[i]) for i in labels]
-        rhs = [self.offsets[i] for i in labels]
-        part = linalg.solve(rows, rhs, self.field)
-        if part is None:
-            return None
-        dirs = linalg.nullspace(rows, self.field, self.D)
-        return Flat(self.field, self.D, part, dirs)
+        return Flat.from_equations(self.field, self.D,
+                                   [self.normals[i] for i in labels],
+                                   [self.offsets[i] for i in labels])
 
 
 def generic_hyperplanes(m: int, D: int, seed: int = 0,
@@ -177,12 +172,11 @@ def generic_hyperplanes(m: int, D: int, seed: int = 0,
     if isinstance(field, PrimeField) and field.p < (1 << 31):
         # small field: distinct parameters still certify, but re-verify
         for combo in itertools.combinations(range(m), D):
-            rows = [list(normals[i]) for i in combo]
-            if field.is_zero(linalg.det(rows, field)):
+            if linalg.rank([normals[i] for i in combo], field) != D:
                 raise GenericityFailure("vandermonde minor vanished")
         certificate = "exhaustive"
     return HyperplaneFamily(field, D, tuple(normals), tuple(offsets),
-                            tuple(ts), certificate)
+                            certificate)
 
 
 def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
@@ -199,7 +193,7 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
     if family.m < host.n:
         raise SizeMismatch("family has fewer hyperplanes than host vertices")
     field = family.field
-    if proj is not None and linalg.rank(proj, field, family.D) != h.d:
+    if proj is not None and linalg.rank(proj, field) != h.d:
         raise GenericityFailure("projection not full rank")
     flat_of = []  # per color: host edge -> flat
     for size, k in zip(profile.edge_sizes, profile.flat_dims):

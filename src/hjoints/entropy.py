@@ -171,7 +171,6 @@ class MultiplicityResult:
     gap: float              # certified duality gap in bits
     iterations: int
     converged: bool
-    marginals: list[dict]   # per color: flat-instance -> probability
 
 
 def _color_setup(h: Hypergraph, w: WeightFunction):
@@ -300,7 +299,7 @@ def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
     gap = max(grads) - math.fsum(g * m for g, m in zip(grads, mu))
     log2_val = phi_of(margs) - edge_entropy
     return MultiplicityResult(2.0 ** log2_val, log2_val, mu, gap, iters,
-                              gap <= tol, margs)
+                              gap <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,6 @@ class GeoShearerReport:
     lhs: float
     rhs: float
     slack: float
-    point_entropy: float
-    log2_constant: float
 
 
 def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
@@ -326,8 +323,7 @@ def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
     setup, edge_entropy_total = _color_setup(h, w)
     const = covering_constant(h, w)
     point_probs = [float(p) for p in point_probs]
-    h_p = entropy(point_probs)
-    lhs = h_p - edge_entropy_total
+    lhs = entropy(point_probs) - edge_entropy_total
     joint_flat: list[dict] = [dict() for _ in setup]
     cond = 0.0
     for pi, pp in enumerate(point_probs):
@@ -352,4 +348,4 @@ def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
     rhs = float(const.log2) + math.fsum(
         setup[ci][1] * entropy(joint_flat[ci].values())
         for ci in range(len(setup)))
-    return GeoShearerReport(lhs, rhs, rhs - lhs, h_p, float(const.log2))
+    return GeoShearerReport(lhs, rhs, rhs - lhs)

@@ -97,16 +97,9 @@ class SimpleHypergraph:
         return cls.from_sets(as_int(data["n"]), data["edges"])
 
 
-def _pattern_edge_sets(h) -> list[frozenset]:
-    if isinstance(h, Hypergraph):
-        edges = h.edges
-    else:
-        edges = h.edge_tuples()
-    return sorted({frozenset(e) for e in edges}, key=lambda s: (-len(s), sorted(s)))
-
-
-def _pattern_vertex_count(h) -> int:
-    return h.d if isinstance(h, Hypergraph) else h.n
+def _pattern_edge_sets(h: Hypergraph) -> list[frozenset]:
+    return sorted({frozenset(e) for e in h.edges},
+                  key=lambda s: (-len(s), sorted(s)))
 
 
 def find_embedding(host: SimpleHypergraph, h) -> dict | None:
@@ -115,7 +108,7 @@ def find_embedding(host: SimpleHypergraph, h) -> dict | None:
     Requires host.n == the pattern's vertex count (use restrict() first);
     isolated vertices on either side are fine. Returns None if no copy.
     """
-    d = _pattern_vertex_count(h)
+    d = h.d
     if host.n != d:
         raise SizeMismatch(f"host has {host.n} vertices, pattern has {d}")
     pattern_edges = _pattern_edge_sets(h)
@@ -168,7 +161,7 @@ def find_embedding(host: SimpleHypergraph, h) -> dict | None:
 def _inducing_embeddings(host: SimpleHypergraph, h):
     """Yield (A, embedding of the pattern into host.restrict(A)) for each
     d-subset A of the host with a pattern copy inside host[A]."""
-    d = _pattern_vertex_count(h)
+    d = h.d
     need = len(_pattern_edge_sets(h))
     for A in itertools.combinations(range(1, host.n + 1), d):
         sub = host.restrict(A)
@@ -238,8 +231,8 @@ def binom_real(x, d: int):
 
 
 def lovasz_bound(n: int, d: int):
-    """Solve binom(x, d-1) = n for real x >= d-1 to within 1e-12, return
-    (x, binom(x, d)).
+    """Solve binom(x, d-1) = n for real x >= d-1 to within 1e-12, or to
+    adjacent floats where those are further apart; return (x, binom(x, d)).
 
     The bound is clamped at zero (it can only dip negative for x < d, which
     cannot occur here but is guarded anyway); `clamped` flags that case.
@@ -252,6 +245,8 @@ def lovasz_bound(n: int, d: int):
         hi *= 2
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):  # adjacent floats, more than 1e-12 apart
+            break
         if binom_real(mid, d - 1) < n:
             lo = mid
         else:
@@ -339,7 +334,7 @@ def search_M(h, n: int, vertex_budget: int, mode: str = "exhaustive", *,
     bits = [1 << i for i in range(len(pool))]
     need = len(_pattern_edge_sets(h))
     slots = [(A, sum(b for b, e in zip(bits, pool) if e & _mask(A) == e), {})
-             for A in itertools.combinations(verts, _pattern_vertex_count(h))]
+             for A in itertools.combinations(verts, h.d)]
 
     def edges_of(host: int) -> tuple[int, ...]:
         return tuple(e for b, e in zip(bits, pool) if host & b)

@@ -23,8 +23,9 @@ dim(sum_{j in S} W_j) >= |S| for every vertex set S (R. Rado, "A theorem on
 independence relations", 1942). If it holds, drawing continues until a
 witness is found; the determinant is multilinear in (v_1..v_d), so each
 draw succeeds with probability at least (1 - 1/p)^d over GF(p). The draws
-come first because one determinant settles almost every joint, while the
-rank condition costs up to 2^g - 1 rank tests for g distinct W_j.
+come first because one rank test of the d columns settles almost every
+joint, while the rank condition costs up to 2^g - 1 rank tests for g
+distinct W_j.
 
 Enumeration is a depth-first walk over the edges in index order, which
 visits complete assignments in product order. Vertices with the same set of
@@ -56,14 +57,14 @@ At a leaf where every group's W_j has dimension equal to the group's size,
 the W_j, which span F^d, form a direct sum. With S the stacked bases and T_g
 a group's square block of coefficients (a row per vertex, a column per basis
 row), det(v_1..v_d) = +-det(S) prod_g det(T_g), so a draw is decided by
-testing each T_g for singularity, and columns are built only for the draw
-that is kept. The coefficients are drawn in the same order as for the d x d
-determinant, so the rng stream and the witnesses are unchanged; a direct sum
-has a transversal, so Rado's condition is not needed there. Any other leaf,
-such as one with a group whose W_j is F^d, takes the d x d determinant. The
-blocks and the span ranks are found by cross-multiplied elimination, which
-takes no field inverse; rows are normalised only for a span that is kept
-below rank d.
+testing the rank of each T_g, and columns are built only for the draw that
+is kept. The coefficients are drawn in the same order as for the d columns,
+so the rng stream and the witnesses are unchanged; a direct sum has a
+transversal, so Rado's condition is not needed there. Any other leaf, such
+as one with a group whose W_j is F^d, tests the rank of the d columns. Every
+rank here is found by linalg's cross-multiplied elimination, which takes no
+field inverse; rows are normalised only for a span that is kept below rank
+d.
 """
 
 from __future__ import annotations
@@ -128,24 +129,31 @@ class Flat:
         return tuple(vec[c] for c in self._pivots)
 
     def direction_annihilator(self):
-        """Cached basis of functionals vanishing on the direction space."""
+        """Cached basis of functionals vanishing on the direction space,
+        read off the reduced directions: their nullspace."""
         if self._ann is None:
-            self._ann = annihilator(self.dirs, self.d, self.field)
+            self._ann = linalg.null_basis(self.dirs, self._pivots, self.field,
+                                          self.d)
         return self._ann
 
     def direction_basis(self):
         """Cached basis of the direction space in the canonical form of an
         intersection of direction spaces: the nullspace of the annihilator."""
         if self._basis is None:
-            self._basis = _meet_rows(self.direction_annihilator(), self.d,
-                                     self.field)
+            self._basis = linalg.nullspace(self.direction_annihilator(),
+                                           self.field, self.d)
         return self._basis
 
     def equations(self):
         """(rows N, rhs) with the flat equal to {x : N x = rhs}."""
         normals = self.direction_annihilator()
-        rhs = linalg.mat_vec(normals, self.base, self.field) if normals else ()
-        return normals, rhs
+        return normals, linalg.mat_vec(normals, self.base, self.field)
+
+    @classmethod
+    def from_equations(cls, field, d, rows, rhs) -> Optional[Flat]:
+        """The flat {x in F^d : rows x = rhs}, or None if it is empty."""
+        solved = linalg.affine_solve(rows, rhs, field, d)
+        return None if solved is None else cls(field, d, *solved)
 
     def apply_linear(self, matrix_rows) -> "Flat":
         """Image under a linear map given by rows (target_dim x d)."""
@@ -178,13 +186,6 @@ class Flat:
         return cls(field, d, base, dirs)
 
 
-def annihilator(dir_rows, d, field):
-    """Basis of the linear functionals vanishing on the row span."""
-    if not dir_rows:
-        return linalg.identity_rows(d, field)
-    return linalg.nullspace(dir_rows, field, d)
-
-
 def intersect_flats(flats: Sequence[Flat]) -> Optional[Flat]:
     """Canonical intersection of flats in one ambient space, or None if empty."""
     assert flats, "need at least one flat"
@@ -195,13 +196,7 @@ def intersect_flats(flats: Sequence[Flat]) -> Optional[Flat]:
         n, r = fl.equations()
         rows.extend(n)
         rhs.extend(r)
-    if not rows:
-        return Flat(field, d, flats[0].base, linalg.identity_rows(d, field))
-    particular = linalg.solve(rows, rhs, field)
-    if particular is None:
-        return None
-    dirs = linalg.nullspace(rows, field, d)
-    return Flat(field, d, particular, dirs)
+    return Flat.from_equations(field, d, rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +235,17 @@ def _vertex_groups(h: Hypergraph):
             for edges, vertices in groups.items()]
 
 
-def _meet_rows(constraints, d, field):
-    """Basis of the vectors every constraint row vanishes on: a nullspace,
-    whose basis is canonical, so equal row spaces give bit-identical bases."""
-    return (linalg.nullspace(constraints, field, d) if constraints
-            else linalg.identity_rows(d, field))
-
-
 def _meet(flat_set, d, field, cache):
     """W basis for a set of flats, the intersection of their direction
-    spaces: cached on the flat for one flat, in cache per flat set for more."""
+    spaces: the nullspace of their annihilators, whose basis is canonical,
+    so equal flat sets give bit-identical spaces. Cached on the flat for one
+    flat, in cache per flat set for more."""
     if len(flat_set) == 1:
         return next(iter(flat_set)).direction_basis()
     if flat_set not in cache:
-        cache[flat_set] = _meet_rows([row for fl in flat_set
-                                      for row in fl.direction_annihilator()],
-                                     d, field)
+        cache[flat_set] = linalg.nullspace(
+            [row for fl in flat_set for row in fl.direction_annihilator()],
+            field, d)
     return cache[flat_set]
 
 
@@ -283,7 +273,7 @@ class _Span:
             coeffs = [v[c] for c in self.pivots]
             reduced.append([field.sub(v[c], field.dot(coeffs, col))
                             for c, col in zip(self.free, self.cols)])
-        new = _echelon(reduced, field)
+        new = linalg._echelon(reduced, field)
         rank = len(self.pivots) + len(new)
         if rank < need:
             return rank
@@ -316,24 +306,6 @@ class _Span:
                      rows + [u for _, u in lifted], d)
 
 
-def _echelon(rows, field):
-    """(pivot, row) for the nonzero rows left by cross-multiplied
-    elimination, y[t]*x - x[t]*y, which takes no inverse: each row is
-    nonzero at its pivot, its first nonzero entry, and zero at the pivots
-    before it, so their number is the rank."""
-    is_zero = field.is_zero
-    out: list[tuple[int, list]] = []
-    for x in rows:
-        for t, y in out:
-            if not is_zero(x[t]):
-                x = field.sub_scaled_row(field.scale_row(y[t], x), x[t], y)
-        for t, a in enumerate(x):
-            if not is_zero(a):
-                out.append((t, x))
-                break
-    return out
-
-
 def _combine(basis, coeffs, d, field):
     v = [field.zero] * d
     for row, t in zip(basis, coeffs):
@@ -349,17 +321,17 @@ def _sample_witness(point, spaces, d, field, rng, blocks
     blocks, unless None, are vertex groups whose W_j form a direct sum of
     F^d with dim W_j equal to the group's size; a draw is then decided on
     each group's square block of coefficients, and columns are built only
-    for the draw that is kept. With None every draw is a d x d determinant."""
+    for the draw that is kept. With None every draw is a rank test of its d
+    columns."""
     for _ in range(DRAWS):
         coeffs = [[field.rand(rng) for _ in basis] for basis in spaces]
         if blocks is not None and any(
-                len(_echelon([coeffs[j] for j in g], field)) < len(g)
+                len(linalg._echelon([coeffs[j] for j in g], field)) < len(g)
                 for g in blocks):
             continue
         cols = tuple(_combine(basis, c, d, field)
                      for basis, c in zip(spaces, coeffs))
-        if blocks is not None or not field.is_zero(
-                linalg.det([list(row) for row in zip(*cols)], field)):
+        if blocks is not None or len(linalg._echelon(cols, field)) == d:
             return Witness(tuple(point), cols)
     return None
 
@@ -374,7 +346,7 @@ def _has_transversal(spaces, d, field) -> bool:
         key = tuple(map(tuple, basis))
         groups[key] = groups.get(key, 0) + 1
     return all(
-        linalg.rank([row for basis, _ in union for row in basis], field, d)
+        linalg.rank([row for basis, _ in union for row in basis], field)
         >= sum(size for _, size in union)
         for k in range(1, len(groups) + 1)
         for union in itertools.combinations(groups.items(), k))

@@ -173,10 +173,6 @@ class Hypergraph:
         return h
 
 
-def cone(h: Hypergraph, t: int) -> Hypergraph:
-    return h.cone(t)
-
-
 @dataclass(frozen=True)
 class WeightFunction:
     """Nonnegative rational edge weights bound to a hypergraph."""

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over a Field.
 
 Matrices are lists of row lists, vectors are tuples; everything is tiny
-(ambient dimension <= 64, usually <= 8), so plain Gauss-Jordan with the
-first nonzero pivot is all we need. No pivot-size heuristics: arithmetic
-is exact in both supported fields.
+(ambient dimension <= 64, usually <= 8), so elimination with the first
+nonzero pivot is all we need. No pivot-size heuristics: arithmetic is exact
+in both supported fields. There are two kernels. The normalising
+Gauss-Jordan `rref` gives canonical forms, nullspaces and solutions, each
+from one elimination. The inverse-free echelon gives ranks.
 """
 
 from __future__ import annotations
@@ -39,72 +41,65 @@ def rref(rows, field, ncols=None):
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def rank(rows, field, ncols=None) -> int:
-    return len(rref(rows, field, ncols)[0])
-
-
-def nullspace(rows, field, ncols):
-    """Basis (list of tuples) of {x : A x = 0} for A given by `rows`."""
-    red, pivots = rref(rows, field, ncols)
+def null_basis(red, pivots, field, ncols):
+    """Basis (list of tuples) of {x : A x = 0}, read off the reduced rows of
+    A and their pivot columns: one vector per free column f, 1 at f."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [field.zero] * ncols
         vec[f] = field.one
-        for i, c in enumerate(pivots):
-            vec[c] = field.neg(red[i][f])
+        for row, c in zip(red, pivots):
+            vec[c] = field.neg(row[f])
         basis.append(tuple(vec))
     return basis
 
 
-def solve(rows, rhs, field):
-    """One solution of A x = b, or None if inconsistent (free vars -> 0)."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field, ncols + 1)
-    if ncols in pivots:
+def nullspace(rows, field, ncols):
+    """Basis (list of tuples) of {x : A x = 0} for A given by `rows`."""
+    return null_basis(*rref(rows, field, ncols), field, ncols)
+
+
+def affine_solve(rows, rhs, field, ncols):
+    """(x, nullspace basis of A) for A x = b, with the free variables of x
+    at 0, or None if inconsistent. One rref of [A | b]: when b is not a
+    pivot column, its rows restricted to A are those of rref(A)."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)], field,
+                       ncols + 1)
+    if pivots and pivots[-1] == ncols:
         return None
     x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return tuple(x)
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return tuple(x), null_basis(red, pivots, field, ncols)
 
 
-def det(rows, field):
-    """Determinant of a square matrix by fraction-free-enough elimination."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    result = field.one
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not field.is_zero(mat[i][c]):
-                pivot_row = i
+def _echelon(rows, field):
+    """(pivot, row) for the nonzero rows left by cross-multiplied
+    elimination, y[t]*x - x[t]*y, which takes no inverse: each row is
+    nonzero at its pivot, its first nonzero entry, and zero at the pivots
+    before it, so their number is the rank."""
+    is_zero = field.is_zero
+    out: list[tuple[int, list]] = []
+    for x in rows:
+        for t, y in out:
+            if not is_zero(x[t]):
+                x = field.sub_scaled_row(field.scale_row(y[t], x), x[t], y)
+        for t, a in enumerate(x):
+            if not is_zero(a):
+                out.append((t, x))
                 break
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            result = field.neg(result)
-        result = field.mul(result, mat[c][c])
-        inv = field.inv(mat[c][c])
-        for i in range(c + 1, n):
-            if not field.is_zero(mat[i][c]):
-                mat[i] = field.sub_scaled_row(mat[i], field.mul(mat[i][c], inv), mat[c])
-    return result
+    return out
+
+
+def rank(rows, field) -> int:
+    return len(_echelon(rows, field))
 
 
 def mat_vec(rows, vec, field):
-    return tuple(
-        sum_list([field.mul(a, b) for a, b in zip(row, vec)], field) for row in rows)
-
-
-def sum_list(values, field):
-    total = field.zero
-    for v in values:
-        total = field.add(total, v)
-    return total
+    return tuple(field.dot(row, vec) for row in rows)
 
 
 def vec_sub(u, v, field):

@@ -736,7 +736,6 @@ class AuditReport:
     cond2_worst: float      # max over flats of sum(b) - 1/(dim F)!
     wprime_spread: float
     lam: float
-    details: dict
 
 
 def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
@@ -796,8 +795,7 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
     spread = max(wprime.values()) - min(wprime.values())
     lam = math.fsum(wprime.values()) / len(wprime)
     return AuditReport(cond1_pass, cond2_pass,
-                       cond1_worst, cond1_margin, cond2_worst, spread, lam,
-                       {"wprime": wprime})
+                       cond1_worst, cond1_margin, cond2_worst, spread, lam)
 
 
 def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,

@@ -79,6 +79,14 @@ def test_lovasz_bound_values():
     assert abs(x5 - 5.0) < 1e-9 and abs(bound5 - 10.0) < 1e-8
 
 
+@pytest.mark.parametrize("n, d", [(10**4, 2), (10**6, 2), (4 * 10**7, 3)])
+def test_lovasz_bound_returns_where_floats_are_coarser_than_its_tolerance(n, d):
+    # from x = 8192 on, adjacent floats lie more than 1e-12 apart, so the
+    # bisection ends at adjacent floats instead of at width 1e-12
+    x, _, _ = lovasz_bound(n, d)
+    assert abs(binom_real(x, d - 1) - n) <= 1e-12 * n
+
+
 def test_binom_real_matches_integers():
     for x in range(3, 9):
         for d in range(2, 5):

@@ -56,15 +56,15 @@ def test_solve_consistency_gf():
     f = GF(101)
     rows = [(1, 2, 3), (4, 5, 6)]
     rhs = (1, 2)
-    x = linalg.solve(rows, rhs, f)
-    assert x is not None
+    x, basis = linalg.affine_solve(rows, rhs, f, 3)
     assert linalg.mat_vec(rows, x, f) == tuple(v % 101 for v in rhs)
+    assert len(basis) == 1 and linalg.mat_vec(rows, basis[0], f) == (0, 0)
     # inconsistent system
     rows2 = [(1, 1, 0), (2, 2, 0)]
-    assert linalg.solve(rows2, (1, 3), f) is None
+    assert linalg.affine_solve(rows2, (1, 3), f, 3) is None
 
 
-def test_det_matches_permutation_expansion():
+def test_rank_matches_permutation_expansion():
     rng = random.Random(3)
     f = GF(97)
     for _ in range(20):
@@ -83,7 +83,7 @@ def test_det_matches_permutation_expansion():
             for i in range(n):
                 term *= m[i][perm[i]]
             expected += term
-        assert linalg.det(m, f) == expected % 97
+        assert (linalg.rank(m, f) == n) == (expected % 97 != 0)
 
 
 def test_factorize():

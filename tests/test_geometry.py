@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import event, example, given, seed, settings
+from hypothesis import assume, event, example, given, seed, settings
 from hypothesis import strategies as st
 
-from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
-                     SimpleHypergraph, WitnessTuple, axis_parallel_from_functions,
+from hjoints import (GF, QQ, Flat, Hypergraph, HyperplaneFamily,
+                     JointsConfiguration, SimpleHypergraph, WitnessTuple,
+                     axis_parallel_from_functions,
                      axis_parallel_pattern, cone_pattern, detect_joints,
                      enumerate_witness_tuples, generic_hyperplanes,
                      generically_induced, intersect_flats,
@@ -17,8 +18,10 @@ from hjoints.errors import (BudgetExceeded, DimensionMismatch,
                             PointNotOnFlat, SizeMismatch)
 from hjoints.geometry import candidate_points_from_flats, has_witness_tuple
 from hjoints import geometry, linalg
+from test_kernels import ref_det, ref_nullspace
 
 F = GF()
+ORACLE_FIELDS = [GF(2), GF(3), GF(7), F, QQ]
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 C5 = Hypergraph.cycle(5)
 
@@ -127,6 +130,58 @@ def test_intersect_coordinate_planes_gives_axis():
     assert inter == line((0, 0, 0), (0, 0, 1))
 
 
+def _small_vectors(data, field, d, count):
+    return [tuple(field.from_int(x) for x in data.draw(
+                st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@seed(2415)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_annihilator_read_off_the_flat_matches_nullspace(field, data):
+    # flats of every dimension 0..d; the full space, which has no
+    # equations, leaves any flat unchanged under intersection
+    d = data.draw(st.integers(1, 5))
+    base, *dirs = _small_vectors(data, field, d, 1 + data.draw(
+        st.integers(0, d + 1)))
+    flat = Flat(field, d, base, dirs)
+    assert flat.direction_annihilator() == linalg.nullspace(
+        list(flat.dirs), field, d)
+    full = Flat(field, d, base, linalg.identity_rows(d, field))
+    assert full.direction_annihilator() == []
+    assert intersect_flats([full, flat]) == intersect_flats([flat]) == flat
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+@seed(2416)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_family_intersection_matches_intersect_flats(field, data):
+    # uncertified families over every field, so parallel and dependent
+    # hyperplanes come up; each hyperplane is built from a point on it and
+    # the reference nullspace of its normal
+    D = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 5))
+    normals = [n for n in _small_vectors(data, field, D, m)
+               if any(not field.is_zero(a) for a in n)]
+    assume(normals)
+    offsets = [v for v, in _small_vectors(data, field, 1, len(normals))]
+    family = HyperplaneFamily(field, D, tuple(normals), tuple(offsets),
+                              "none")
+    hyperplanes = []
+    for n, o in zip(normals, offsets):
+        c = next(c for c, a in enumerate(n) if not field.is_zero(a))
+        base = [field.zero] * D
+        base[c] = field.mul(o, field.inv(n[c]))
+        hyperplanes.append(Flat(field, D, base, ref_nullspace([n], field, D)))
+    labels = data.draw(st.lists(st.integers(0, len(normals) - 1),
+                                min_size=1, max_size=4))
+    assert family.intersection(labels) == intersect_flats(
+        [hyperplanes[i] for i in labels])
+
+
 def test_witness_three_concurrent_independent_lines():
     p = (F.zero, F.zero, F.zero)
     flats = (line((0, 0, 0), (1, 0, 0)),
@@ -136,7 +191,7 @@ def test_witness_three_concurrent_independent_lines():
     wit = witness_check(K3, p, flats)
     assert wit is not None
     matrix = [list(col) for col in zip(*wit.columns)]
-    assert not F.is_zero(linalg.det(matrix, F))
+    assert not F.is_zero(ref_det(matrix, F))
 
 
 def test_witness_coplanar_lines_rejected():
@@ -190,8 +245,6 @@ def _transversal_det_poly_nonzero(spaces, d, field) -> bool:
     return bool(dp.get(full))
 
 
-ORACLE_FIELDS = [GF(2), GF(3), GF(7), F, QQ]
-
 
 @st.composite
 def subspace_families(draw):
@@ -227,7 +280,7 @@ def test_rado_condition_matches_symbolic_determinant(family):
     # only the grouped rank condition can reject them
     field, d, spaces = family
     spans = all(spaces) and linalg.rank(
-        [row for basis in spaces for row in basis], field, d) == d
+        [row for basis in spaces for row in basis], field) == d
     want = _transversal_det_poly_nonzero(spaces, d, field)
     event(f"spans={spans}, transversal={want}")
     assert geometry._has_transversal(spaces, d, field) is want
@@ -247,7 +300,7 @@ def direct_sums(draw):
             for _ in range(d)]
     basis = []  # the independent drawn rows, completed by unit rows
     for row in rows + _unit_rows(field, d, *range(d)):
-        if linalg.rank(basis + [row], field, d) > len(basis):
+        if linalg.rank(basis + [row], field) > len(basis):
             basis.append(row)
     order = draw(st.permutations(range(d)))
     spaces, groups, start = [None] * d, [], 0
@@ -342,7 +395,7 @@ def test_witness_validation_errors():
 def _random_affine(rng, d, field):
     while True:
         m = [[field.rand(rng) for _ in range(d)] for _ in range(d)]
-        if not field.is_zero(linalg.det(m, field)):
+        if not field.is_zero(ref_det(m, field)):
             shift = tuple(field.rand(rng) for _ in range(d))
             return m, shift
 
@@ -399,7 +452,7 @@ def test_joints_of_flats_direct_criterion_agreement():
         stacked = [row for flp in flats for row in flp.dirs]
         direct = (all(flp.contains(p) for flp in flats)
                   and sum(flp.dim for flp in flats) == 6
-                  and linalg.rank(stacked, F, 6) == 6)
+                  and linalg.rank(stacked, F) == 6)
         assert got is direct is expect
 
 
@@ -430,7 +483,7 @@ def test_five_cycle_witness_and_equivalent_condition():
         assert all(mid.contains(_point_at(inter, (t,)))
                    for t in (F.one, F.from_int(7)))
         directions.append(inter.dirs[0])
-    assert linalg.rank(directions, F, 5) == 5
+    assert linalg.rank(directions, F) == 5
 
 
 def _axis_config(a, b):
@@ -548,7 +601,7 @@ def _oracle_witness(h, point, flats, rng, meets=None):
                           else linalg.identity_rows(d, field))
         spaces.append(meets[key])
     if not all(spaces) or linalg.rank(
-            [row for basis in spaces for row in basis], field, d) < d:
+            [row for basis in spaces for row in basis], field) < d:
         return None
     wit = geometry._sample_witness(point, spaces, d, field, rng, None)
     if wit is None and geometry._has_transversal(spaces, d, field):

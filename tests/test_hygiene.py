@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no private module-level function or class goes unused, and every public
-function, class or method has a caller in the package or a README mention."""
+no private module-level function or class goes unused, every public
+function, class or method has a caller in the package or a README mention,
+and every field of a result type is read in the package or named in the
+README."""
 
 import ast
 import re
@@ -151,3 +153,58 @@ def test_every_public_definition_has_a_caller():
     sources = {p.name: p.read_text() for p in PACKAGE}
     readme = (ROOT / "README.md").read_text()
     assert unused_public_definitions(sources, readme) == []
+
+
+def _is_record(node) -> bool:
+    """Whether a class is a dataclass (@dataclass or @dataclass(...)) or a
+    NamedTuple subclass."""
+    def named(expr, name):
+        return (isinstance(expr, ast.Name) and expr.id == name
+                or isinstance(expr, ast.Attribute) and expr.attr == name)
+    return (any(named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                for d in node.decorator_list)
+            or any(named(b, "NamedTuple") for b in node.bases))
+
+
+def unread_fields(sources: dict[str, str], readme: str) -> list[str]:
+    """Fields of module-level dataclasses and NamedTuples that no module
+    reads as an attribute (x.name) or spells as a string constant (a dict
+    key or a getattr name), and that the README does not name in
+    backticks."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = {n for tree in trees.values() for n in _attributes_read(tree)}
+    reads |= {node.value for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    named = readme_names(readme)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in reads
+                        and stmt.target.id not in named):
+                    out.append(f"{module}:{node.name}.{stmt.target.id}")
+    return out
+
+
+def test_field_detector_flags_unread_and_accepts_read():
+    sources = {"a.py": "from dataclasses import dataclass\n"
+                       "from typing import NamedTuple\n"
+                       "@dataclass(frozen=True)\n"
+                       "class R:\n    read: int\n    keyed: int\n"
+                       "    documented: int\n    stale: int\n"
+                       "class T(NamedTuple):\n    used: int\n    dead: int\n"
+                       "class Plain:\n    loose: int\n",
+               "b.py": "def f(r, t, dead):\n"
+                       "    return r.read + t.used + dead, {'keyed': 1}\n"}
+    readme = "Each R has a `documented` count.\n"
+    assert unread_fields(sources, readme) == ["a.py:R.stale", "a.py:T.dead"]
+
+
+def test_every_result_field_is_read():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    readme = (ROOT / "README.md").read_text()
+    assert unread_fields(sources, readme) == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hjoints import (Hypergraph, Log2Value, WeightFunction, cone,
+from hjoints import (Hypergraph, Log2Value, WeightFunction,
                      covering_constant, joint_count_bound)
 from hjoints.errors import (DuplicateEdge, EmptyColor, MixedUniformity,
                             NotCovering)
@@ -74,11 +74,11 @@ def test_structural_validation():
 
 
 def test_cone_zero_is_identity():
-    assert cone(K3, 0) is K3
+    assert K3.cone(0) is K3
 
 
 def test_cone_k3_once():
-    c = cone(K3, 1)
+    c = K3.cone(1)
     assert c.d == 4
     assert c.edges == ((1, 2, 4), (1, 3, 4), (2, 3, 4))
     assert c.colors == (1, 1, 1)
@@ -88,7 +88,7 @@ def test_cone_k3_once():
 
 def test_cone_k4_tetrahedron():
     k4 = Hypergraph.complete_uniform(4, 3)
-    c = cone(k4, 1)
+    c = k4.cone(1)
     assert c.d == 5
     assert c.n_edges == 4
     assert all(len(e) == 4 and 5 in e for e in c.edges)
@@ -99,7 +99,7 @@ def test_cone_k4_tetrahedron():
 def test_cone_preserves_profile_dims():
     h = Hypergraph(4, ((1, 2), (3, 4)), (1, 2))
     p0 = h.validate_uniform_coloring()
-    p2 = cone(h, 2).validate_uniform_coloring()
+    p2 = h.cone(2).validate_uniform_coloring()
     assert p0.flat_dims == p2.flat_dims
     assert p2.edge_sizes == tuple(s + 2 for s in p0.edge_sizes)
 

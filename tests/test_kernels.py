@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hjoints import GF, QQ, linalg
 
-FIELDS = {"Q": QQ, "GF7": GF(7), "GF61": GF()}
+FIELDS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "GF7": GF(7), "GF61": GF()}
 
 
 def ref_rref(rows, field, ncols):
@@ -100,22 +100,45 @@ def test_kernels_match_elementwise_reference(name, data):
     rows, ncols = data.draw(matrices(field))
     want_red, want_pivots = ref_rref(rows, field, ncols)
     assert linalg.rref(rows, field, ncols) == (want_red, want_pivots)
-    assert linalg.rank(rows, field, ncols) == len(want_pivots)
     assert linalg.nullspace(rows, field, ncols) == ref_nullspace(rows, field, ncols)
-    if rows:
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@seed(4410)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_affine_solve_matches_solve_and_nullspace(name, data):
+    # half the right-hand sides are A x0, so rank-deficient systems are
+    # consistent as often as not
+    field = FIELDS[name]
+    rows, ncols = data.draw(matrices(field))
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(scalars(field), min_size=ncols,
+                                max_size=ncols))
+        rhs = linalg.mat_vec(rows, x0, field)
+    else:
         rhs = tuple(data.draw(st.lists(scalars(field), min_size=len(rows),
                                        max_size=len(rows))))
-        assert linalg.solve(rows, rhs, field) == ref_solve(rows, rhs, field, ncols)
+    x = ref_solve(rows, rhs, field, ncols)
+    got = linalg.affine_solve(rows, rhs, field, ncols)
+    assert got == (None if x is None
+                   else (x, ref_nullspace(rows, field, ncols)))
+    if got is not None:
+        assert linalg.mat_vec(rows, got[0], field) == tuple(rhs)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @seed(4408)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_det_matches_laplace_expansion(name, data):
+def test_rank_matches_rref_and_laplace_expansion(name, data):
     field = FIELDS[name]
-    rows, _ = data.draw(matrices(field, square=True))
-    assert linalg.det(rows, field) == ref_det(rows, field)
+    square = data.draw(st.booleans())
+    rows, ncols = data.draw(matrices(field, square=square))
+    rank = linalg.rank(rows, field)
+    assert rank == len(ref_rref(rows, field, ncols)[1])
+    if square:
+        assert (rank == len(rows)) == (not field.is_zero(ref_det(rows, field)))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
