@@ -25,9 +25,8 @@ from .fields import GF, QQ, DEFAULT_PRIME
 from .geometry import (Flat, Witness, WitnessTuple, detect_joints,
                        enumerate_witness_tuples, intersect_flats,
                        witness_check)
-from .hypergraph import (CoveringConstant, Hypergraph, UniformityProfile,
-                         WeightFunction, covering_constant,
-                         joint_count_bound)
+from .hypergraph import (Hypergraph, UniformityProfile, WeightFunction,
+                         covering_constant, joint_count_bound)
 from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,
                         LedgerSet, assemble_point_exponents,

@@ -92,7 +92,7 @@ def mult_bound_record(name, h, w, cfg, results) -> CheckRecord:
     total = 0.0
     for res in results:
         total += res.value
-    bound = covering_constant(h, w).value * math.prod(
+    bound = covering_constant(h, w).pow2_float() * math.prod(
         size ** float(wbar) for size, wbar in zip(cfg.class_sizes(), w.subtotals))
     worst_gap = max([0.0] + [res.gap for res in results])
     return record_bound(name, total, bound,
@@ -178,20 +178,19 @@ def criterion_rho_star(fast=False) -> list[CheckRecord]:
 
 def criterion_constant(fast=False) -> list[CheckRecord]:
     w = WeightFunction.uniform(K3, Fraction(1, 2))
-    c = covering_constant(K3, w)
-    approx = c.approx(digits=16)
+    value = covering_constant(K3, w).pow2_float()
     # sqrt(2)/3 to ~30 digits through integer square root
     reference = Fraction(math.isqrt(2 * 10 ** 60), 10 ** 30) / 3
-    err = abs(approx - reference)
+    err = abs(Fraction(value) - reference)
     out = [CheckRecord("constant-K3-sqrt2-over-3",
                        PASS if err < Fraction(1, 10 ** 12) else FAIL,
-                       float(approx), float(reference), float(err),
+                       value, float(reference), float(err),
                        note="12-digit target via log decomposition")]
     h4 = Hypergraph(3, ((1, 2), (1, 3), (2, 3), (1, 2)), (1, 1, 1, 2))
     w4 = WeightFunction.for_hypergraph(h4, [Fraction(1, 2)] * 3 + [Fraction(0)])
-    c4 = covering_constant(h4, w4)
     out.append(record_equal("constant-zero-weight-convention",
-                            float(c4.approx(14)), float(approx), tol=1e-12,
+                            covering_constant(h4, w4).pow2_float(), value,
+                            tol=1e-12,
                             note="(w/wbar)^0 = 1 even when wbar = 0"))
     return out
 
@@ -371,7 +370,7 @@ def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
                      for I in subsets]
         pattern = axis_parallel_pattern(d, subsets)
         wf = WeightFunction.for_hypergraph(pattern, weights)
-        constant = covering_constant(pattern, wf).value
+        constant = covering_constant(pattern, wf).pow2_float()
         bounds = [tensor_power_bound(d, subsets, weights, functions, s,
                                      constant, n) for n in (1, 2, 3)]
         lhs, _, _ = holder_check(d, subsets, weights, functions, s)

@@ -106,8 +106,7 @@ def cmd_constant(args) -> int:
     h = load_hypergraph(args.hypergraph)
     w = load_weights(args.weights, h)
     c = covering_constant(h, w)
-    payload = {"value": c.value,
-               "digits": str(float(c.approx(args.digits))),
+    payload = {"value": c.pow2_float(),
                "log2_terms": [[str(q), m] for q, m in c.terms()]}
     rep = _new_report(args, "constant", [args.hypergraph, args.weights])
     return _emit(args, rep, payload)
@@ -267,11 +266,11 @@ def cmd_mcount(args) -> int:
 
 def cmd_kk(args) -> int:
     count = kruskal_katona_count(args.n, args.d)
-    x, bound, clamped = lovasz_bound(args.n, args.d)
+    x, bound = lovasz_bound(args.n, args.d)
     rep = _new_report(args, "kk", [])
     rep.add(record_bound("colex-count-vs-bound", count, bound))
     payload = {"n": args.n, "d": args.d, "colex_count": count, "x": x,
-               "bound": bound, "clamped": clamped}
+               "bound": bound}
     return _emit(args, rep, payload)
 
 
@@ -392,7 +391,7 @@ def cmd_verify_simple_bound(args) -> int:
     rec = rep.add(simple_bound_record("simple-joints-bound", h, w, cfg))
     payload = {"joints": len(cfg.points),
                "bound": 0.0 if rec.rhs is None else 2.0 ** rec.rhs,
-               "constant": covering_constant(h, w).value,
+               "constant": covering_constant(h, w).pow2_float(),
                "class_sizes": list(cfg.class_sizes())}
     return _emit(args, rep, payload)
 
@@ -444,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("constant", cmd_constant, help="covering constant with exact log form")
     p.add_argument("hypergraph")
     p.add_argument("--weights", required=True)
-    p.add_argument("--digits", type=int, default=12)
 
     p = add("cone", cmd_cone, help="adjoin t fresh vertices to every edge")
     p.add_argument("hypergraph")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
@@ -49,7 +49,6 @@ class JointsConfiguration:
     classes: tuple[tuple[Flat, ...], ...]  # one tuple of instances per color
     points: tuple[tuple, ...]
     provenance: str = "custom"
-    meta: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for k, cls in zip(self.dims, self.classes):
@@ -224,12 +223,10 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
         points.append(p)
     if len(set(points)) != len(points):
         raise GenericityFailure("two inducing sets produced one point")
-    cfg = JointsConfiguration(
+    return JointsConfiguration(
         field, h.d, profile.flat_dims,
         tuple(tuple(by_edge.values()) for by_edge in flat_of), tuple(points),
         provenance="generic" if proj is None else "projected")
-    cfg.meta.update({"family": family, "host": host})
-    return cfg
 
 
 def generically_induced(host, h: Hypergraph,
@@ -240,30 +237,23 @@ def generically_induced(host, h: Hypergraph,
 
 def projected_generically_induced(host, h: Hypergraph, t: int,
                                   family: HyperplaneFamily,
-                                  projection_seed: int = 0, *,
-                                  projection_override=None) -> JointsConfiguration:
+                                  projection_seed: int = 0
+                                  ) -> JointsConfiguration:
     """Generic configuration in F^(d+t) pushed down to F^d; resample on
-    any degeneracy (dimension drop, collision, witness failure). A fixed
-    projection (an override, or none at t = 0) gets one attempt, and its
-    GenericityFailure propagates."""
-    if projection_override is not None or t == 0:
-        cfg = _induced(host, h, t, family, projection_override)
-        cfg.meta.update({"projection": projection_override, "t": t,
-                         "attempts": 1})
-        return cfg
+    any degeneracy (dimension drop, collision, witness failure). At t = 0
+    nothing is projected: one attempt, whose GenericityFailure propagates."""
+    if t == 0:
+        return generically_induced(host, h, family)
     field = family.field
     rng = random.Random(projection_seed)
     last_error = "no attempt"
-    for attempt in range(PROJECTION_RETRIES):
+    for _ in range(PROJECTION_RETRIES):
         proj = [tuple(field.rand(rng) for _ in range(family.D))
                 for _ in range(h.d)]
         try:
-            cfg = _induced(host, h, t, family, proj)
+            return _induced(host, h, t, family, proj)
         except GenericityFailure as exc:
             last_error = str(exc)
-            continue
-        cfg.meta.update({"projection": proj, "t": t, "attempts": attempt + 1})
-        return cfg
     raise GenericityFailure(
         f"no generic projection found in {PROJECTION_RETRIES} attempts: "
         f"{last_error}")
@@ -315,10 +305,8 @@ def axis_parallel_from_functions(d: int, subsets, functions, s: int,
                 break
         if ok:
             points.append(tuple(ground[v] for v in grid))
-    cfg = JointsConfiguration(field, d, tuple(dims), tuple(classes),
-                              tuple(points), provenance="axis-parallel")
-    cfg.meta.update({"subsets": subsets, "s": s})
-    return cfg
+    return JointsConfiguration(field, d, tuple(dims), tuple(classes),
+                               tuple(points), provenance="axis-parallel")
 
 
 def axis_parallel_pattern(d: int, subsets) -> Hypergraph:

@@ -321,7 +321,6 @@ def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
     probabilities over its witness-tuple list (same order as tuples_at).
     """
     setup, edge_entropy_total = _color_setup(h, w)
-    const = covering_constant(h, w)
     point_probs = [float(p) for p in point_probs]
     lhs = entropy(point_probs) - edge_entropy_total
     joint_flat: list[dict] = [dict() for _ in setup]
@@ -345,7 +344,7 @@ def geometric_shearer_audit(h: Hypergraph, w: WeightFunction, config,
             for atom, q in per_point[ci].items():
                 joint_flat[ci][atom] = joint_flat[ci].get(atom, 0.0) + pp * q
     lhs += cond
-    rhs = float(const.log2) + math.fsum(
+    rhs = float(covering_constant(h, w)) + math.fsum(
         setup[ci][1] * entropy(joint_flat[ci].values())
         for ci in range(len(setup)))
     return GeoShearerReport(lhs, rhs, rhs - lhs)

@@ -1,9 +1,11 @@
 """Combinatorial side: containment counts, colex families, shadow bounds.
 
 Colex order on k-sets compares the largest differing element; an initial
-colex segment is the extremal family for clique counts, so enumerating the
-first n colex (k)-sets and counting cliques directly gives the exact
-extremal value without needing the cascade formula.
+colex segment is the extremal family for clique counts. Its count comes
+from the k-cascade n = sum_i C(a_i, i), a_k > ... > a_s >= s >= 1: the
+first n colex k-sets hold sum_i C(a_i, i+1) cliques of size k+1, exactly
+and in O(k log n) binomials. The Lovasz bound solves C(x, k) = n from the
+top term a_k, so ties (n = C(a_k, k)) are exact.
 
 find_embedding and count_inducing_sets treat the pattern as uncolored: a
 vertex-set A of the host counts when some bijection onto the pattern's
@@ -203,16 +205,29 @@ def colex_sets(k: int, count: int) -> list[tuple[int, ...]]:
     return all_sets[:count]
 
 
+def _cascade_term(n: int, i: int) -> int:
+    """The largest a with C(a, i) <= n, for n, i >= 1, by bisection."""
+    lo, hi = i, n + i  # C(i, i) = 1 <= n < n + 1 <= C(n + i, i)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid, i) <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def kruskal_katona_count(n: int, d: int) -> int:
-    """Number of d-cliques in the first n colex (d-1)-sets (the extremal value)."""
+    """Number of d-cliques in the first n colex (d-1)-sets (the extremal
+    value): sum C(a_i, i+1) over the (d-1)-cascade n = sum C(a_i, i)."""
     _check_clique_args(n, d)
-    family = {frozenset(s) for s in colex_sets(d - 1, n)}
-    vertices = sorted({v for s in family for v in s})
     count = 0
-    for clique in itertools.combinations(vertices, d):
-        if all(frozenset(sub) in family
-               for sub in itertools.combinations(clique, d - 1)):
-            count += 1
+    for i in range(d - 1, 0, -1):
+        if n == 0:
+            break
+        a = _cascade_term(n, i)
+        n -= comb(a, i)
+        count += comb(a, i + 1)
     return count
 
 
@@ -230,31 +245,26 @@ def binom_real(x, d: int):
     return out / factorial(d)
 
 
-def lovasz_bound(n: int, d: int):
-    """Solve binom(x, d-1) = n for real x >= d-1 to within 1e-12, or to
-    adjacent floats where those are further apart; return (x, binom(x, d)).
+def lovasz_bound(n: int, d: int) -> tuple[float, float]:
+    """Solve binom(x, d-1) = n for real x >= d-1; return (x, binom(x, d)).
 
-    The bound is clamped at zero (it can only dip negative for x < d, which
-    cannot occur here but is guarded anyway); `clamped` flags that case.
-    For n = 0 the bound is exactly 0.
+    x lies in [a, a+1) for the top cascade term a. When C(a, d-1) = n, x = a
+    and the bound C(a, d) are exact; otherwise x is bisected on [a, a+1]
+    down to adjacent floats. For n = 0, x = d-1 and the bound is exactly 0.
     """
     _check_clique_args(n, d)
-    lo = float(d - 1)
-    hi = float(d)
-    while binom_real(hi, d - 1) < n:
-        hi *= 2
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):  # adjacent floats, more than 1e-12 apart
-            break
+    if n == 0:
+        return float(d - 1), 0.0
+    a = _cascade_term(n, d - 1)
+    if comb(a, d - 1) == n:
+        return float(a), float(comb(a, d))
+    lo, hi = float(a), float(a + 1)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
         if binom_real(mid, d - 1) < n:
             lo = mid
         else:
             hi = mid
-    x = (lo + hi) / 2
-    bound = binom_real(x, d) if n else 0.0  # C(x, d) = n(x - d + 1)/d
-    clamped = bound < 0
-    return x, (0.0 if clamped else bound), clamped
+    return mid, binom_real(mid, d)
 
 
 def cone_pattern(d: int, t: int) -> Hypergraph:
@@ -280,12 +290,12 @@ def partial_shadow_check(host: SimpleHypergraph, d: int, t: int
     The verdict is exact: C(x, d) = n(x - d + 1)/d, and C(., d-1) increases
     from d - 1 on, so count <= C(x, d) iff C(d - 1 + count*d/n, d - 1) <= n,
     decided in Fraction (a host with no edges is not uniform, so n > 0). x
-    and bound are the float bisection's."""
+    and bound are lovasz_bound's floats."""
     sizes = host.edge_sizes()
     if sizes != {d + t - 1}:
         raise UniformityMismatch(d + t - 1, sizes)
     n = host.n_edges
-    x, bound, _ = lovasz_bound(n, d)
+    x, bound = lovasz_bound(n, d)
     count = count_inducing_sets(host, cone_pattern(d, t))
     return ShadowReport(
         n, count, x, bound,

@@ -18,8 +18,9 @@ Weights are exact rationals. For a covering weight w the quantity
     C = d!^(|w|-1) * prod_i (1/k_i!)^(wbar_i) * prod_e (w(e)/wbar_i)^w(e)
 
 is the constant in the joint-count bounds; it is irrational in general, so
-covering_constant returns it in exact log space (logspace.Log2Value) next
-to a float convenience value. The zero-weight convention is
+covering_constant returns log2 C exactly (logspace.Log2Value): every
+inequality on it is decided by Log2Value.sign(), and pow2_float() gives the
+float that is reported. The zero-weight convention is
 (w(e)/wbar_i)^w(e) = 1 when w(e) = 0, even if wbar_i = 0.
 """
 
@@ -215,26 +216,8 @@ class WeightFunction:
         return {"weights": [str(w) for w in self.weights]}
 
 
-@dataclass(frozen=True)
-class CoveringConstant:
-    """The bound constant, exactly in log space plus a float convenience."""
-
-    log2: Log2Value
-
-    @property
-    def value(self) -> float:
-        return self.log2.pow2_float()
-
-    def approx(self, digits: int = 15) -> Fraction:
-        bits = int(digits * 3.322) + 24
-        return self.log2.pow2_fraction(bits)
-
-    def terms(self):
-        return self.log2.terms()
-
-
-def covering_constant(h: Hypergraph, w: WeightFunction) -> CoveringConstant:
-    """Exact log-space form of d!^(|w|-1) prod_i (1/k_i!)^wbar_i prod_e (w/wbar)^w."""
+def covering_constant(h: Hypergraph, w: WeightFunction) -> Log2Value:
+    """Exact log2 of d!^(|w|-1) prod_i (1/k_i!)^wbar_i prod_e (w/wbar)^w."""
     w.require_covering()
     profile = h.validate_uniform_coloring()
     log2 = Log2Value.of_factorial_log(h.d, w.total - 1)
@@ -247,14 +230,14 @@ def covering_constant(h: Hypergraph, w: WeightFunction) -> CoveringConstant:
             if we == 0:
                 continue  # (w/wbar)^0 = 1 by convention, even if wbar = 0
             log2 = log2 + Log2Value.of_fraction_log(we / wbar, we)
-    return CoveringConstant(log2)
+    return log2
 
 
 def joint_count_bound(h: Hypergraph, w: WeightFunction,
                       class_sizes) -> Log2Value | None:
     """Exact log2 of C(H, w) * prod_i |F_i|^wbar_i, or None when the bound
     is 0: an empty class with wbar_i > 0 (wbar_i = 0 takes 0^0 = 1)."""
-    log2 = covering_constant(h, w).log2
+    log2 = covering_constant(h, w)
     for size, wbar in zip(class_sizes, w.subtotals):
         if size == 0 and wbar > 0:
             return None

@@ -9,19 +9,14 @@ and its sign is decidable by comparing two big integers:
 
     sum_p q_p log2 p > 0   <=>   prod_{q_p>0} p^(D q_p) > prod_{q_p<0} p^(-D q_p)
 
-with D clearing denominators. So every comparison here is exact; floats
-only enter when a caller asks for a numeric evaluation.
-
-Fixed-point evaluation (to_fraction / pow2_fraction) uses classic
-bit-recurrence log2 and a square-root-chain exp2 with guard bits, giving
-rigorous-enough absolute error ~2^-frac_bits for desk-scale inputs.
+with D clearing denominators. So every comparison here is exact; a float
+(float(v) for the log, pow2_float() for 2^v) is only ever reported.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import isqrt
 
 from .fields import is_prime
 
@@ -120,10 +115,6 @@ class Log2Value:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Log2Value":
-        return cls()
-
-    @classmethod
     def of_int_log(cls, m: int, coeff=Fraction(1)) -> "Log2Value":
         """coeff * log2(m) for an integer m >= 1."""
         coeff = Fraction(coeff)
@@ -166,9 +157,6 @@ class Log2Value:
 
     # -- exact queries -----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._coeff
-
     def sign(self) -> int:
         """Exact sign: reduce to one big-integer comparison."""
         return log2_sum_sign(self._coeff.items())
@@ -182,24 +170,8 @@ class Log2Value:
     def __float__(self) -> float:
         return math.fsum(float(q) * math.log2(p) for p, q in self._coeff.items())
 
-    def to_fraction(self, frac_bits: int = 64) -> Fraction:
-        """Rational approximation with absolute error below ~2**-frac_bits."""
-        guard = frac_bits + 16
-        total = Fraction(0)
-        for p, q in self._coeff.items():
-            total += q * _log2_fixed(p, guard)
-        return total
-
     def pow2_float(self) -> float:
         return 2.0 ** float(self)
-
-    def pow2_fraction(self, frac_bits: int = 64) -> Fraction:
-        """Rational approximation of 2**self."""
-        v = self.to_fraction(frac_bits + 8)
-        a = math.floor(v)
-        frac = v - a
-        base = Fraction(1 << a) if a >= 0 else Fraction(1, 1 << (-a))
-        return base * _exp2_fixed(frac, frac_bits + 8)
 
     def __repr__(self):
         if not self._coeff:
@@ -213,40 +185,3 @@ class Log2Value:
     def __hash__(self):
         return hash(tuple(sorted(self._coeff.items())))
 
-
-def _log2_fixed(m: int, frac_bits: int) -> Fraction:
-    """log2(m) for integer m >= 1 as a Fraction with ~frac_bits accuracy."""
-    if m == 1:
-        return Fraction(0)
-    e = m.bit_length() - 1
-    guard = frac_bits + 16
-    # y in [2^guard, 2^(guard+1)) represents m / 2^e in [1, 2)
-    y = (m << guard) >> e
-    bits = 0
-    for _ in range(frac_bits):
-        y = (y * y) >> guard
-        bits <<= 1
-        if y >= (1 << (guard + 1)):
-            bits |= 1
-            y >>= 1
-    return e + Fraction(bits, 1 << frac_bits)
-
-
-def _exp2_fixed(f: Fraction, frac_bits: int) -> Fraction:
-    """2**f for rational f in [0, 1) as a Fraction with ~frac_bits accuracy."""
-    if not 0 <= f < 1:
-        raise ValueError("fractional part out of range")
-    guard = frac_bits + 16
-    one = 1 << guard
-    # square-root chain: s[i] ~ 2^(2^-i) in fixed point
-    acc = one
-    s = one << 1  # 2.0
-    # binary digits of f
-    x = f
-    for _ in range(frac_bits):
-        s = isqrt(s << guard)  # sqrt in fixed point
-        x *= 2
-        if x >= 1:
-            x -= 1
-            acc = (acc * s) >> guard
-    return Fraction(acc, one)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
                      SimpleHypergraph, WeightFunction, acceptance,
-                     generic_hyperplanes, generically_induced)
+                     covering_constant, generic_hyperplanes,
+                     generically_induced)
 from hjoints.cli import main
 from hjoints.serialize import certificate_to_dict, load_json, save_json
 from hjoints.vanishing import handicap_iteration
@@ -49,9 +50,18 @@ def test_rho_star_cli(workdir, capsys):
 
 def test_constant_cli(workdir, capsys):
     code, out = run(capsys, "constant", workdir / "k3.hg",
-                    "--weights", workdir / "half.w", "--digits", "12")
+                    "--weights", workdir / "half.w")
     assert code == 0
-    assert abs(first_json(out)["value"] - 0.47140452079103173) < 1e-12
+    payload = first_json(out)
+    assert payload["value"] == \
+        covering_constant(K3, WeightFunction.uniform(K3, Fraction(1, 2))
+                          ).pow2_float()
+    assert abs(payload["value"] - 0.47140452079103173) < 1e-12
+    assert payload["log2_terms"] == [["1/2", 2], ["-1", 3]]
+    with pytest.raises(SystemExit) as exc:  # argparse rejects --digits
+        main(["constant", str(workdir / "k3.hg"), "--weights",
+              str(workdir / "half.w"), "--digits", "12"])
+    assert exc.value.code == 2
 
 
 def test_cone_cli(workdir, capsys, tmp_path):
@@ -134,6 +144,12 @@ def test_kk_and_shadow_cli(workdir, capsys, tmp_path):
     assert code == 0 and "PASS" in out
     code, out = run(capsys, "kk", "--n", "0", "--d", "2")
     assert code == 0 and first_json(out)["bound"] == 0
+    # the cascade count returns at once where testing every pair of the
+    # 10,000 vertices would take minutes
+    code, out = run(capsys, "kk", "--n", "10000", "--d", "2")
+    payload = first_json(out)
+    assert code == 0 and payload["colex_count"] == 49995000
+    assert payload["bound"] == 49995000 and "clamped" not in payload
 
 
 def test_mcount_and_search_cli(workdir, capsys):
@@ -307,7 +323,7 @@ def test_suite_fast(capsys, tmp_path):
     records = json.dumps(load_json(tmp_path / "r.json")["records"],
                          sort_keys=True)
     assert hashlib.sha256(records.encode()).hexdigest() == \
-        "13b52092374105eaab8be3839fe82f843fe591cbe5ec0e0b910246bf246e2c4b"
+        "39af741c94a88b80b7d21df24ef08916543c0f6f9685ae6da9621021b00467db"
 
 
 def test_bound_commands_pass_on_an_empty_class(capsys, tmp_path):

@@ -104,7 +104,7 @@ def test_friedgut_kahn_desk_form():
         w = sol.weights
         const = covering_constant(K3, w)
         count = count_inducing_sets(host, K3)
-        assert count <= const.value * host.n_edges ** float(sol.value) + 1e-9
+        assert count <= const.pow2_float() * host.n_edges ** float(sol.value) + 1e-9
 
 
 def test_work_limit_exceeded():

@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import (Hypergraph, SimpleHypergraph, colex_sets, cone_pattern,
@@ -67,24 +67,63 @@ def test_kruskal_katona_hand_values():
     assert kruskal_katona_count(12, 4) == 5
 
 
+def _colex_clique_count(n, d):
+    """Oracle: test every d-subset of the first n colex (d-1)-sets' vertices."""
+    family = {frozenset(s) for s in colex_sets(d - 1, n)}
+    vertices = sorted({v for s in family for v in s})
+    return sum(all(frozenset(sub) in family
+                   for sub in itertools.combinations(clique, d - 1))
+               for clique in itertools.combinations(vertices, d))
+
+
+@seed(1901)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 300))
+@example(2, 300)
+@example(6, 300)
+@example(4, 0)
+def test_cascade_count_matches_colex_enumeration(d, n):
+    assert kruskal_katona_count(n, d) == _colex_clique_count(n, d)
+
+
 def test_lovasz_bound_values():
     # oracle: x = (1 + sqrt(41)) / 2 solves x(x-1)/2 = 5, bound = 10(x-2)/6
-    x, bound, clamped = lovasz_bound(5, 3)
+    x, bound = lovasz_bound(5, 3)
     assert abs(x - 3.7015621187164243) < 1e-9
     assert abs(bound - 2.8359368645273744) < 1e-6
-    assert not clamped
     assert bound >= kruskal_katona_count(5, 3)
     # integer equality case
-    x5, bound5, _ = lovasz_bound(10, 3)
-    assert abs(x5 - 5.0) < 1e-9 and abs(bound5 - 10.0) < 1e-8
+    assert lovasz_bound(10, 3) == (5, 10)
 
 
-@pytest.mark.parametrize("n, d", [(10**4, 2), (10**6, 2), (4 * 10**7, 3)])
+@seed(1902)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(d - 1, 40))))
+@example((2, 1))
+@example((6, 40))
+def test_lovasz_bound_is_exact_at_ties(d_m):
+    d, m = d_m
+    assert lovasz_bound(comb(m, d - 1), d) == (m, comb(m, d))
+
+
+@pytest.mark.parametrize("d, m", [(4, 1000001), (5, 100003), (5, 123457),
+                                  (6, 123457)])
+def test_lovasz_bound_ties_beyond_float_products(d, m):
+    # binom_real's float product rounds here, so only the tie branch gives
+    # the correctly rounded C(m, d)
+    assert lovasz_bound(comb(m, d - 1), d) == (m, float(comb(m, d)))
+
+
+@pytest.mark.parametrize("n, d", [(10**4, 2), (10**6, 2), (4 * 10**7, 3),
+                                  (5, 3), (11, 3), (13, 4), (299, 6),
+                                  (10**9 + 7, 3), (123456789, 5)])
 def test_lovasz_bound_returns_where_floats_are_coarser_than_its_tolerance(n, d):
-    # from x = 8192 on, adjacent floats lie more than 1e-12 apart, so the
-    # bisection ends at adjacent floats instead of at width 1e-12
-    x, _, _ = lovasz_bound(n, d)
+    # from x = 8192 on, adjacent floats lie more than 1e-12 apart; the
+    # bisection on [a, a + 1] stops at adjacent floats at any n
+    x, bound = lovasz_bound(n, d)
     assert abs(binom_real(x, d - 1) - n) <= 1e-12 * n
+    assert abs(bound - n * (x - d + 1) / d) <= 1e-12 * bound
 
 
 def test_binom_real_matches_integers():
@@ -125,12 +164,11 @@ def test_partial_shadow_random_3uniform_hosts():
                          + [(4, x) for x in range(4, 8)])
 def test_partial_shadow_ties_are_exact(monkeypatch, d, x):
     # the complete (d-1)-uniform host on x vertices has n = C(x, d-1)
-    # edges and C(x, d) copies of K_d: a tie, which the float bisection
-    # misses by a rounding error (K4 at d = 3: bound 4 - 2e-12)
+    # edges and C(x, d) copies of K_d: a tie, with the bound exact
     host = SimpleHypergraph.complete(x, d - 1)
     rep = partial_shadow_check(host, d, 0)
     assert (rep.n_edges, rep.count) == (comb(x, d - 1), comb(x, d))
-    assert rep.passed
+    assert rep.passed and rep.bound == rep.count
     real = extremal.count_inducing_sets
     monkeypatch.setattr(extremal, "count_inducing_sets",
                         lambda host, h: real(host, h) + 1)
@@ -146,7 +184,7 @@ def test_lovasz_bound_of_no_edges_is_zero(d):
 
 def test_bound_matches_across_t_for_same_n():
     n = 10
-    _, b0, _ = lovasz_bound(n, 3)
+    _, b0 = lovasz_bound(n, 3)
     rep0 = partial_shadow_check(SimpleHypergraph.from_sets(5, colex_sets(2, 10)), 3, 0)
     rep1 = partial_shadow_check(SimpleHypergraph.complete(5, 3), 3, 1)
     assert rep0.n_edges == rep1.n_edges == n

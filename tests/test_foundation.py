@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from hjoints import DEFAULT_PRIME, GF, QQ, Log2Value
 from hjoints import linalg
 from hjoints.fields import field_from_key, is_prime
-from hjoints.logspace import (EXACT_SIGN_BITS, _exp2_fixed, _log2_fixed,
-                              factorize, log2_sum_sign)
+from hjoints.logspace import EXACT_SIGN_BITS, factorize, log2_sum_sign
 
 
 def test_is_prime_basics():
@@ -103,7 +102,7 @@ def test_log2value_exact_identities():
     # log2(6) = log2(2) + log2(3)
     six = Log2Value.of_int_log(6)
     assert six == Log2Value.of_int_log(2) + Log2Value.of_int_log(3)
-    assert (six - six).is_zero()
+    assert six - six == Log2Value()
     assert six.sign() == 1
     assert (-six).sign() == -1
 
@@ -121,27 +120,9 @@ def test_log2value_float_and_fraction_eval():
     v = Log2Value.of_fraction_log(Fraction(7, 5), Fraction(2, 3))
     expected = (2 / 3) * math.log2(7 / 5)
     assert abs(float(v) - expected) < 1e-14
-    approx = v.to_fraction(80)
-    assert abs(float(approx) - expected) < 1e-14
-
-
-def test_log2_fixed_accuracy():
-    for m in (2, 3, 10, 97, 12345):
-        approx = _log2_fixed(m, 60)
-        assert abs(float(approx) - math.log2(m)) < 1e-13
-    assert _log2_fixed(8, 80) == 3
-
-
-def test_exp2_fixed_accuracy():
-    for f in (Fraction(0), Fraction(1, 3), Fraction(7, 11), Fraction(99, 100)):
-        approx = _exp2_fixed(f, 60)
-        assert abs(float(approx) - 2 ** float(f)) < 1e-12
-
-
-def test_pow2_fraction_roundtrip():
-    v = Log2Value.of_int_log(2, Fraction(5, 2))  # 2^(5/2) = sqrt(32)
-    approx = v.pow2_fraction(80)
-    assert abs(float(approx) - math.sqrt(32)) < 1e-15
+    assert abs(v.pow2_float() - (7 / 5) ** (2 / 3)) < 1e-15
+    # 2^(5/2) = sqrt(32)
+    assert Log2Value.of_int_log(2, Fraction(5, 2)).pow2_float() == math.sqrt(32)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,7 +136,7 @@ def test_log2value_sign_matches_float(m1, m2, q1, q2):
         assert v.sign() == (1 if f > 0 else -1)
     else:
         # tiny values: exact sign must at least be consistent with zero-ness
-        if v.is_zero():
+        if v == Log2Value():
             assert v.sign() == 0
 
 

@@ -57,7 +57,7 @@ def test_file_colors_bounded_by_edge_count():
 def test_joint_count_bound_zero_and_empty_class_conventions():
     w = WeightFunction.uniform(K3, Fraction(1, 2))
     assert joint_count_bound(K3, w, (4,)) == \
-        covering_constant(K3, w).log2 + Log2Value.of_int_log(4, Fraction(3, 2))
+        covering_constant(K3, w) + Log2Value.of_int_log(4, Fraction(3, 2))
     assert joint_count_bound(K3, w, (0,)) is None  # wbar > 0: bound 0
     h = Hypergraph(2, ((1,), (2,), (1,)), (1, 2, 3))
     w0 = WeightFunction.for_hypergraph(h, [1, 1, 0])
@@ -127,13 +127,9 @@ def test_constant_k3_half_is_sqrt2_over_3():
     # oracle: C = 6^(1/2) * (1/3)^(3/2) = sqrt(2)/3
     w = WeightFunction.uniform(K3, Fraction(1, 2))
     c = covering_constant(K3, w)
-    expected = math.sqrt(2) / 3
-    assert abs(c.value - expected) < 1e-14
-    # 12+ digits through the exact log decomposition
-    approx = c.approx(digits=14)
-    assert abs(float(approx) - expected) < 1e-13
+    assert abs(c.pow2_float() - math.sqrt(2) / 3) < 1e-14
     # canonical form is 1/2 - log2(3): exactly two prime terms
-    terms = dict((p, q) for q, p in c.log2.terms())
+    terms = dict((p, q) for q, p in c.terms())
     assert terms == {2: Fraction(1, 2), 3: Fraction(-1)}
 
 
@@ -142,8 +138,8 @@ def test_constant_two_disjoint_edges():
     h = Hypergraph(4, ((1, 2), (3, 4)), (1, 2))
     w = WeightFunction.uniform(h, 1)
     c = covering_constant(h, w)
-    assert (c.log2 - Log2Value.of_int_log(6)).sign() == 0
-    assert abs(c.value - 6.0) < 1e-12
+    assert (c - Log2Value.of_int_log(6)).sign() == 0
+    assert abs(c.pow2_float() - 6.0) < 1e-12
 
 
 def test_constant_zero_weight_convention():
@@ -153,7 +149,7 @@ def test_constant_zero_weight_convention():
     w = WeightFunction.for_hypergraph(
         h, [Fraction(1, 2)] * 3 + [Fraction(0)])
     c = covering_constant(h, w)
-    assert abs(c.value - math.sqrt(2) / 3) < 1e-14
+    assert abs(c.pow2_float() - math.sqrt(2) / 3) < 1e-14
 
 
 def test_constant_requires_covering():
@@ -169,7 +165,7 @@ def test_log_decomposition_splits_per_color():
     total = Log2Value.of_factorial_log(4, w.total - 1)
     for c_idx in (0, 1):
         total = total - Log2Value.of_factorial_log(2, w.subtotals[c_idx])
-    assert (covering_constant(h, w).log2 - total).sign() == 0
+    assert (covering_constant(h, w) - total).sign() == 0
 
 
 def test_equality_cover_identity():
