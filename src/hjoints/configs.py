@@ -33,7 +33,8 @@ from . import linalg
 from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
                      SizeMismatch)
 from .fields import GF, PrimeField, as_int, field_from_key
-from .geometry import Flat, WitnessTuple, enumerate_witness_tuples, witness_check
+from .geometry import (Flat, WitnessTuple, enumerate_witness_tuples,
+                       witness_exists)
 from .hypergraph import Hypergraph
 
 PROJECTION_RETRIES = 16
@@ -218,7 +219,7 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
         order = sorted(A)
         flats = [flat_of[c - 1][tuple(sorted(order[emb[v] - 1] for v in e))]
                  for e, c in zip(cone_pat.edges, h.colors)]
-        if witness_check(h, p, flats, seed=7) is None:
+        if not witness_exists(h, p, flats):
             raise GenericityFailure(f"witness failed at vertex set {A}")
         points.append(p)
     if len(set(points)) != len(points):

@@ -25,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isfinite, prod
 
 from .errors import SizeMismatch, UniformityMismatch, WorkLimitExceeded
 from .fields import as_int
@@ -238,10 +238,13 @@ def _check_clique_args(n: int, d: int) -> None:
 
 def binom_real(x, d: int):
     """The polynomial x(x-1)...(x-d+1)/d!: a float for a float x, exact
-    for a Fraction."""
+    for a Fraction. A float x whose product overflows, or whose d! does
+    past d = 170, takes the product of the ratios (x - i)/(i + 1)."""
     out = 1
     for i in range(d):
         out *= (x - i)
+    if isinstance(out, float) and (d > 170 or not isfinite(out)):
+        return prod((x - i) / (i + 1) for i in range(d))
     return out / factorial(d)
 
 

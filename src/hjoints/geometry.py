@@ -61,7 +61,15 @@ testing the rank of each T_g, and columns are built only for the draw that
 is kept. The coefficients are drawn in the same order as for the d columns,
 so the rng stream and the witnesses are unchanged; a direct sum has a
 transversal, so Rado's condition is not needed there. Any other leaf, such
-as one with a group whose W_j is F^d, tests the rank of the d columns. Every
+as one with a group whose W_j is F^d, tests the rank of the d columns.
+
+Since a direct-sum leaf qualifies whatever is drawn, the walk decides it
+without drawing: the leaf joins the walk's one queue of draws (_Draws), and
+its witness is drawn when a WitnessTuple's witness is first read, after
+every earlier queued leaf. Any other leaf draws the whole queue first, then
+itself. The draws thus come from the one rng in leaf order however the
+witnesses are read, and equal those of drawing at each leaf as it is
+reached; has_witness_tuple and witness_exists read no witness. Every
 rank here is found by linalg's cross-multiplied elimination, which takes no
 field inverse; rows are normalised only for a span that is kept below rank
 d.
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -211,12 +220,36 @@ class Witness:
     columns: tuple  # d column vectors, each a length-d tuple
 
 
-@dataclass(frozen=True)
 class WitnessTuple:
-    """A qualifying assignment edge -> flat instance at one point."""
+    """A qualifying assignment edge -> flat instance at one point.
 
-    assignment: tuple[int, ...]  # per edge: index into the edge color's class
-    witness: Witness
+    assignment: per edge, an index into the edge color's class. The witness
+    is a Witness, or a walk's (_Draws, leaf) until it is first read;
+    equality and hash are on (assignment, witness)."""
+
+    __slots__ = ("assignment", "_witness")
+
+    def __init__(self, assignment, witness):
+        self.assignment, self._witness = assignment, witness
+
+    @property
+    def witness(self) -> Witness:
+        if type(self._witness) is tuple:
+            draws, leaf = self._witness
+            self._witness = draws.witness(leaf)
+        return self._witness
+
+    def __eq__(self, other):
+        if not isinstance(other, WitnessTuple):
+            return NotImplemented
+        return (self.assignment, self.witness) == (other.assignment,
+                                                   other.witness)
+
+    def __hash__(self):
+        return hash((self.assignment, self.witness))
+
+    def __repr__(self):
+        return f"WitnessTuple({self.assignment!r}, {self.witness!r})"
 
 
 def _vertex_groups(h: Hypergraph):
@@ -336,6 +369,41 @@ def _sample_witness(point, spaces, d, field, rng, blocks
     return None
 
 
+class _Draws:
+    """The witnesses of one walk's direct-sum leaves, drawn on first read.
+
+    Leaves are added in walk order; reading one draws every earlier leaf
+    first, and flush draws them all, so every witness and every rng draw is
+    that of drawing each leaf as the walk reaches it."""
+
+    __slots__ = ("point", "d", "field", "rng", "blocks", "drawn", "pending")
+
+    def __init__(self, point, d, field, rng, blocks):
+        self.point, self.d, self.field, self.rng = point, d, field, rng
+        self.blocks = blocks
+        self.drawn: list[Witness] = []
+        self.pending: deque = deque()  # the W_j of each later leaf
+
+    def add(self, spaces) -> int:
+        """Queue a leaf; its index for witness."""
+        self.pending.append(spaces)
+        return len(self.drawn) + len(self.pending) - 1
+
+    def witness(self, leaf: int) -> Witness:
+        while len(self.drawn) <= leaf:
+            spaces = self.pending.popleft()
+            wit = None
+            while wit is None:  # a direct sum has a transversal
+                wit = _sample_witness(self.point, spaces, self.d, self.field,
+                                      self.rng, self.blocks)
+            self.drawn.append(wit)
+        return self.drawn[leaf]
+
+    def flush(self) -> None:
+        if self.pending:
+            self.witness(len(self.drawn) + len(self.pending) - 1)
+
+
 def _has_transversal(spaces, d, field) -> bool:
     """Rado: independent v_j in W_j exist iff dim(sum_{j in S} W_j) >= |S|
     for every vertex set S. Adding a vertex whose W_j is already in the sum
@@ -359,19 +427,30 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
     flats is indexed like h.edges. Raises DimensionMismatch / PointNotOnFlat
     for malformed input; returns None exactly when no witness exists.
     """
+    return next((wt.witness for wt in _flat_walk(h, point, flats, seed)),
+                None)
+
+
+def witness_exists(h: Hypergraph, point, flats: Sequence[Flat]) -> bool:
+    """Whether witness_check finds a witness, drawing none where the W_j
+    form a direct sum."""
+    return any(True for _ in _flat_walk(h, point, flats, 0))
+
+
+def _flat_walk(h, point, flats, seed):
+    """The walk over one candidate per edge, after checking its input."""
     d = h.d
     for i, (e, fl) in enumerate(zip(h.edges, flats)):
         if fl.dim != d - len(e):
             raise DimensionMismatch(i, d - len(e), fl.dim)
         if not fl.contains(point):
             raise PointNotOnFlat(i)
-    walk = _walk(h, point, flats[0].field, [[(0, fl)] for fl in flats],
+    return _walk(h, point, flats[0].field, [[(0, fl)] for fl in flats],
                  random.Random(seed))
-    return next((wit for _, wit in walk), None)
 
 
 def _walk(h, point, field, candidates, rng):
-    """Yield (assignment, witness) for each qualifying assignment, in product
+    """Yield a WitnessTuple for each qualifying assignment, in product
     order over candidates[i], the (instance index, flat) pairs for edge i.
 
     Every candidate must contain the point and have dimension d - |e| for
@@ -379,7 +458,9 @@ def _walk(h, point, field, candidates, rng):
     partial assignment once some final W_j is zero or the final W_j plus
     the bounds of the unfinished groups cannot reach dimension d. At a leaf
     the W_j are nonzero and jointly span F^d; identical flat tuples share
-    one witness, and all draws come from rng."""
+    one witness, and all draws come from rng, through one _Draws: a
+    direct-sum leaf is queued there, any other leaf draws the queue and
+    then itself."""
     d, m = h.d, len(h.edges)
     spaces = [None] * d  # W_j of the current assignment, per vertex
     span = _Span((), [], d)
@@ -402,7 +483,9 @@ def _walk(h, point, field, candidates, rng):
     memo: dict[frozenset, _Span | int] = {}
     flats = [None] * m
     assignment = [0] * m
-    checked: dict[tuple, Optional[Witness]] = {}
+    draws = _Draws(point, d, field, rng, blocks)
+    # per flat tuple: its leaf in draws, or the witness or None
+    checked: dict[tuple, int | Optional[Witness]] = {}
     # per depth i: the span and key of edges 0..i-1, and the next candidate
     span_at = [span] + [None] * m
     key_at = [frozenset()] + [None] * m
@@ -414,16 +497,20 @@ def _walk(h, point, field, candidates, rng):
             if key not in checked:
                 # the W_j span F^d here, so with dim W_j = |group| for every
                 # group they form a direct sum, which has a transversal
-                square = (blocks if all(len(spaces[g[0]]) == len(g)
-                                        for g in blocks) else None)
-                wit = _sample_witness(point, spaces, d, field, rng, square)
-                if wit is None and (square or _has_transversal(spaces, d, field)):
-                    while wit is None:
-                        wit = _sample_witness(point, spaces, d, field, rng,
-                                              square)
-                checked[key] = wit
-            if checked[key] is not None:
-                yield tuple(assignment), checked[key]
+                if all(len(spaces[g[0]]) == len(g) for g in blocks):
+                    checked[key] = draws.add(list(spaces))
+                else:
+                    draws.flush()
+                    wit = _sample_witness(point, spaces, d, field, rng, None)
+                    if wit is None and _has_transversal(spaces, d, field):
+                        while wit is None:
+                            wit = _sample_witness(point, spaces, d, field,
+                                                  rng, None)
+                    checked[key] = wit
+            got = checked[key]
+            if got is not None:
+                yield WitnessTuple(tuple(assignment), (draws, got)
+                                   if type(got) is int else got)
             i -= 1
             continue
         if nxt[i] == len(candidates[i]):
@@ -453,9 +540,9 @@ def _walk(h, point, field, candidates, rng):
 
 
 def _witnessed_assignments(h: Hypergraph, point, config, seed):
-    """Yield (assignment, witness) for each qualifying flat-instance
-    assignment at one point, in product order; identical canonical flat
-    tuples share one witness check, and all checks draw from one rng."""
+    """Yield a WitnessTuple for each qualifying flat-instance assignment at
+    one point, in product order; identical canonical flat tuples share one
+    witness check, and all checks draw from one rng."""
     if h.r > config.r:
         raise SizeMismatch(f"pattern has {h.r} colours, configuration "
                            f"{config.r} classes")
@@ -479,8 +566,8 @@ def enumerate_witness_tuples(h: Hypergraph, point, config, *,
     when more than TUPLE_CAP qualifying tuples exist.
     """
     out: list[WitnessTuple] = []
-    for assignment, wit in _witnessed_assignments(h, point, config, seed):
-        out.append(WitnessTuple(tuple(assignment), wit))
+    for wt in _witnessed_assignments(h, point, config, seed):
+        out.append(wt)
         if len(out) > TUPLE_CAP:
             raise CapExceeded(TUPLE_CAP)
     return out

@@ -23,8 +23,19 @@ of an invertible witness matrix otherwise. The split is counted, not
 sorted: with s = -alpha a joint's keys are s..s + n, the key T of the last
 pair taken is the least where the joints with s <= T hold n + 1 keys up to
 T, each joint takes its max(T - s, 0) keys below T, and the keys at T fill
-the rest in rank order. Every other dimension sorts the pairs and runs the
-elimination, which tests also run on lines as the closed form's oracle.
+the rest in rank order.
+
+On a k-flat (k >= 2) whose m <= k + 1 joints lift to independent vectors
+(p, 1) in F^(k+1), the counts are closed too: a projective change of
+coordinates takes the joints to coordinate points, where "order below a at
+e_i" is the monomial condition beta_i > n - a on degree-n forms in k + 1
+variables, over any field and in any chart. After a_i orders at each joint
+i the rank is sum over nonempty S of (-1)^(|S|+1) C(sum_S a_i - (|S| - 1)(n
++ 1) + k - 1, k), 0 below k; pair (i, r) adds the beta with beta_i = n - r
+and beta_j <= n - a_j at the other joints, counted by inclusion-exclusion.
+The exponent sets depend on the chart: they come from the elimination on
+first read and are kept. Every other flat runs the elimination, which the
+tests also run as the oracle of both closed forms.
 
 Over GF(p) the elimination packs each row into one int, one fixed-width
 slot per entry wide enough that a row can take every reduction unreduced
@@ -34,18 +45,21 @@ Fraction lists.
 
 Ledger sets over one configuration share a plan, kept on the configuration
 per (pattern, n). The plan holds each flat's joint charts, which do not
-depend on alpha. Each chart caches its pullback table per n, and the
-chart-independent part of a table (monomials, transitions, exponents per
-degree) is shared per (k, n), so a plan builds each table once. The plan also
-memoises eliminated ledgers on (flat, alpha of the flat's joints minus
-their minimum): the priority order (r - alpha, rank) does not move under
-that shift, and a hit is re-stamped with the call's context, so its digest
-is that of a fresh build. Closed-form line ledgers are not memoised: they
-cost less to read off than to keep, and keeping them would hold every
-handicap round's ledgers. What a plan keeps lives as long as its
-configuration: on the 2-flats pattern over K7 at n=4, 105 tables and the
-ledgers of every distinct relative handicap seen, about 0.6 MiB of peak
-memory in the benchmark's joints workload.
+depend on alpha. Each chart caches its pullback table per n, built by the
+first elimination that reads it, and the chart-independent part of a table
+(monomials, transitions, exponents per degree) is shared per (k, n), so a
+plan builds each table once. The plan also memoises ledgers on flats of
+dimension >= 2 on (flat, alpha of the flat's joints minus their minimum):
+the priority order (r - alpha, rank) does not move under that shift, a hit
+is re-stamped with the call's context, so its digest is that of a fresh
+build, and it shares the exponent sets of the ledger it copies, eliminated
+at most once. Line ledgers are not memoised: they cost less to read off
+than to keep, and keeping them would hold every handicap round's ledgers.
+What a plan keeps lives as long as its configuration: on the 2-flats
+pattern over K7 at n=4, where every plane holds 3 joints in general
+position and param_counting_check reads the exponents of the 15 planes of
+the chosen tuples, 45 tables (105 when every plane ledger was eliminated)
+and the ledgers of every distinct relative handicap seen.
 
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
@@ -71,6 +85,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
@@ -78,6 +93,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from . import linalg
 from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
                      NotConnected)
 from .fields import PrimeField
@@ -288,6 +304,23 @@ class _Echelon:
         return len(self.rows)
 
 
+class _Pivots:
+    """The exponent sets of an elimination not yet run: _eliminate runs on
+    the first read and its result is kept, shared by every copy of the
+    ledger that holds this object."""
+
+    __slots__ = ("args", "exponents")
+
+    def __init__(self, *args):
+        self.args, self.exponents = args, None
+
+    def get(self) -> dict:
+        if self.exponents is None:
+            self.exponents = _eliminate(*self.args)[1]
+            self.args = None
+        return self.exponents
+
+
 @dataclass
 class FlatLedger:
     """Elimination outcome for one flat under one handicap and degree cap."""
@@ -295,8 +328,15 @@ class FlatLedger:
     flat: object
     n: int
     counts: dict                       # rank -> B_{p,F}, every joint on F
-    exponents: dict                    # rank -> tuple of recorded gammas
+    pivots: object                     # the exponents, or a _Pivots
     context: tuple                     # shared (n, alpha fingerprint, field)
+
+    @property
+    def exponents(self) -> dict:
+        """rank -> tuple of recorded gammas."""
+        if type(self.pivots) is _Pivots:
+            return self.pivots.get()
+        return self.pivots
 
     def digest(self) -> str:
         payload = repr((self.flat.base, self.flat.dirs, self.n,
@@ -346,6 +386,35 @@ def _hermite_counts(n: int, joint_charts, alpha) -> dict:
     return counts
 
 
+def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
+    """Per rank, the rank increments of its pairs in priority order for
+    joints with independent lifts (p, 1), as the module docstring says:
+    the other k coordinates of the beta that pair (p, r) adds sum to r, and
+    inclusion-exclusion runs over the joints q whose bound n - a_q is
+    below r."""
+    pairs = sorted(((r, rank) for rank, _ in joint_charts
+                    for r in range(n + 1)),
+                   key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
+    taken = {rank: 0 for rank, _ in joint_charts}
+    counts = dict(taken)
+    left = comb(n + k, k)
+    for r, rank in pairs:
+        over = [n + 1 - a for q, a in taken.items()
+                if q != rank and n + 1 - a <= r]
+        gain = 0
+        for size in range(len(over) + 1):
+            for subset in itertools.combinations(over, size):
+                top = r - sum(subset)
+                if top >= 0:
+                    gain += (-1) ** size * comb(top + k - 1, k - 1)
+        taken[rank] += 1
+        counts[rank] += gain
+        left -= gain
+        if not left:
+            break
+    return counts
+
+
 def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
                       ) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
@@ -355,18 +424,27 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
     Pairs (rank, r) are processed by (r - alpha[rank], rank); within a pair,
     exponents of degree r in decreasing lex order. A line takes the Hermite
     closed form of the module docstring, which that precondition makes
-    exact; any other flat runs the elimination.
+    exact. On a flat of dimension k >= 2 with at most k + 1 joints whose
+    lifts (p, 1) are independent the counts take the simplex closed form,
+    and the exponents come from the elimination on first read; any other
+    flat runs the elimination.
     """
-    if flat.dim == 1:
+    field, k = flat.field, flat.dim
+    if k == 1:
         counts = _hermite_counts(n, joint_charts, alpha)
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
-        exponents = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
+        pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
+    elif len(joint_charts) <= k + 1 and linalg.rank(
+            [(*chart.shift, field.one) for _, chart in joint_charts],
+            field) == len(joint_charts):
+        counts = _simplex_counts(k, n, joint_charts, alpha)
+        pivots = _Pivots(field, k, n, joint_charts,
+                         {rank: alpha[rank] for rank, _ in joint_charts})
     else:
-        counts, exponents = _eliminate(flat.field, flat.dim, n, joint_charts,
-                                       alpha)
+        counts, pivots = _eliminate(field, k, n, joint_charts, alpha)
     if context is None:
-        context = (n, tuple(sorted(alpha.items())), flat.field.key())
-    return FlatLedger(flat, n, counts, exponents, context)
+        context = (n, tuple(sorted(alpha.items())), field.key())
+    return FlatLedger(flat, n, counts, pivots, context)
 
 
 # ---------------------------------------------------------------------------
@@ -611,38 +689,49 @@ class HandicapResult:
     ledger_set: LedgerSet
 
 
-def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan) -> list:
-    """Per rank, per witness tuple: the position in plan.charts, which is
-    also the position in a ledger set's ledgers, of each edge's flat."""
+def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan, sigma) -> list:
+    """Per rank: its distinct (slot, sigma) pairs with sigma > 0, and per
+    witness tuple the slot of each edge's flat and the positions in those
+    pairs of its weighted edges, in edge order. A slot is a position in
+    plan.charts, which is also the position in a ledger set's ledgers."""
     slot = {fl: i for i, (fl, _) in enumerate(plan.charts)}
-    return [[[slot[config.flat_of(c, a)]
-              for c, a in zip(h.colors, wt.assignment)]
-             for wt in config.tuples_at(h, idx)]
-            for idx in plan.order]
+    out = []
+    for idx in plan.order:
+        keys: dict = {}
+        tuples = []
+        for wt in config.tuples_at(h, idx):
+            slots = tuple(slot[config.flat_of(c, a)]
+                          for c, a in zip(h.colors, wt.assignment))
+            tuples.append((slots, tuple(
+                keys.setdefault((slot, s), len(keys))
+                for slot, s in zip(slots, sigma) if s)))
+        out.append((list(keys), tuples))
+    return out
 
 
-def _score_ranks(ls: LedgerSet, slots, W, sigma):
+def _score_ranks(ls: LedgerSet, slots, W):
     """Per rank: (W', S, min-product) from the current ledgers, with the
-    flats of its witness tuples given as slots (see _tuple_slots)."""
+    flats of its witness tuples given as slots (see _tuple_slots). Each
+    factor (B_{p,F} / n^dim F)^sigma is raised once per round, and a
+    tuple's product multiplies its factors in edge order."""
     n = ls.n
     counts = [led.counts for led in ls.ledgers.values()]
     scale = [n ** led.flat.dim for led in ls.ledgers.values()]
     out = []
-    for rank, tuples in enumerate(slots):
+    for rank, (keys, tuples) in enumerate(slots):
+        factors = []
+        for slot, s in keys:
+            bcount = counts[slot][rank]
+            factors.append((bcount / scale[slot]) ** s if bcount else 0.0)
         best = None
         best_s = None
-        for tup in tuples:
+        for tup, weighted in tuples:
             prod = 1.0
+            for j in weighted:
+                prod *= factors[j]
             ssum = 0
-            for i, slot in enumerate(tup):
-                bcount = counts[slot][rank]
-                ssum += bcount
-                if sigma[i] == 0.0:
-                    continue
-                if bcount == 0:
-                    prod = 0.0
-                else:
-                    prod *= (bcount / scale[slot]) ** sigma[i]
+            for slot in tup:
+                ssum += counts[slot][rank]
             if best is None or prod < best or (prod == best and ssum < best_s):
                 best, best_s = prod, ssum
         out.append((best / W[rank], best_s, best))
@@ -679,7 +768,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
     plan = _ledger_plan(h, config, n)
-    slots = _tuple_slots(h, config, plan)
+    slots = _tuple_slots(h, config, plan, sigma)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -689,7 +778,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     scores = None
     for rounds in range(max_rounds + 1):
         ls = plan.ledger_set(config, alpha)
-        scores = _score_ranks(ls, slots, W, sigma)
+        scores = _score_ranks(ls, slots, W)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [wps[i] - wps[i + 1] for i in range(nj - 1)]

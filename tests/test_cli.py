@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,16 @@ def test_kk_and_shadow_cli(workdir, capsys, tmp_path):
     payload = first_json(out)
     assert code == 0 and payload["colex_count"] == 49995000
     assert payload["bound"] == 49995000 and "clamped" not in payload
+
+
+@pytest.mark.parametrize("d", [171, 200])
+def test_kk_cli_past_float_factorials(capsys, d):
+    # d! exceeds every float here; the bound is n (x - d + 1) / d
+    code, out = run(capsys, "kk", "--n", "1000", "--d", str(d))
+    payload = first_json(out)
+    assert code == 0 and math.isfinite(payload["bound"])
+    assert payload["bound"] == pytest.approx(
+        1000 * (payload["x"] - d + 1) / d, rel=1e-12)
 
 
 def test_mcount_and_search_cli(workdir, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -123,6 +124,19 @@ def test_lovasz_bound_returns_where_floats_are_coarser_than_its_tolerance(n, d):
     # bisection on [a, a + 1] stops at adjacent floats at any n
     x, bound = lovasz_bound(n, d)
     assert abs(binom_real(x, d - 1) - n) <= 1e-12 * n
+    assert abs(bound - n * (x - d + 1) / d) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("n, d", [(1000, 170), (1000, 171), (1000, 200),
+                                  (10**6, 200)])
+def test_lovasz_bound_past_float_factorials(n, d):
+    # past d = 170, d! exceeds every float, and the product x(x-1)... of
+    # binom_real overflows from about there; its ratio product keeps x
+    # inside [a, a + 1] and the bound finite
+    x, bound = lovasz_bound(n, d)
+    assert comb(math.floor(x), d - 1) <= n < comb(math.floor(x) + 1, d - 1)
+    assert abs(binom_real(x, d - 1) - n) <= 1e-12 * n
+    assert math.isfinite(bound)
     assert abs(bound - n * (x - d + 1) / d) <= 1e-12 * bound
 
 

@@ -329,9 +329,9 @@ def test_block_decision_matches_the_determinant(family, rng_seed):
     assert rng_blocks.getstate() == rng_det.getstate()
 
 
-def test_walk_decides_square_leaves_on_blocks(monkeypatch):
-    # K3 and the 2-flats pattern have dim W_j = |group| at every leaf; the
-    # cone's apex group has W = F^d and keeps the determinant
+def _spy_on_draws(monkeypatch):
+    """The blocks of every _sample_witness call, as sorted tuples, from
+    here on."""
     seen = []
     real = geometry._sample_witness
 
@@ -340,13 +340,57 @@ def test_walk_decides_square_leaves_on_blocks(monkeypatch):
         return real(point, spaces, d, field, rng, blocks)
 
     monkeypatch.setattr(geometry, "_sample_witness", spy)
+    return seen
+
+
+def test_walk_decides_square_leaves_on_blocks(monkeypatch):
+    # K3 and the 2-flats pattern have dim W_j = |group| at every leaf; the
+    # cone's apex group has W = F^d and keeps the determinant
+    seen = _spy_on_draws(monkeypatch)
     for case, want in (("K3-K5", [(0,), (1,), (2,)]),
                        ("joints-K7", [(0, 1), (2, 3), (4, 5)]),
                        ("cone-K6", None)):
         h, cfg, points = _memo_fixture(case, F)
         seen.clear()
-        assert enumerate_witness_tuples(h, points[0], cfg)
+        tuples = enumerate_witness_tuples(h, points[0], cfg)
+        assert all(wt.witness for wt in tuples)
         assert seen and all(blocks == want for blocks in seen)
+
+
+@pytest.mark.parametrize("case", ["K3-K5", "joints-K7"])
+def test_square_leaves_draw_nothing_until_read(monkeypatch, case):
+    # every leaf is a direct sum, so enumeration and the existence checks
+    # decide without a draw; the first read draws one leaf
+    seen = _spy_on_draws(monkeypatch)
+    h, cfg, points = _memo_fixture(case, F)
+    tuples = enumerate_witness_tuples(h, points[0], cfg)
+    assert tuples and has_witness_tuple(h, points[0], cfg)
+    flats = [cfg.flat_of(c, a) for c, a in zip(h.colors, tuples[0].assignment)]
+    assert geometry.witness_exists(h, points[0], flats)
+    assert seen == []
+    assert tuples[0].witness == witness_check(h, points[0], flats)
+    assert seen
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("case", ["K3-K6", "C5", "cone-K6"])
+def test_witnesses_read_out_of_order_match_uncached_loop(case, field):
+    # each walk draws from its own rng in leaf order whatever order its
+    # witnesses are read in: backwards at one point, and alternating
+    # between two points whose walks are both part-read
+    h, cfg, points = _memo_fixture(case, field)
+    first, second = points[0], points[-1]
+    backwards = enumerate_witness_tuples(h, first, cfg, seed=3)
+    assert all(wt.witness is not None for wt in reversed(backwards))
+    assert backwards == _uncached_tuples(h, first, cfg, 3)
+    a = enumerate_witness_tuples(h, first, cfg, seed=4)
+    b = enumerate_witness_tuples(h, second, cfg, seed=5)
+    for i in range(max(len(a), len(b))):
+        for tuples in (b, a):
+            if i < len(tuples):
+                assert tuples[i].witness is not None
+    assert a == _uncached_tuples(h, first, cfg, 4)
+    assert b == _uncached_tuples(h, second, cfg, 5)
 
 
 @seed(8810)

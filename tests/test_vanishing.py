@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
@@ -676,6 +676,103 @@ def test_plan_line_charts_meet_the_closed_form_precondition():
             assert len(set(shifts)) == len(shifts)
     assert lines > 100
 
+
+# ---------------------------------------------------------------------------
+# the simplex closed form on k-flats against the elimination
+# ---------------------------------------------------------------------------
+
+def _invertible(draw, field, k):
+    """A k x k matrix L U, L unit lower triangular and U upper triangular
+    with a nonzero diagonal, as k column tuples."""
+    size = getattr(field, "p", 50)
+    low = [[field.one if i == j else field.from_int(draw(st.integers(0, size)))
+            if i > j else field.zero for j in range(k)] for i in range(k)]
+    up = [[field.from_int(draw(st.integers(1, size - 1))) if i == j
+           else field.from_int(draw(st.integers(0, size))) if i < j
+           else field.zero for j in range(k)] for i in range(k)]
+    rows = [[field.dot(low[i], [up[t][j] for t in range(k)]) for j in range(k)]
+            for i in range(k)]
+    return tuple(tuple(rows[i][j] for i in range(k)) for j in range(k))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(7), F, QQ],
+                         ids=["GF2", "GF3", "GF7", "GF61", "Q"])
+@seed(2416)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_simplex_counts_match_elimination(field, k, data):
+    # 1 to k + 2 joints at distinct points, half the time on one line, with
+    # random invertible charts and handicaps: independent lifts (p, 1) take
+    # the closed form, with the elimination's counts and, on read, its
+    # exponents; dependent ones, and more than k + 1 joints, are eliminated
+    size = getattr(field, "p", 7)
+    flat = Flat(field, k, (field.zero,) * k,
+                [tuple(field.one if i == j else field.zero for i in range(k))
+                 for j in range(k)])
+    if data.draw(st.booleans()):
+        slope = (1, *data.draw(st.tuples(*[st.integers(0, size - 1)] * (k - 1))))
+        points = [tuple(t * c for c in slope) for t in data.draw(st.lists(
+            st.integers(0, size - 1), min_size=1, max_size=min(k + 1, size),
+            unique=True))]
+    else:
+        points = data.draw(st.lists(
+            st.tuples(*[st.integers(0, size - 1)] * k), min_size=1,
+            max_size=min(k + 2, size ** k), unique=True))
+    ranks = data.draw(st.permutations(range(len(points))))
+    charts = [(rank, Chart(field, k, _invertible(data.draw, field, k),
+                           tuple(map(field.from_int, p))))
+              for rank, p in zip(ranks, points)]
+    alpha = {rank: data.draw(st.integers(-3, 3)) for rank in ranks}
+    n = data.draw(st.integers(0, 5))
+    lifts = [(*chart.shift, field.one) for _, chart in charts]
+    closed = (len(charts) <= k + 1
+              and linalg.rank(lifts, field) == len(charts))
+    event(f"closed={closed}, joints {'>' if len(charts) > k + 1 else '<='} k+1")
+    ledger = build_flat_ledger(flat, charts, alpha, n)
+    assert (type(ledger.pivots) is vanishing._Pivots) == closed
+    counts, exponents = vanishing._eliminate(field, k, n, charts, alpha)
+    assert list(ledger.counts.items()) == list(counts.items())
+    assert ledger.exponents == exponents
+
+
+def test_collinear_joints_on_a_plane_are_eliminated():
+    # three joints on a line of the plane: the simplex count would split
+    # the 3 conditions at n = 1 one each, the elimination gives {0: 2, 1: 1}
+    gf7 = GF(7)
+    plane = Flat(gf7, 2, (0, 0), [(1, 0), (0, 1)])
+    charts = [(rank, Chart.translation(gf7, (x, 0)))
+              for rank, x in enumerate((0, 1, 2))]
+    alpha = dict.fromkeys(range(3), 0)
+    assert vanishing._simplex_counts(2, 1, charts, alpha) == {0: 1, 1: 1, 2: 1}
+    ledger = build_flat_ledger(plane, charts, alpha, 1)
+    assert ledger.counts == {0: 2, 1: 1, 2: 0}
+    assert type(ledger.pivots) is dict
+
+
+def test_exponents_eliminate_on_first_read_and_memo_hits_share(monkeypatch):
+    # building a ledger set on planes reduces no row; reading one ledger's
+    # exponents eliminates it once, and the memo's copy of that ledger for
+    # a shifted handicap reads them without a second elimination
+    inserts = []
+    insert = vanishing._Echelon.insert
+    monkeypatch.setattr(vanishing._Echelon, "insert",
+                        lambda self, row: inserts.append(1) or insert(self, row))
+    h, cfg = FLATS2, _flats2_config(F)
+    plan = _fresh_plan(h, cfg, 3)
+    alpha = {r: r % 3 - 1 for r in range(len(cfg.points))}
+    ls = plan.ledger_set(cfg, alpha)
+    assert inserts == []
+    fl = ls.flat_by_edge[(0, 0)]
+    exponents = ls.ledgers[fl].exponents
+    assert len(inserts) >= comb(3 + 2, 2)
+    inserts.clear()
+    assert ls.ledgers[fl].exponents is exponents
+    hit = plan.ledger_set(cfg, {r: a + 2 for r, a in alpha.items()})
+    assert hit.ledgers[fl].exponents is exponents
+    assert inserts == []
+
+
 def test_incidence_matches_the_contains_scan():
     # a stored point's incidence is kept on its configuration and read by
     # the witness walk and the ledger plan: it must list the instances a
@@ -789,7 +886,7 @@ def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
         plan = vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
         ls = plan.ledger_set(cfg, alpha)
         scores = vanishing._score_ranks(
-            ls, vanishing._tuple_slots(h, cfg, plan), W, sigma)
+            ls, vanishing._tuple_slots(h, cfg, plan, sigma), W)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
