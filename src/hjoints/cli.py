@@ -124,6 +124,10 @@ def cmd_cone(args) -> int:
 
 def cmd_build_config(args) -> int:
     field = _field_arg(args.field)
+    if args.t < 0:
+        raise ValueError(f"--t must be non-negative, got --t {args.t}")
+    if args.t and args.kind != "projected":
+        raise ValueError(f"--t {args.t} applies only to --kind projected")
     if args.kind == "axis":
         spec = load_json(args.axis_spec)
         d = as_int(spec["d"])
@@ -136,10 +140,9 @@ def cmd_build_config(args) -> int:
     else:
         host = load_simple_hypergraph(args.host)
         pattern = load_hypergraph(args.pattern)
-        t = args.t if args.kind == "projected" else 0
-        fam = generic_hyperplanes(args.m or host.n, pattern.d + t,
+        fam = generic_hyperplanes(args.m or host.n, pattern.d + args.t,
                                   seed=args.seed, field=field)
-        cfg = projected_generically_induced(host, pattern, t, fam,
+        cfg = projected_generically_induced(host, pattern, args.t, fam,
                                             projection_seed=args.seed)
     save_json(args.output, cfg.to_dict())
     print(f"configuration written to {args.output}: "
@@ -365,8 +368,11 @@ def cmd_handicap_run(args) -> int:
 def cmd_key_audit(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "key-audit", [args.certificate])
     cert = load_json(args.certificate)
-    field = field_from_key(cert["field"])
-    flats = [Flat.from_dict(field, cert["d"], fd) for fd in cert["flats"]]
+    field, d = field_from_key(cert["field"]), as_int(cert["d"])
+    if (field, d) != (cfg.field, cfg.d):
+        raise ValueError(f"certificate over {field} in d={d}, configuration "
+                         f"over {cfg.field} in d={cfg.d}")
+    flats = [Flat.from_dict(field, d, fd) for fd in cert["flats"]]
 
     def index(entry, key, size):
         i = entry[key]
@@ -377,6 +383,9 @@ def cmd_key_audit(args) -> int:
     b = {(index(entry, "point", len(cfg.points)),
           flats[index(entry, "flat", len(flats))]):
          parse_fraction(entry["value"]) for entry in cert["b"]}
+    held = {fl for cls in cfg.classes for fl in cls}
+    if any(fl not in held for _, fl in b):
+        raise ValueError("certificate b names a flat in no configuration class")
     W = {r: float(v) for r, v in enumerate(cert["W"])}
     if not all(0 < x < math.inf for x in W.values()):
         raise ValueError("certificate W values must be positive and finite")

@@ -34,7 +34,7 @@ from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
                      SizeMismatch)
 from .fields import GF, PrimeField, as_int, field_from_key
 from .geometry import (Flat, WitnessTuple, enumerate_witness_tuples,
-                       witness_exists)
+                       witness_check)
 from .hypergraph import Hypergraph
 
 PROJECTION_RETRIES = 16
@@ -219,7 +219,7 @@ def _induced(host, h: Hypergraph, t: int, family: HyperplaneFamily,
         order = sorted(A)
         flats = [flat_of[c - 1][tuple(sorted(order[emb[v] - 1] for v in e))]
                  for e, c in zip(cone_pat.edges, h.colors)]
-        if not witness_exists(h, p, flats):
+        if witness_check(h, p, flats) is None:
             raise GenericityFailure(f"witness failed at vertex set {A}")
         points.append(p)
     if len(set(points)) != len(points):
@@ -243,6 +243,8 @@ def projected_generically_induced(host, h: Hypergraph, t: int,
     """Generic configuration in F^(d+t) pushed down to F^d; resample on
     any degeneracy (dimension drop, collision, witness failure). At t = 0
     nothing is projected: one attempt, whose GenericityFailure propagates."""
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got t = {t}")
     if t == 0:
         return generically_induced(host, h, family)
     field = family.field

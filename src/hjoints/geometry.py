@@ -14,18 +14,19 @@ independent vectors v_1..v_d with
 
     v_j in W_j := intersection of dir(F_e) over all edges e not containing j
 
-(W_j is the whole space when j lies in every edge). The decision is exact.
-A family whose W_j are not all nonzero, or do not jointly span F^d, has no
-transversal. Otherwise DRAWS random transversals are tried; the first
-invertible one is the witness. Only when every draw is singular does Rado's
-rank condition decide: independent v_j in W_j exist iff
-dim(sum_{j in S} W_j) >= |S| for every vertex set S (R. Rado, "A theorem on
-independence relations", 1942). If it holds, drawing continues until a
-witness is found; the determinant is multilinear in (v_1..v_d), so each
-draw succeeds with probability at least (1 - 1/p)^d over GF(p). The draws
-come first because one rank test of the d columns settles almost every
-joint, while the rank condition costs up to 2^g - 1 rank tests for g
-distinct W_j.
+(W_j is the whole space when j lies in every edge). Any such A is a
+witness, and the decision is exact. A family whose W_j are not all nonzero,
+or do not jointly span F^d, has no transversal. Where the W_j form a direct
+sum (below), the stacked bases are the witness. Otherwise DRAWS random
+transversals are tried; the first invertible one is the witness. Only when
+every draw is singular does Rado's rank condition decide: independent v_j
+in W_j exist iff dim(sum_{j in S} W_j) >= |S| for every vertex set S
+(R. Rado, "A theorem on independence relations", 1942). If it holds,
+drawing continues until a witness is found; the determinant is multilinear
+in (v_1..v_d), so each draw succeeds with probability at least (1 - 1/p)^d
+over GF(p). The draws come first because one rank test of the d columns
+settles almost every joint, while the rank condition costs up to 2^g - 1
+rank tests for g distinct W_j.
 
 Enumeration is a depth-first walk over the edges in index order, which
 visits complete assignments in product order. Vertices with the same set of
@@ -54,32 +55,18 @@ not in a recursive closure, so nothing it holds outlives it in a reference
 cycle waiting for the collector.
 
 At a leaf where every group's W_j has dimension equal to the group's size,
-the W_j, which span F^d, form a direct sum. With S the stacked bases and T_g
-a group's square block of coefficients (a row per vertex, a column per basis
-row), det(v_1..v_d) = +-det(S) prod_g det(T_g), so a draw is decided by
-testing the rank of each T_g, and columns are built only for the draw that
-is kept. The coefficients are drawn in the same order as for the d columns,
-so the rng stream and the witnesses are unchanged; a direct sum has a
-transversal, so Rado's condition is not needed there. Any other leaf, such
-as one with a group whose W_j is F^d, tests the rank of the d columns.
-
-Since a direct-sum leaf qualifies whatever is drawn, the walk decides it
-without drawing: the leaf joins the walk's one queue of draws (_Draws), and
-its witness is drawn when a WitnessTuple's witness is first read, after
-every earlier queued leaf. Any other leaf draws the whole queue first, then
-itself. The draws thus come from the one rng in leaf order however the
-witnesses are read, and equal those of drawing at each leaf as it is
-reached; has_witness_tuple and witness_exists read no witness. Every
-rank here is found by linalg's cross-multiplied elimination, which takes no
-field inverse; rows are normalised only for a span that is kept below rank
-d.
+the W_j, which span F^d, form a direct sum, so the stacked bases of the W_j
+are a basis of F^d: the i-th vertex of a group takes row i of the group's
+basis, with no draw and no rank test. Any other leaf, such as one with a
+group whose W_j is F^d, draws as above. Every rank here is found by linalg's
+cross-multiplied elimination, which takes no field inverse; rows are
+normalised only for a span that is kept below rank d.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -220,36 +207,14 @@ class Witness:
     columns: tuple  # d column vectors, each a length-d tuple
 
 
+@dataclass(frozen=True, slots=True)
 class WitnessTuple:
     """A qualifying assignment edge -> flat instance at one point.
 
-    assignment: per edge, an index into the edge color's class. The witness
-    is a Witness, or a walk's (_Draws, leaf) until it is first read;
-    equality and hash are on (assignment, witness)."""
+    assignment: per edge, an index into the edge color's class."""
 
-    __slots__ = ("assignment", "_witness")
-
-    def __init__(self, assignment, witness):
-        self.assignment, self._witness = assignment, witness
-
-    @property
-    def witness(self) -> Witness:
-        if type(self._witness) is tuple:
-            draws, leaf = self._witness
-            self._witness = draws.witness(leaf)
-        return self._witness
-
-    def __eq__(self, other):
-        if not isinstance(other, WitnessTuple):
-            return NotImplemented
-        return (self.assignment, self.witness) == (other.assignment,
-                                                   other.witness)
-
-    def __hash__(self):
-        return hash((self.assignment, self.witness))
-
-    def __repr__(self):
-        return f"WitnessTuple({self.assignment!r}, {self.witness!r})"
+    assignment: tuple
+    witness: Witness
 
 
 def _vertex_groups(h: Hypergraph):
@@ -347,61 +312,14 @@ def _combine(basis, coeffs, d, field):
     return tuple(v)
 
 
-def _sample_witness(point, spaces, d, field, rng, blocks
-                    ) -> Optional[Witness]:
-    """Up to DRAWS random transversals; the first invertible one, or None.
-
-    blocks, unless None, are vertex groups whose W_j form a direct sum of
-    F^d with dim W_j equal to the group's size; a draw is then decided on
-    each group's square block of coefficients, and columns are built only
-    for the draw that is kept. With None every draw is a rank test of its d
-    columns."""
+def _sample_witness(point, spaces, d, field, rng) -> Optional[Witness]:
+    """Up to DRAWS random transversals; the first invertible one, or None."""
     for _ in range(DRAWS):
-        coeffs = [[field.rand(rng) for _ in basis] for basis in spaces]
-        if blocks is not None and any(
-                len(linalg._echelon([coeffs[j] for j in g], field)) < len(g)
-                for g in blocks):
-            continue
-        cols = tuple(_combine(basis, c, d, field)
-                     for basis, c in zip(spaces, coeffs))
-        if blocks is not None or len(linalg._echelon(cols, field)) == d:
+        cols = tuple(_combine(basis, [field.rand(rng) for _ in basis], d,
+                              field) for basis in spaces)
+        if len(linalg._echelon(cols, field)) == d:
             return Witness(tuple(point), cols)
     return None
-
-
-class _Draws:
-    """The witnesses of one walk's direct-sum leaves, drawn on first read.
-
-    Leaves are added in walk order; reading one draws every earlier leaf
-    first, and flush draws them all, so every witness and every rng draw is
-    that of drawing each leaf as the walk reaches it."""
-
-    __slots__ = ("point", "d", "field", "rng", "blocks", "drawn", "pending")
-
-    def __init__(self, point, d, field, rng, blocks):
-        self.point, self.d, self.field, self.rng = point, d, field, rng
-        self.blocks = blocks
-        self.drawn: list[Witness] = []
-        self.pending: deque = deque()  # the W_j of each later leaf
-
-    def add(self, spaces) -> int:
-        """Queue a leaf; its index for witness."""
-        self.pending.append(spaces)
-        return len(self.drawn) + len(self.pending) - 1
-
-    def witness(self, leaf: int) -> Witness:
-        while len(self.drawn) <= leaf:
-            spaces = self.pending.popleft()
-            wit = None
-            while wit is None:  # a direct sum has a transversal
-                wit = _sample_witness(self.point, spaces, self.d, self.field,
-                                      self.rng, self.blocks)
-            self.drawn.append(wit)
-        return self.drawn[leaf]
-
-    def flush(self) -> None:
-        if self.pending:
-            self.witness(len(self.drawn) + len(self.pending) - 1)
 
 
 def _has_transversal(spaces, d, field) -> bool:
@@ -431,12 +349,6 @@ def witness_check(h: Hypergraph, point, flats: Sequence[Flat], *,
                 None)
 
 
-def witness_exists(h: Hypergraph, point, flats: Sequence[Flat]) -> bool:
-    """Whether witness_check finds a witness, drawing none where the W_j
-    form a direct sum."""
-    return any(True for _ in _flat_walk(h, point, flats, 0))
-
-
 def _flat_walk(h, point, flats, seed):
     """The walk over one candidate per edge, after checking its input."""
     d = h.d
@@ -458,14 +370,13 @@ def _walk(h, point, field, candidates, rng):
     partial assignment once some final W_j is zero or the final W_j plus
     the bounds of the unfinished groups cannot reach dimension d. At a leaf
     the W_j are nonzero and jointly span F^d; identical flat tuples share
-    one witness, and all draws come from rng, through one _Draws: a
-    direct-sum leaf is queued there, any other leaf draws the queue and
-    then itself."""
+    one witness. A direct-sum leaf's witness is the stacked bases; any other
+    leaf draws from rng."""
     d, m = h.d, len(h.edges)
     spaces = [None] * d  # W_j of the current assignment, per vertex
     span = _Span((), [], d)
     groups = sorted(_vertex_groups(h), key=lambda g: g[0][-1:])
-    blocks = [vertices for _, vertices, _ in groups]
+    members = [vertices for _, vertices, _ in groups]
     pending = sum(bound for _, _, bound in groups)  # of the unfinished groups
     final_at = [[] for _ in range(m)]  # per edge: (edges, vertices, need)
     for edges, vertices, bound in groups:
@@ -483,9 +394,7 @@ def _walk(h, point, field, candidates, rng):
     memo: dict[frozenset, _Span | int] = {}
     flats = [None] * m
     assignment = [0] * m
-    draws = _Draws(point, d, field, rng, blocks)
-    # per flat tuple: its leaf in draws, or the witness or None
-    checked: dict[tuple, int | Optional[Witness]] = {}
+    checked: dict[tuple, Optional[Witness]] = {}  # per flat tuple
     # per depth i: the span and key of edges 0..i-1, and the next candidate
     span_at = [span] + [None] * m
     key_at = [frozenset()] + [None] * m
@@ -496,21 +405,22 @@ def _walk(h, point, field, candidates, rng):
             key = tuple(flats)
             if key not in checked:
                 # the W_j span F^d here, so with dim W_j = |group| for every
-                # group they form a direct sum, which has a transversal
-                if all(len(spaces[g[0]]) == len(g) for g in blocks):
-                    checked[key] = draws.add(list(spaces))
+                # group they form a direct sum: their stacked bases are a
+                # basis of F^d, row i of a group's basis for its i-th vertex
+                if all(len(spaces[g[0]]) == len(g) for g in members):
+                    cols = [None] * d
+                    for g in members:
+                        for j, row in zip(g, spaces[g[0]]):
+                            cols[j] = row
+                    wit = Witness(tuple(point), tuple(cols))
                 else:
-                    draws.flush()
-                    wit = _sample_witness(point, spaces, d, field, rng, None)
+                    wit = _sample_witness(point, spaces, d, field, rng)
                     if wit is None and _has_transversal(spaces, d, field):
                         while wit is None:
-                            wit = _sample_witness(point, spaces, d, field,
-                                                  rng, None)
-                    checked[key] = wit
-            got = checked[key]
-            if got is not None:
-                yield WitnessTuple(tuple(assignment), (draws, got)
-                                   if type(got) is int else got)
+                            wit = _sample_witness(point, spaces, d, field, rng)
+                checked[key] = wit
+            if checked[key] is not None:
+                yield WitnessTuple(tuple(assignment), checked[key])
             i -= 1
             continue
         if nxt[i] == len(candidates[i]):

@@ -619,6 +619,67 @@ def test_key_audit_rejects_a_zero_target_weight(workdir, capsys, tmp_path):
     assert err.startswith("error: ") and "positive and finite" in err
 
 
+
+@pytest.mark.parametrize("change", ["none", "field", "d", "flat"])
+def test_key_audit_rejects_a_certificate_for_another_configuration(
+        workdir, capsys, tmp_path, change):
+    # a certificate over GF(2^61-1) audited against the Q configuration of
+    # the same host, or written in d=4, failed condition 1 (exit 1), and a
+    # b on a flat that no class holds was summed into condition 2
+    cert_path = tmp_path / "run.cert"
+    pattern = ["--pattern", workdir / "k3.hg", "--weights", workdir / "half.w"]
+    for name, argv in (("g.cfg", []), ("q.cfg", ["--field", "rational"]),
+                       ("other.cfg", ["--seed", "1"])):
+        run(capsys, "build-config", "--kind", "generic", "--host",
+            workdir / "k4.hg", "--pattern", workdir / "k3.hg",
+            "-o", tmp_path / name, *argv)
+    run(capsys, "handicap-run", "--config", tmp_path / "g.cfg", *pattern,
+        "--n", "24", "-o", cert_path)
+    cert, cfg_path = load_json(cert_path), tmp_path / "g.cfg"
+    if change == "field":
+        cfg_path = tmp_path / "q.cfg"
+    elif change == "d":
+        cert["d"] = 4
+        for flat in cert["flats"]:
+            for vec in (flat["basepoint"], *flat["directions"]):
+                vec.append("0")
+    elif change == "flat":
+        other = load_json(tmp_path / "other.cfg")
+        cert["flats"][0] = other["classes"][0]["flats"][0]
+    save_json(cert_path, cert)
+    code = main([str(a) for a in ["key-audit", "--certificate", cert_path,
+                                  "--config", cfg_path, *pattern]])
+    out, err = capsys.readouterr()
+    if change == "none":
+        assert code == 0 and "FAIL" not in out
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error: ValueError: certificate ")
+
+
+@pytest.mark.parametrize("kind, t, message", [
+    ("generic", "2", "--t 2 applies only to --kind projected"),
+    ("axis", "3", "--t 3 applies only to --kind projected"),
+    ("projected", "-1", "--t must be non-negative, got --t -1"),
+    ("projected", "-3", "--t must be non-negative, got --t -3")],
+    ids=["generic", "axis", "negative", "below-minus-d"])
+def test_build_config_rejects_a_t_it_cannot_use(workdir, capsys, tmp_path,
+                                                kind, t, message):
+    # --kind generic --t 2 and --kind axis --t 3 wrote the bytes of t = 0;
+    # --kind projected --t -1 reported that no generic projection was
+    # found, and --t -3 that the family needs D >= 1
+    save_json(tmp_path / "axis.json",
+              {"d": 2, "s": 2, "subsets": [[1], [2]],
+               "functions": [{"0": 1, "1": 1}, {"0": 1, "1": 1}]})
+    cfg_path = tmp_path / "g.cfg"
+    code = main([str(a) for a in ["build-config", "--kind", kind, "--t", t,
+                                  "--host", workdir / "k4.hg", "--pattern",
+                                  workdir / "k3.hg", "--axis-spec",
+                                  tmp_path / "axis.json", "-o", cfg_path]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not cfg_path.exists()
+    assert err.startswith("error: ") and message in err
+
 ODD_SCALARS = ["1/0", "nan", float("nan"), float("inf"), 10 ** 30, -10 ** 30,
                -1, 0, 1.5, 2.5, None, True, "x", [], {}]
 

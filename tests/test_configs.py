@@ -141,6 +141,15 @@ def test_projected_counts_preserved_from_upstairs():
     assert cfg.class_sizes() == (20,)
 
 
+def test_projected_rejects_a_negative_t():
+    # t = -1 retried 16 projections of a family of ambient d - 1 and
+    # reported that none was full rank
+    fam = generic_hyperplanes(4, 2, seed=0)
+    with pytest.raises(ValueError, match="t must be non-negative, got t = -1"):
+        projected_generically_induced(SimpleHypergraph.complete(4, 2), K3,
+                                      -1, fam)
+
+
 def test_projected_adversarial_zero_matrix():
     host = SimpleHypergraph.complete(4, 3)
     fam = generic_hyperplanes(4, 4, seed=0)

@@ -315,69 +315,37 @@ def direct_sums(draw):
 
 @seed(8809)
 @settings(max_examples=300, deadline=None)
-@given(family=direct_sums(), rng_seed=st.integers(0, 1 << 16))
-def test_block_decision_matches_the_determinant(family, rng_seed):
-    # the same draws decided on the groups' square coefficient blocks and
-    # by the d x d determinant: same witness or None, same rng state after
+@given(family=direct_sums().filter(
+           lambda family: len(family[3]) > 1 and family[1] <= 6),
+       rng_seed=st.integers(0, 1 << 16))
+def test_direct_sum_witness_is_the_stacked_bases(family, rng_seed):
+    # one edge per group, holding every other vertex: each group's vertices
+    # avoid only their own edge, whose flat has the group's W as directions;
+    # d <= 6, as in K3 and the 2-flats pattern, since ref_det expands d! terms
     field, d, spaces, groups = family
-    point = (field.zero,) * d
-    rng_det, rng_blocks = random.Random(rng_seed), random.Random(rng_seed)
-    want = geometry._sample_witness(point, spaces, d, field, rng_det, None)
-    event(f"witness={want is not None}")
-    assert geometry._sample_witness(point, spaces, d, field, rng_blocks,
-                                    groups) == want
-    assert rng_blocks.getstate() == rng_det.getstate()
-
-
-def _spy_on_draws(monkeypatch):
-    """The blocks of every _sample_witness call, as sorted tuples, from
-    here on."""
-    seen = []
-    real = geometry._sample_witness
-
-    def spy(point, spaces, d, field, rng, blocks):
-        seen.append(blocks and sorted(map(tuple, blocks)))
-        return real(point, spaces, d, field, rng, blocks)
-
-    monkeypatch.setattr(geometry, "_sample_witness", spy)
-    return seen
-
-
-def test_walk_decides_square_leaves_on_blocks(monkeypatch):
-    # K3 and the 2-flats pattern have dim W_j = |group| at every leaf; the
-    # cone's apex group has W = F^d and keeps the determinant
-    seen = _spy_on_draws(monkeypatch)
-    for case, want in (("K3-K5", [(0,), (1,), (2,)]),
-                       ("joints-K7", [(0, 1), (2, 3), (4, 5)]),
-                       ("cone-K6", None)):
-        h, cfg, points = _memo_fixture(case, F)
-        seen.clear()
-        tuples = enumerate_witness_tuples(h, points[0], cfg)
-        assert all(wt.witness for wt in tuples)
-        assert seen and all(blocks == want for blocks in seen)
-
-
-@pytest.mark.parametrize("case", ["K3-K5", "joints-K7"])
-def test_square_leaves_draw_nothing_until_read(monkeypatch, case):
-    # every leaf is a direct sum, so enumeration and the existence checks
-    # decide without a draw; the first read draws one leaf
-    seen = _spy_on_draws(monkeypatch)
-    h, cfg, points = _memo_fixture(case, F)
-    tuples = enumerate_witness_tuples(h, points[0], cfg)
-    assert tuples and has_witness_tuple(h, points[0], cfg)
-    flats = [cfg.flat_of(c, a) for c, a in zip(h.colors, tuples[0].assignment)]
-    assert geometry.witness_exists(h, points[0], flats)
-    assert seen == []
-    assert tuples[0].witness == witness_check(h, points[0], flats)
-    assert seen
+    point = tuple(field.from_int(x) for x in range(d))
+    h = Hypergraph(d, tuple(tuple(j + 1 for j in range(d) if j not in g)
+                            for g in groups), (1,) * len(groups))
+    flats = [Flat(field, d, point, spaces[g[0]]) for g in groups]
+    rng = random.Random(rng_seed)
+    state = rng.getstate()
+    [wt] = geometry._walk(h, point, field, [[(0, f)] for f in flats], rng)
+    assert rng.getstate() == state
+    want = [None] * d
+    for g, f in zip(groups, flats):
+        for j, row in zip(g, f.direction_basis()):
+            want[j] = row
+    assert wt.witness == geometry.Witness(point, tuple(want))
+    assert not field.is_zero(ref_det(list(wt.witness.columns), field))
+    for j, v in enumerate(wt.witness.columns):
+        assert linalg.rank(spaces[j] + [v], field) == len(spaces[j])
 
 
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
 @pytest.mark.parametrize("case", ["K3-K6", "C5", "cone-K6"])
 def test_witnesses_read_out_of_order_match_uncached_loop(case, field):
-    # each walk draws from its own rng in leaf order whatever order its
-    # witnesses are read in: backwards at one point, and alternating
-    # between two points whose walks are both part-read
+    # a witness is fixed when the walk yields it: reading backwards at one
+    # point, or alternating between two points, reads the uncached loop's
     h, cfg, points = _memo_fixture(case, field)
     first, second = points[0], points[-1]
     backwards = enumerate_witness_tuples(h, first, cfg, seed=3)
@@ -630,13 +598,16 @@ def _memo_fixture(case, field):
 def _oracle_witness(h, point, flats, rng, meets=None):
     """The witness core from scratch for one assignment: each W_j as the
     nullspace of the direction annihilators of the flats on edges avoiding
-    j, the stacked-rank spanning filter, then the draws and, when all of
-    them are singular, Rado's condition. meets, when given, keeps each W
-    across calls, keyed on the ordered flats whose rows it is the nullspace
-    of: a function of its key, so keeping it changes no result."""
+    j, and the stacked-rank spanning filter. Where every group of vertices
+    with the same avoiding edges has a W of the group's size, the witness
+    is the stacked bases, row i of the W for the group's i-th vertex;
+    otherwise the draws and, when all of them are singular, Rado's
+    condition. meets, when given, keeps each W across calls, keyed on the
+    ordered flats whose rows it is the nullspace of: a function of its key,
+    so keeping it changes no result."""
     d, field = h.d, flats[0].field
     meets = {} if meets is None else meets
-    spaces = []
+    spaces, groups = [], {}
     for j in range(1, d + 1):
         key = tuple(flats[i] for i, e in enumerate(h.edges) if j not in e)
         if key not in meets:
@@ -644,13 +615,21 @@ def _oracle_witness(h, point, flats, rng, meets=None):
             meets[key] = (linalg.nullspace(rows, field, d) if rows
                           else linalg.identity_rows(d, field))
         spaces.append(meets[key])
+        groups.setdefault(tuple(i for i, e in enumerate(h.edges)
+                                if j not in e), []).append(j - 1)
     if not all(spaces) or linalg.rank(
             [row for basis in spaces for row in basis], field) < d:
         return None
-    wit = geometry._sample_witness(point, spaces, d, field, rng, None)
+    if all(len(spaces[g[0]]) == len(g) for g in groups.values()):
+        cols = [None] * d
+        for g in groups.values():
+            for i, j in enumerate(g):
+                cols[j] = spaces[j][i]
+        return geometry.Witness(tuple(point), tuple(cols))
+    wit = geometry._sample_witness(point, spaces, d, field, rng)
     if wit is None and geometry._has_transversal(spaces, d, field):
         while wit is None:
-            wit = geometry._sample_witness(point, spaces, d, field, rng, None)
+            wit = geometry._sample_witness(point, spaces, d, field, rng)
     return wit
 
 
