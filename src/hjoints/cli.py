@@ -128,7 +128,16 @@ def cmd_build_config(args) -> int:
         raise ValueError(f"--t must be non-negative, got --t {args.t}")
     if args.t and args.kind != "projected":
         raise ValueError(f"--t {args.t} applies only to --kind projected")
-    if args.kind == "axis":
+    axis = args.kind == "axis"
+    for name in ("axis_spec",) if axis else ("host", "pattern"):
+        if getattr(args, name) is None:
+            raise ValueError(f"--kind {args.kind} needs "
+                             f"--{name.replace('_', '-')}")
+    for name in ("host", "pattern", "m", "seed") if axis else ("axis_spec",):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--kind {args.kind} does not read "
+                             f"--{name.replace('_', '-')}")
+    if axis:
         spec = load_json(args.axis_spec)
         d = as_int(spec["d"])
         subsets = [tuple(as_int(j) for j in s) for s in spec["subsets"]]
@@ -140,10 +149,11 @@ def cmd_build_config(args) -> int:
     else:
         host = load_simple_hypergraph(args.host)
         pattern = load_hypergraph(args.pattern)
+        seed = args.seed or 0
         fam = generic_hyperplanes(args.m or host.n, pattern.d + args.t,
-                                  seed=args.seed, field=field)
+                                  seed=seed, field=field)
         cfg = projected_generically_induced(host, pattern, args.t, fam,
-                                            projection_seed=args.seed)
+                                            projection_seed=seed)
     save_json(args.output, cfg.to_dict())
     print(f"configuration written to {args.output}: "
           f"{len(cfg.points)} points, classes {cfg.class_sizes()}")
@@ -466,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis-spec")
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="family and projection seed "
+                   "(default 0)")
     p.add_argument("--field", default="prime",
                    help="'prime' (default 2^61-1), 'rational', or a prime")
     p.add_argument("-o", "--output", required=True)

@@ -33,8 +33,8 @@ from . import linalg
 from .errors import (FieldTooSmall, GenericityFailure, NegativeValue,
                      SizeMismatch)
 from .fields import GF, PrimeField, as_int, field_from_key
-from .geometry import (Flat, WitnessTuple, enumerate_witness_tuples,
-                       witness_check)
+from .geometry import (Flat, WitnessTuple, _SpanMemo,
+                       enumerate_witness_tuples, witness_check)
 from .hypergraph import Hypergraph
 
 PROJECTION_RETRIES = 16
@@ -67,6 +67,8 @@ class JointsConfiguration:
                 raise ValueError(f"point ({text}) is stored twice")
             self._incidence[p] = None
         self._tuple_cache: dict = {}
+        # the spans every witness walk over these flats keeps, shared
+        self._spans = _SpanMemo(self.field, self.d)
         self._ledger_plans: dict = {}  # (h, n) -> vanishing._LedgerPlan
 
     @property

@@ -30,28 +30,42 @@ rank tests for g distinct W_j.
 
 Enumeration is a depth-first walk over the edges in index order, which
 visits complete assignments in product order. Vertices with the same set of
-avoiding edges form a group with one W_j, fixed by the pattern; the group's
-W_j is final once the last edge of its set is assigned. It is the nullspace
-of the direction annihilators of the flats it intersects, whose basis is
-canonical, so equal flat sets give bit-identical spaces; it is cached on the
-flat for a single flat and per walk for a set of several. A final W_j that
-is zero ends the branch. Otherwise its rows are reduced into an echelon
-carried down the walk, and the branch ends when the echelon rank plus, for
-each unfinished group, the smallest d - |e| over its avoiding edges (a
-bound on its dimension) falls below d. The echelon is the sum of the final
-W_j, so it depends only on the set of their flat sets, not on the order in
-which the edges chose the flats: the walk keeps it per such set, or only
-its rank where that fell short of the branch's need, and each set is
-reduced once however many orders reach it. It keeps ranks, not verdicts:
-when one flat fills two edges, a set comes back at another group with
-another need, and where a kept rank meets the smaller need the span is
-built after all. At a leaf every W_j is nonzero and the echelon has rank
-d, which is the spanning filter itself. Pruned branches hold only
-assignments that fail that filter, which never draw, so the witnesses and
-their rng draws are those of a loop over every assignment in product order;
-identical flat tuples share one check. witness_check is the same walk with
-one candidate per edge. The walk keeps its state in lists indexed by depth,
-not in a recursive closure, so nothing it holds outlives it in a reference
+avoiding edges form a group with one W_j, fixed by the pattern (the walk
+plan, made once per pattern); the group's W_j is final once the last edge
+of its set is assigned. It is the nullspace of the direction annihilators
+of the flats it intersects, whose basis is canonical, so equal flat sets
+give bit-identical spaces; it is cached on the flat for a single flat and
+per walk for a set of several. A final W_j that is zero ends the branch.
+Otherwise it is added to a span carried down the walk, and the branch ends
+when the span's dimension plus, for each unfinished group, the smallest
+d - |e| over its avoiding edges (a bound on its dimension) falls below d.
+
+The spans live in a memo that the configuration keeps for every walk over
+its flats, at every point and under every pattern. Each span kept is
+interned under a small id by its reduced row echelon form, and each
+extension of a span by the W of a flat set is memoised on (span id, flat
+set), as the id of the span reached or, where its dimension fell short of
+the branch's need, only that dimension. The RREF is the whole state of an
+extension, and d and the field are the configuration's, so that key decides
+the answer exactly, for a walk that starts from F^d too. Many flat pairs
+span one space and a flat passes through several points, so each span is
+built once per configuration, not once per walk. A kept dimension is not a
+verdict: when one flat fills two edges, a set comes back at another group
+with another need, and where a kept dimension meets the smaller need the
+span is built after all. Within one walk the span depends only on the set
+of the final flat sets, not on the order in which the edges chose them, so
+the walk first looks an extension up under that set, and (F0, F1) and
+(F1, F0) share one build. The candidates that survive at an edge depend
+only on the depth, the span and the earlier flats that the depth's groups
+read, so the walk finds them once per such triple and iterates over those
+alone. At a leaf every W_j is nonzero and the span is F^d, which is the
+spanning filter itself. Pruned branches hold only assignments that fail
+that filter, which never draw, so the witnesses and their rng draws are
+those of a loop over every assignment in product order; identical flat
+tuples share one check, and the rng is seeded at the first leaf that
+draws. witness_check is the same walk with one candidate per edge and a
+memo of its own. The walk keeps its state in lists indexed by depth, not
+in a recursive closure, so nothing it holds outlives it in a reference
 cycle waiting for the collector.
 
 At a leaf where every group's W_j has dimension equal to the group's size,
@@ -65,6 +79,7 @@ normalised only for a span that is kept below rank d.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -217,29 +232,49 @@ class WitnessTuple:
     witness: Witness
 
 
-def _vertex_groups(h: Hypergraph):
-    """The vertices grouped by their set of avoiding edges, in vertex order.
+@functools.cache
+def _walk_plan(h: Hypergraph):
+    """What the walk reads of the pattern, which fixes its vertex groups.
 
-    Per group: (avoiding edge indices, vertex indices 0..d-1, dimension
-    bound). A group's W_j lies in dir F_e for each avoiding edge e, so its
-    dimension is at most d - |e| for the largest such edge (d when no edge
-    avoids the group)."""
+    A group is the vertices with one set of avoiding edges; its W_j lies in
+    dir F_e for each avoiding edge e, so its dimension is at most d - |e|
+    for the largest such edge. Returns the groups' vertex indices 0..d-1 in
+    the order they become final; per edge, the (avoiding edges, vertices,
+    need) of the groups final there, where the need is d less the bounds of
+    the groups final later, and the earlier edges their flat sets read; and
+    the vertices no edge avoids, whose W is F^d."""
+    d, m = h.d, len(h.edges)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for j in range(1, h.d + 1):
-        avoiding = tuple(i for i, e in enumerate(h.edges) if j not in e)
+    for j in range(1, d + 1):
+        avoiding = tuple([i for i, e in enumerate(h.edges) if j not in e])
         groups.setdefault(avoiding, []).append(j - 1)
-    return [(edges, vertices,
-             h.d - max((len(h.edges[i]) for i in edges), default=0))
-            for edges, vertices in groups.items()]
+    order = [(edges, tuple(vertices)) for edges, vertices in
+             sorted(groups.items(), key=lambda g: g[0][-1:])]
+    bounds = [d - max([len(h.edges[i]) for i in edges], default=0)
+              for edges, _ in order]
+    pending = sum(bounds)  # of the groups not yet final
+    final_at = [[] for _ in range(m)]
+    everywhere = []
+    for (edges, vertices), bound in zip(order, bounds):
+        pending -= bound
+        if edges:
+            final_at[edges[-1]].append((edges, vertices, d - pending))
+        else:
+            everywhere = vertices
+    reads = [tuple(sorted({e for edges, _, _ in final for e in edges[:-1]}))
+             for final in final_at]
+    # tuples throughout: every walk over the pattern shares them
+    return (tuple(vertices for _, vertices in order),
+            tuple(map(tuple, final_at)), tuple(reads), tuple(everywhere))
 
 
 def _meet(flat_set, d, field, cache):
-    """W basis for a set of flats, the intersection of their direction
-    spaces: the nullspace of their annihilators, whose basis is canonical,
-    so equal flat sets give bit-identical spaces. Cached on the flat for one
-    flat, in cache per flat set for more."""
-    if len(flat_set) == 1:
-        return next(iter(flat_set)).direction_basis()
+    """W basis for a flat set keyed as _set_key keys it, the intersection
+    of their direction spaces: the nullspace of their annihilators, whose
+    basis is canonical, so equal flat sets give bit-identical spaces. Cached
+    on the flat for one flat, in cache per flat set for more."""
+    if type(flat_set) is Flat:
+        return flat_set.direction_basis()
     if flat_set not in cache:
         cache[flat_set] = linalg.nullspace(
             [row for fl in flat_set for row in fl.direction_annihilator()],
@@ -248,16 +283,17 @@ def _meet(flat_set, d, field, cache):
 
 
 class _Span:
-    """A subspace of F^d in reduced row echelon form: row i is 1 at
-    pivots[i] and 0 at every other pivot, so a vector v reduces to
-    v[c] - sum_i v[pivots[i]] * rows[i][c] on each free column c."""
+    """A subspace of F^d in reduced row echelon form, rows in pivot order:
+    row i is 1 at pivots[i] and 0 at every other pivot, so a vector v
+    reduces to v[c] - sum_i v[pivots[i]] * rows[i][c] on each free column
+    c."""
 
     __slots__ = ("pivots", "rows", "free", "cols")
 
     def __init__(self, pivots, rows, d):
         self.pivots, self.rows = pivots, rows
         self.free = [c for c in range(d) if c not in pivots]
-        self.cols = [[row[c] for row in rows] for c in self.free]
+        self.cols = None  # per free column, the rows' entries, on first use
 
     def extend(self, basis, need, field) -> "_Span | int":
         """The span of self and the rows of basis, or only its dimension
@@ -265,19 +301,24 @@ class _Span:
         are normalised only for a span that is kept below d."""
         if not self.free:
             return self
-        # the rows of basis modulo self, on the free columns
-        reduced = []
-        for v in basis:
-            coeffs = [v[c] for c in self.pivots]
-            reduced.append([field.sub(v[c], field.dot(coeffs, col))
-                            for c, col in zip(self.free, self.cols)])
+        # the rows of basis modulo self, on the free columns (all of them
+        # when self is zero)
+        reduced = basis
+        if self.pivots:
+            if self.cols is None:
+                self.cols = [[row[c] for row in self.rows] for c in self.free]
+            reduced = []
+            for v in basis:
+                coeffs = [v[c] for c in self.pivots]
+                reduced.append([field.sub(v[c], field.dot(coeffs, col))
+                                for c, col in zip(self.free, self.cols)])
         new = linalg._echelon(reduced, field)
         rank = len(self.pivots) + len(new)
         if rank < need:
             return rank
         d = len(self.free) + len(self.pivots)
         if rank == d:
-            return _Span(tuple(range(d)), [], d)
+            return _Span(tuple(range(d)), (), d)
         # each echelon row is a nonzero multiple of its reduction modulo
         # the rows before it in reduced form (both vanish at their pivots),
         # so normalising it and clearing its pivot from those rows gives
@@ -290,18 +331,65 @@ class _Span:
             red.append((t, x))
         # lift: a new row is 0 at the old pivots; clear the old rows at the
         # new pivots
-        lifted = []
+        rows = list(zip(self.pivots, self.rows))
         for t, x in red:
+            q = self.free[t]
             u = [field.zero] * d
             for c, a in zip(self.free, x):
                 u[c] = a
-            lifted.append((self.free[t], u))
-        rows = list(self.rows)
-        for q, u in lifted:
-            rows = [row if field.is_zero(row[q]) else
-                    field.sub_scaled_row(row, row[q], u) for row in rows]
-        return _Span(self.pivots + tuple(q for q, _ in lifted),
-                     rows + [u for _, u in lifted], d)
+            rows = [(s, y if field.is_zero(y[q]) else
+                     field.sub_scaled_row(y, y[q], u)) for s, y in rows]
+            rows.append((q, u))
+        rows.sort()
+        return _Span(tuple(q for q, _ in rows),
+                     tuple(tuple(y) for _, y in rows), d)
+
+
+class _SpanMemo:
+    """The spans that witness walks in one ambient space keep, each
+    interned under a small id by its RREF, and their extensions by the W of
+    a flat set, memoised on (span id, flat set), where a flat stands for a
+    one-flat set and the empty set for F^d. The RREF is the whole state of
+    an extension, and d and the field are fixed, so that key decides it:
+    the memo holds the id of the span reached, or ~rank where the rank fell
+    below the need it was asked for, which a later, smaller need extends
+    after all. A configuration keeps one for every walk over its flats,
+    whatever the pattern; witness_check makes a fresh one per call."""
+
+    __slots__ = ("field", "spans", "ranks", "ext", "ids", "zero")
+
+    def __init__(self, field, d):
+        self.field = field
+        # per id: its span, the span's dimension and its extensions (flat
+        # set -> id, or ~rank)
+        self.spans: list[_Span] = []
+        self.ranks: list[int] = []
+        self.ext: list[dict] = []
+        self.ids: dict = {}  # RREF rows by pivot (None for F^d) -> id
+        self.zero = self._intern(_Span((), (), d))
+
+    def _intern(self, span) -> int:
+        key = span.rows if span.free else None
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.spans)
+            self.spans.append(span)
+            self.ranks.append(len(span.pivots))
+            self.ext.append({})
+        return sid
+
+    def extend(self, sid, flat_set, basis, need) -> int:
+        """The id of span sid plus the rows of basis, the W of flat_set,
+        or ~rank when that rank is below need; a span kept for the key at a
+        smaller need comes back as its id whatever its rank, so the caller
+        compares ranks[id] with its need."""
+        ext = self.ext[sid]
+        got = ext.get(flat_set)
+        if got is None or (got < 0 and ~got >= need):
+            span = self.spans[sid].extend(basis, need, self.field)
+            got = ext[flat_set] = (~span if type(span) is int
+                                   else self._intern(span))
+        return got
 
 
 def _combine(basis, coeffs, d, field):
@@ -357,11 +445,18 @@ def _flat_walk(h, point, flats, seed):
             raise DimensionMismatch(i, d - len(e), fl.dim)
         if not fl.contains(point):
             raise PointNotOnFlat(i)
-    return _walk(h, point, flats[0].field, [[(0, fl)] for fl in flats],
-                 random.Random(seed))
+    field = flats[0].field
+    return _walk(h, point, field, [[(0, fl)] for fl in flats], seed,
+                 _SpanMemo(field, d))
 
 
-def _walk(h, point, field, candidates, rng):
+def _set_key(flats):
+    """The key of a flat set: the flat itself for one flat."""
+    fs = frozenset(flats)
+    return next(iter(fs)) if len(fs) == 1 else fs
+
+
+def _walk(h, point, field, candidates, seed, spans):
     """Yield a WitnessTuple for each qualifying assignment, in product
     order over candidates[i], the (instance index, flat) pairs for edge i.
 
@@ -371,33 +466,32 @@ def _walk(h, point, field, candidates, rng):
     the bounds of the unfinished groups cannot reach dimension d. At a leaf
     the W_j are nonzero and jointly span F^d; identical flat tuples share
     one witness. A direct-sum leaf's witness is the stacked bases; any other
-    leaf draws from rng."""
+    leaf draws from one random.Random(seed), made at the first such leaf.
+    spans is the _SpanMemo of the ambient space."""
     d, m = h.d, len(h.edges)
+    members, final_at, reads, everywhere = _walk_plan(h)
     spaces = [None] * d  # W_j of the current assignment, per vertex
-    span = _Span((), [], d)
-    groups = sorted(_vertex_groups(h), key=lambda g: g[0][-1:])
-    members = [vertices for _, vertices, _ in groups]
-    pending = sum(bound for _, _, bound in groups)  # of the unfinished groups
-    final_at = [[] for _ in range(m)]  # per edge: (edges, vertices, need)
-    for edges, vertices, bound in groups:
-        pending -= bound
-        if edges:  # the span must reach d less what the later groups bring
-            final_at[edges[-1]].append((edges, vertices, d - pending))
-            continue
+    sid = spans.zero
+    if everywhere:
         basis = linalg.identity_rows(d, field)  # W = F^d whatever the flats
-        for j in vertices:
+        for j in everywhere:
             spaces[j] = basis
-        span = span.extend(basis, d, field)
+        sid = spans.extend(sid, frozenset(), basis, d)
     cache: dict = {}
     # the final W_j sum to a span that depends only on the set of their flat
-    # sets: per set, the _Span, or its rank where that fell below the need
-    memo: dict[frozenset, _Span | int] = {}
+    # sets: per set, what the span memo gave for it
+    memo: dict[frozenset, int] = {}
+    # per (depth, span id, flats read there): its surviving candidates
+    survivors: dict[tuple, list] = {}
     flats = [None] * m
     assignment = [0] * m
     checked: dict[tuple, Optional[Witness]] = {}  # per flat tuple
-    # per depth i: the span and key of edges 0..i-1, and the next candidate
-    span_at = [span] + [None] * m
+    rng = None
+    # per depth i: the span id and key of edges 0..i-1, the surviving
+    # candidates and the next of them
+    sid_at = [sid] + [None] * m
     key_at = [frozenset()] + [None] * m
+    live = [None] * m
     nxt = [0] * m
     i = 0
     while i >= 0:
@@ -407,13 +501,15 @@ def _walk(h, point, field, candidates, rng):
                 # the W_j span F^d here, so with dim W_j = |group| for every
                 # group they form a direct sum: their stacked bases are a
                 # basis of F^d, row i of a group's basis for its i-th vertex
-                if all(len(spaces[g[0]]) == len(g) for g in members):
+                if all([len(spaces[g[0]]) == len(g) for g in members]):
                     cols = [None] * d
                     for g in members:
                         for j, row in zip(g, spaces[g[0]]):
                             cols[j] = row
                     wit = Witness(tuple(point), tuple(cols))
                 else:
+                    if rng is None:
+                        rng = random.Random(seed)
                     wit = _sample_witness(point, spaces, d, field, rng)
                     if wit is None and _has_transversal(spaces, d, field):
                         while wit is None:
@@ -423,30 +519,57 @@ def _walk(h, point, field, candidates, rng):
                 yield WitnessTuple(tuple(assignment), checked[key])
             i -= 1
             continue
-        if nxt[i] == len(candidates[i]):
+        if not nxt[i]:  # entering depth i
+            state = (i, sid_at[i], *[flats[e] for e in reads[i]])
+            live[i] = survivors.get(state)
+            if live[i] is None:
+                live[i] = survivors[state] = _survivors(
+                    candidates[i], final_at[i], flats, i, sid_at[i],
+                    key_at[i], spans, memo, cache, d, field)
+        if nxt[i] == len(live[i]):
             nxt[i] = 0
             i -= 1
             continue
-        assignment[i], flats[i] = candidates[i][nxt[i]]
+        assignment[i], flats[i], sub, sets, filled = live[i][nxt[i]]
         nxt[i] += 1
-        sub, key = span_at[i], key_at[i]
-        for edges, vertices, need in final_at[i]:
-            flat_set = frozenset(flats[e] for e in edges)
+        for vertices, basis in filled:
+            for j in vertices:
+                spaces[j] = basis
+        i += 1
+        sid_at[i] = sub
+        if i < m:
+            key_at[i] = key_at[i - 1].union(sets)
+
+
+def _survivors(candidates, final, flats, i, sid, key, spans, memo, cache, d,
+               field):
+    """The candidates for edge i that the walk does not prune there, given
+    the span id and key of edges 0..i-1 and their flats: per candidate, its
+    instance index and flat, the span id after it, the flat sets it adds to
+    the key, and the (vertices, W) it makes final."""
+    out = []
+    for index, fl in candidates:
+        flats[i] = fl
+        sub, sets_key, sets, filled = sid, key, [], []
+        for edges, vertices, need in final:
+            flat_set = fl if len(edges) == 1 else _set_key(
+                [flats[e] for e in edges])
             basis = _meet(flat_set, d, field, cache)
             if not basis:
                 break
-            key = key | {flat_set}
-            got = memo.get(key)
-            if got is None or (type(got) is int and got >= need):
-                got = memo[key] = sub.extend(basis, need, field)
-            if type(got) is int or len(got.pivots) < need:
+            sets.append(flat_set)
+            sets_key = sets_key | {flat_set}
+            got = memo.get(sets_key)
+            if got is None or (got < 0 and ~got >= need):
+                got = memo[sets_key] = spans.extend(sub, flat_set, basis,
+                                                    need)
+            if got < 0 or spans.ranks[got] < need:
                 break
             sub = got
-            for j in vertices:
-                spaces[j] = basis
+            filled.append((vertices, basis))
         else:
-            i += 1
-            span_at[i], key_at[i] = sub, key
+            out.append((index, fl, sub, sets, filled))
+    return out
 
 
 def _witnessed_assignments(h: Hypergraph, point, config, seed):
@@ -456,6 +579,9 @@ def _witnessed_assignments(h: Hypergraph, point, config, seed):
     if h.r > config.r:
         raise SizeMismatch(f"pattern has {h.r} colours, configuration "
                            f"{config.r} classes")
+    if h.d != config.d:
+        raise SizeMismatch(f"pattern has d = {h.d}, configuration d = "
+                           f"{config.d}")
     for i, e in enumerate(h.edges):
         k = config.dims[h.colors[i] - 1]
         if k != h.d - len(e):
@@ -463,8 +589,8 @@ def _witnessed_assignments(h: Hypergraph, point, config, seed):
     incidence = config.incidence(point)
     candidates = [incidence[c - 1] for c in h.colors]
     if all(candidates):
-        yield from _walk(h, point, config.field, candidates,
-                         random.Random(seed))
+        yield from _walk(h, point, config.field, candidates, seed,
+                         config._spans)
 
 
 def enumerate_witness_tuples(h: Hypergraph, point, config, *,

@@ -45,10 +45,11 @@ Fraction lists.
 
 Ledger sets over one configuration share a plan, kept on the configuration
 per (pattern, n). The plan holds each flat's joint charts, which do not
-depend on alpha. Each chart caches its pullback table per n, built by the
-first elimination that reads it, and the chart-independent part of a table
-(monomials, transitions, exponents per degree) is shared per (k, n), so a
-plan builds each table once. The plan also memoises ledgers on flats of
+depend on alpha, and on each flat of dimension >= 2 the rank test of the
+simplex closed form, run once. Each chart caches its pullback table per n,
+built by the first elimination that reads it, and the chart-independent
+part of a table (monomials, transitions, exponents per degree) is shared
+per (k, n), so a plan builds each table once. The plan also memoises ledgers on flats of
 dimension >= 2 on (flat, alpha of the flat's joints minus their minimum):
 the priority order (r - alpha, rank) does not move under that shift, a hit
 is re-stamped with the call's context, so its digest is that of a fresh
@@ -415,8 +416,18 @@ def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
     return counts
 
 
-def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
-                      ) -> FlatLedger:
+def _lifts_independent(flat, joint_charts) -> bool:
+    """Whether the flat's joints are at most k + 1 and lift to independent
+    vectors (p, 1) in F^(k+1), p the chart shift: the simplex closed form's
+    precondition."""
+    field = flat.field
+    return len(joint_charts) <= flat.dim + 1 and linalg.rank(
+        [(*chart.shift, field.one) for _, chart in joint_charts],
+        field) == len(joint_charts)
+
+
+def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None,
+                      independent=None) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
 
     joint_charts: one (global_rank, Chart) pair per joint on the flat, the
@@ -427,16 +438,18 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None
     exact. On a flat of dimension k >= 2 with at most k + 1 joints whose
     lifts (p, 1) are independent the counts take the simplex closed form,
     and the exponents come from the elimination on first read; any other
-    flat runs the elimination.
+    flat runs the elimination. independent is the verdict of that test
+    where the caller has it for these joint charts, as a ledger plan does;
+    None runs the test here.
     """
     field, k = flat.field, flat.dim
+    if independent is None:
+        independent = k > 1 and _lifts_independent(flat, joint_charts)
     if k == 1:
         counts = _hermite_counts(n, joint_charts, alpha)
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
         pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
-    elif len(joint_charts) <= k + 1 and linalg.rank(
-            [(*chart.shift, field.one) for _, chart in joint_charts],
-            field) == len(joint_charts):
+    elif independent:
         counts = _simplex_counts(k, n, joint_charts, alpha)
         pivots = _Pivots(field, k, n, joint_charts,
                          {rank: alpha[rank] for rank, _ in joint_charts})
@@ -488,8 +501,9 @@ def default_chosen(h: Hypergraph, config) -> dict:
 class _LedgerPlan:
     """The part of a ledger set that does not depend on alpha: the flat of
     every (joint, edge) and the charts of every flat carrying a joint, with
-    their pullback tables cached on the charts, plus a memo of eliminated
-    ledgers keyed on (flat, alpha of its joints minus their minimum). A
+    their pullback tables cached on the charts, the verdict of the simplex
+    closed form's test per flat of dimension >= 2, plus a memo of ledgers
+    keyed on (flat, alpha of its joints minus their minimum). A
     joint's chart is its witness chart on the flats flat_by_edge names for
     it and a translation on the others. The configuration is passed to each
     call, not kept."""
@@ -526,6 +540,8 @@ class _LedgerPlan:
                 joint_charts.append((rank, chart))
             if joint_charts:
                 self.charts.append((fl, joint_charts))
+        self.independent = {fl: _lifts_independent(fl, jc)
+                            for fl, jc in self.charts if fl.dim > 1}
         self.memo: dict = {}
 
     def ledger_set(self, config, alpha) -> LedgerSet:
@@ -545,7 +561,8 @@ class _LedgerPlan:
                                                   context=context)
             else:
                 ledgers[fl] = self.memo[key] = build_flat_ledger(
-                    fl, jc, alpha, n, context=context)
+                    fl, jc, alpha, n, context=context,
+                    independent=self.independent[fl])
         return LedgerSet(self.h, config, n, alpha, order, self.chosen,
                          ledgers, self.flat_by_edge, context)
 

@@ -680,6 +680,52 @@ def test_build_config_rejects_a_t_it_cannot_use(workdir, capsys, tmp_path,
     assert code == 2 and out == "" and not cfg_path.exists()
     assert err.startswith("error: ") and message in err
 
+
+@pytest.mark.parametrize("kind, extra, option", [
+    ("axis", ["--host", "k4.hg"], "--host"),
+    ("axis", ["--pattern", "k3.hg"], "--pattern"),
+    ("axis", ["--m", "9"], "--m"),
+    ("axis", ["--seed", "0"], "--seed"),
+    ("generic", ["--axis-spec", "missing.json"], "--axis-spec"),
+    ("projected", ["--t", "1", "--axis-spec", "axis.json"], "--axis-spec")],
+    ids=["axis-host", "axis-pattern", "axis-m", "axis-seed",
+         "generic-missing-spec", "projected-spec"])
+def test_build_config_rejects_options_its_kind_does_not_read(
+        workdir, capsys, kind, extra, option):
+    # --kind axis with --host, --pattern and --m 9 wrote the bytes it
+    # writes without them, and --kind generic --axis-spec missing.json
+    # exited 0 without opening the file
+    save_json(workdir / "axis.json",
+              {"d": 2, "s": 2, "subsets": [[1], [2]],
+               "functions": [{"0": 1, "1": 1}, {"0": 1, "1": 1}]})
+    kind_inputs = (["--axis-spec", "axis.json"] if kind == "axis" else
+                   ["--host", "k4.hg", "--pattern", "k3.hg"])
+    cfg_path = workdir / "out.cfg"
+    argv = ["build-config", "--kind", kind, *kind_inputs, *extra,
+            "-o", cfg_path]
+    code = main([str(workdir / a) if str(a).endswith((".hg", ".json"))
+                 else str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not cfg_path.exists()
+    assert err == f"error: ValueError: --kind {kind} does not read {option}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "axis"], "--kind axis needs --axis-spec"),
+    (["--kind", "generic", "--pattern", "k3.hg"], "--kind generic needs --host"),
+    (["--kind", "projected", "--t", "1", "--host", "k4.hg"],
+     "--kind projected needs --pattern")],
+    ids=["axis", "generic", "projected"])
+def test_build_config_names_a_missing_input(workdir, capsys, argv, message):
+    # --kind generic without --host exited 2 with "TypeError: expected str,
+    # bytes or os.PathLike object, not NoneType"
+    cfg_path = workdir / "out.cfg"
+    code = main(["build-config", *[str(workdir / a) if a.endswith(".hg")
+                                   else a for a in argv], "-o", str(cfg_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not cfg_path.exists()
+    assert err == f"error: ValueError: {message}\n"
+
 ODD_SCALARS = ["1/0", "nan", float("nan"), float("inf"), 10 ** 30, -10 ** 30,
                -1, 0, 1.5, 2.5, None, True, "x", [], {}]
 

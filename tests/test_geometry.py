@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, seed, settings
@@ -327,10 +328,11 @@ def test_direct_sum_witness_is_the_stacked_bases(family, rng_seed):
     h = Hypergraph(d, tuple(tuple(j + 1 for j in range(d) if j not in g)
                             for g in groups), (1,) * len(groups))
     flats = [Flat(field, d, point, spaces[g[0]]) for g in groups]
-    rng = random.Random(rng_seed)
-    state = rng.getstate()
-    [wt] = geometry._walk(h, point, field, [[(0, f)] for f in flats], rng)
-    assert rng.getstate() == state
+    # a direct-sum leaf draws nothing, so the walk never makes its rng
+    with mock.patch.object(geometry.random, "Random",
+                           side_effect=AssertionError("rng made")):
+        [wt] = geometry._walk(h, point, field, [[(0, f)] for f in flats],
+                              rng_seed, geometry._SpanMemo(field, d))
     want = [None] * d
     for g, f in zip(groups, flats):
         for j, row in zip(g, f.direction_basis()):
@@ -391,6 +393,94 @@ def test_span_extend_matches_rref(data):
     rank = check(span.extend(second, need, field), first + second, need)
     event(f"need {'<=' if need <= rank else '>'} rank, "
           f"{'full' if rank == d else 'kept' if need <= rank else 'short'}")
+
+
+@seed(8811)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_span_memo_matches_rref(data):
+    # chains of extensions by a pool of bases, each basis under one key as
+    # a flat set's W is, at drawn needs, so chains meet again at one span
+    # and ask a short rank again at a smaller need: an id comes back
+    # exactly when the rank meets the need, its span is the rref of the
+    # stacked rows, and equal spans share one id
+    field = data.draw(st.sampled_from(ORACLE_FIELDS))
+    d = data.draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, 2), min_size=d, max_size=d).map(
+        lambda xs: tuple(field.from_int(x) for x in xs))
+    pool = data.draw(st.lists(st.lists(vec, max_size=3), min_size=1,
+                              max_size=4))
+    memo = geometry._SpanMemo(field, d)
+    ids = {}  # rref rows -> id
+    for _ in range(data.draw(st.integers(1, 8))):
+        sid, rows = memo.zero, []
+        for key in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                      min_size=1, max_size=3)):
+            need = data.draw(st.integers(0, d))
+            rows = rows + pool[key]
+            red, pivots = linalg.rref(rows, field, d)
+            got = memo.extend(sid, key, pool[key], need)
+            # a short rank comes back as ~rank, or as the id of a span kept
+            # for this key at a smaller need
+            assert (~got if got < 0 else memo.ranks[got]) == len(pivots)
+            if len(pivots) < need:
+                break
+            assert got >= 0
+            span = memo.spans[got]
+            if len(pivots) < d:
+                assert span.pivots == tuple(pivots)
+                assert span.rows == tuple(red)
+            assert ids.setdefault(tuple(red), got) == got
+            sid = got
+
+
+STAR = Hypergraph(3, ((1, 2), (1, 3)), (1, 1))  # vertex 1 in every edge
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@seed(5518)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_shared_span_memo_matches_uncached_loop(field, data):
+    # the span memo lives on the configuration and outlives each walk: on a
+    # fresh copy, every point under K3 and under STAR, whose walk starts
+    # from F^d and whose leaves draw, in a drawn order, must read the
+    # uncached loop's tuples, witnesses and draws included
+    _, stored, points = _memo_fixture("K3-K6", field)
+    cfg = JointsConfiguration.from_dict(stored.to_dict())
+    visits = data.draw(st.permutations(
+        [(h, point) for h in (K3, STAR) for point in points]))
+    for h, point in visits:
+        rng_seed = data.draw(st.integers(0, 1 << 16))
+        assert enumerate_witness_tuples(h, point, cfg, seed=rng_seed) == \
+            _uncached_tuples(h, point, cfg, rng_seed)
+    # witness_check keeps a memo of its own, whatever the configuration's
+    h, point = visits[0]
+    flats = [data.draw(st.sampled_from(
+        [fl for fl in cfg.classes[c - 1] if fl.contains(point)]))
+        for c in h.colors]
+    assert witness_check(h, point, flats, seed=7) == _oracle_witness(
+        h, point, flats, random.Random(7))
+
+
+def test_shared_span_memo_extends_each_span_once():
+    # the 2-flats pattern over K7 at seed 0: a memo per walk made 3,465
+    # _Span.extend calls over the 7 points; shared, it makes about one per
+    # distinct (span, flat set)
+    cfg = generically_induced(SimpleHypergraph.complete(7, 4), JOINTS6,
+                              generic_hyperplanes(7, 6, seed=0))
+    calls = []
+    extend = geometry._Span.extend
+
+    def counted(self, *args):
+        calls.append(None)
+        return extend(self, *args)
+
+    with mock.patch.object(geometry._Span, "extend", counted):
+        counts = [len(cfg.tuples_at(JOINTS6, i))
+                  for i in range(len(cfg.points))]
+    assert counts == [90] * 7
+    assert len(calls) <= 1300
 
 
 def test_witness_validation_errors():
@@ -781,6 +871,17 @@ def test_dimension_mismatch_raised_at_every_point():
             enumerate_witness_tuples(K3, point, cfg)
         with pytest.raises(DimensionMismatch):
             has_witness_tuple(K3, point, cfg)
+
+
+def test_pattern_of_another_dimension_is_rejected():
+    # K3 lives in F^3, the cone's configuration holds lines of F^4: the
+    # walk read their 4-vectors in 3 coordinates and gave 24 tuples at a
+    # point, and a span memo kept for F^4 would mix the two
+    _, cfg, points = _memo_fixture("cone-K6", F)
+    with pytest.raises(SizeMismatch, match="d = 3, configuration d = 4"):
+        enumerate_witness_tuples(K3, points[0], cfg)
+    with pytest.raises(SizeMismatch):
+        has_witness_tuple(K3, points[0], cfg)
 
 
 # ---------------------------------------------------------------------------

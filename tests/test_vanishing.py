@@ -773,6 +773,29 @@ def test_exponents_eliminate_on_first_read_and_memo_hits_share(monkeypatch):
     assert inserts == []
 
 
+def test_plan_decides_each_plane_path_once(monkeypatch):
+    # the independence test of the simplex closed form runs once per plane,
+    # when the plan is made, however many ledger sets the plan builds; the
+    # ledgers equal those of build_flat_ledger deciding it on every call
+    calls = []
+    decide = vanishing._lifts_independent
+    monkeypatch.setattr(vanishing, "_lifts_independent",
+                        lambda *args: calls.append(1) or decide(*args))
+    h, cfg = FLATS2, _flats2_config(F)
+    plan = _fresh_plan(h, cfg, 4)
+    planes = [fl for fl, _ in plan.charts if fl.dim > 1]
+    assert len(calls) == len(planes) == 35
+    rng = random.Random(22)
+    alphas = [{r: rng.randrange(-2, 3) for r in range(len(cfg.points))}
+              for _ in range(8)]
+    sets = [plan.ledger_set(cfg, alpha) for alpha in alphas]
+    assert len(calls) == 35
+    for ls in sets:
+        for fl, jc in plan.charts:
+            want = build_flat_ledger(fl, jc, ls.alpha, 4, context=ls.context)
+            assert ls.ledgers[fl].digest() == want.digest()
+
+
 def test_incidence_matches_the_contains_scan():
     # a stored point's incidence is kept on its configuration and read by
     # the witness walk and the ledger plan: it must list the instances a
