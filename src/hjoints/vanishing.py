@@ -26,16 +26,25 @@ T, each joint takes its max(T - s, 0) keys below T, and the keys at T fill
 the rest in rank order.
 
 On a k-flat (k >= 2) whose m <= k + 1 joints lift to independent vectors
-(p, 1) in F^(k+1), the counts are closed too: a projective change of
-coordinates takes the joints to coordinate points, where "order below a at
-e_i" is the monomial condition beta_i > n - a on degree-n forms in k + 1
-variables, over any field and in any chart. After a_i orders at each joint
-i the rank is sum over nonempty S of (-1)^(|S|+1) C(sum_S a_i - (|S| - 1)(n
-+ 1) + k - 1, k), 0 below k; pair (i, r) adds the beta with beta_i = n - r
-and beta_j <= n - a_j at the other joints, counted by inclusion-exclusion.
-The exponent sets depend on the chart: they come from the elimination on
-first read and are kept. Every other flat runs the elimination, which the
-tests also run as the oracle of both closed forms.
+(p, 1) in F^(k+1), counts and exponent sets are closed too. Complete the
+lifts to a basis V of F^(k+1) and write degree-n forms in k + 1 variables
+x = V^-1 (z, 1): joint i is the coordinate point e_i, and "order below a at
+e_i" is the monomial condition beta_i > n - a, over any field and in any
+chart, since jets of order below a do not depend on the chart. After a_j
+orders at each joint j the conditions span the monomial subspace {beta :
+beta_j > n - a_j for some joint j}, of rank sum over nonempty S of
+(-1)^(|S|+1) C(sum_S a_i - (|S| - 1)(n + 1) + k - 1, k), 0 below k. Pair
+(i, r) adds the free beta, with beta_i = n - r and beta_j <= n - a_j at
+the other joints, counted by inclusion-exclusion. Modulo that subspace its
+order-gamma condition is coeff_gamma (L_i y)^beta on the free beta (with
+beta_i dropped), where L_i, the linear part of x along joint i's chart y ->
+p_i + A_i y, is the rows j != i of V^-1 (A_i; 0). L_i is invertible since
+(p_i, 1) is not a direction, so that matrix has full column rank and the
+pair's pivots are its rows that raise the rank in decreasing lex order:
+every gamma of degree r when every beta is free, none when none is, and
+otherwise a rank test on at most C(r + k - 1, k - 1) columns of the
+pullback table of the zero-shift chart L_i. Every other flat runs the
+elimination, which the tests also run as the oracle of both closed forms.
 
 Over GF(p) the elimination packs each row into one int, one fixed-width
 slot per entry wide enough that a row can take every reduction unreduced
@@ -45,30 +54,33 @@ Fraction lists.
 
 Ledger sets over one configuration share a plan, kept on the configuration
 per (pattern, n). The plan holds each flat's joint charts, which do not
-depend on alpha, and on each flat of dimension >= 2 the rank test of the
-simplex closed form, run once. Each chart caches its pullback table per n,
-built by the first elimination that reads it, and the chart-independent
-part of a table (monomials, transitions, exponents per degree) is shared
-per (k, n), so a plan builds each table once. The plan also memoises ledgers on flats of
-dimension >= 2 on (flat, alpha of the flat's joints minus their minimum):
-the priority order (r - alpha, rank) does not move under that shift, a hit
-is re-stamped with the call's context, so its digest is that of a fresh
-build, and it shares the exponent sets of the ledger it copies, eliminated
-at most once. Line ledgers are not memoised: they cost less to read off
-than to keep, and keeping them would hold every handicap round's ledgers.
+depend on alpha, and on each flat of dimension >= 2 its frame: the rank
+test of the simplex closed form, run once, and the charts L_i, made on the
+first exponent read that needs a rank test. Each chart caches its pullback
+table per n, built by the first elimination or exponent read that reads
+it, and the chart-independent part of a table (monomials, transitions,
+exponents per degree) is shared per (k, n), so a plan builds each table
+once. The plan also memoises ledgers on flats of dimension >= 2 on (flat,
+alpha of the flat's joints minus their minimum): the priority order (r -
+alpha, rank) does not move under that shift, a hit is re-stamped with the
+call's context, so its digest is that of a fresh build, and it shares the
+exponent sets of the ledger it copies, read at most once. Line ledgers are
+not memoised: they cost less to read off than to keep, and keeping them
+would hold every handicap round's ledgers.
 What a plan keeps lives as long as its configuration: on the 2-flats
 pattern over K7 at n=4, where every plane holds 3 joints in general
 position and param_counting_check reads the exponents of the 15 planes of
-the chosen tuples, 45 tables (105 when every plane ledger was eliminated)
-and the ledgers of every distinct relative handicap seen.
+the chosen tuples, 45 tables, all of charts L_i, and the ledgers of every
+distinct relative handicap seen.
 
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
 outside the edge, ascending) lands in that edge's recorded set. Admissible
-sets satisfy two counting laws checked here exactly: their total over all
-joints is at least C(n+d, d) (the imposed vanishing conditions kill every
-polynomial of degree <= n), and per joint a Loomis-Whitney product bound
-relates |admissible| to the per-edge counts.
+sets are assembled by joining the recorded sets, not by filtering every
+gamma. They satisfy two counting laws checked here exactly: their total
+over all joints is at least C(n+d, d) (the imposed vanishing conditions
+kill every polynomial of degree <= n), and per joint a Loomis-Whitney
+product bound relates |admissible| to the per-edge counts.
 
 The handicap iteration mimics the equalization argument: repeatedly build
 ledgers, score each joint by W'_p = min over witness tuples of
@@ -88,6 +100,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -115,6 +128,8 @@ def monomials_upto(k: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _compositions(total: int, k: int) -> list[tuple[int, ...]]:
+    if k == 0:
+        return [] if total else [()]
     if k == 1:
         return [(total,)]
     out = []
@@ -306,9 +321,9 @@ class _Echelon:
 
 
 class _Pivots:
-    """The exponent sets of an elimination not yet run: _eliminate runs on
-    the first read and its result is kept, shared by every copy of the
-    ledger that holds this object."""
+    """The exponent sets of a simplex flat's ledger, not yet read:
+    _simplex_exponents runs on the first read and its result is kept,
+    shared by every copy of the ledger that holds this object."""
 
     __slots__ = ("args", "exponents")
 
@@ -317,7 +332,7 @@ class _Pivots:
 
     def get(self) -> dict:
         if self.exponents is None:
-            self.exponents = _eliminate(*self.args)[1]
+            self.exponents = _simplex_exponents(*self.args)
             self.args = None
         return self.exponents
 
@@ -387,17 +402,17 @@ def _hermite_counts(n: int, joint_charts, alpha) -> dict:
     return counts
 
 
-def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
-    """Per rank, the rank increments of its pairs in priority order for
-    joints with independent lifts (p, 1), as the module docstring says:
-    the other k coordinates of the beta that pair (p, r) adds sum to r, and
-    inclusion-exclusion runs over the joints q whose bound n - a_q is
-    below r."""
+def _simplex_steps(k: int, n: int, joint_charts, alpha):
+    """Per pair in priority order, for joints with independent lifts (p, 1):
+    (rank, r, orders taken by each joint before the pair, the rank
+    increment), as the module docstring says. The other k coordinates of
+    the beta that pair (p, r) adds sum to r, and inclusion-exclusion runs
+    over the joints q whose bound n - a_q is below r. Stops once the dual
+    space is exhausted."""
     pairs = sorted(((r, rank) for rank, _ in joint_charts
                     for r in range(n + 1)),
                    key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
     taken = {rank: 0 for rank, _ in joint_charts}
-    counts = dict(taken)
     left = comb(n + k, k)
     for r, rank in pairs:
         over = [n + 1 - a for q, a in taken.items()
@@ -408,11 +423,18 @@ def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
                 top = r - sum(subset)
                 if top >= 0:
                     gain += (-1) ** size * comb(top + k - 1, k - 1)
+        yield rank, r, taken, gain
         taken[rank] += 1
-        counts[rank] += gain
         left -= gain
         if not left:
-            break
+            return
+
+
+def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
+    """Per rank, the rank increments of its pairs in priority order."""
+    counts = {rank: 0 for rank, _ in joint_charts}
+    for rank, _, _, gain in _simplex_steps(k, n, joint_charts, alpha):
+        counts[rank] += gain
     return counts
 
 
@@ -426,8 +448,67 @@ def _lifts_independent(flat, joint_charts) -> bool:
         field) == len(joint_charts)
 
 
+class _Frame:
+    """The simplex closed form on one flat of dimension >= 2: its test, run
+    once, and, built on the first read that needs them, the zero-shift
+    charts L_i of the module docstring, whose pullback tables are cached on
+    the charts. Joint i of joint_charts is coordinate i of x."""
+
+    def __init__(self, flat, joint_charts):
+        self.flat, self.joint_charts = flat, joint_charts
+        self.independent = _lifts_independent(flat, joint_charts)
+
+    @functools.cached_property
+    def charts(self) -> list:
+        # one rref of [lifts | units | (A_i; 0) for every i]: its pivot
+        # columns are V, the lifts and the units that complete them, so
+        # each reduced row j holds row j of V^-1 (A_i; 0) for every i
+        field, k = self.flat.field, self.flat.dim
+        red = linalg.rref(list(zip(
+            *[(*chart.shift, field.one) for _, chart in self.joint_charts],
+            *linalg.identity_rows(k + 1, field),
+            *[(*col, field.zero) for _, chart in self.joint_charts
+              for col in chart.cols])), field)[0]
+        start = len(self.joint_charts) + k + 1
+        charts = []
+        for i in range(len(self.joint_charts)):
+            rows = [row[start + i * k:start + (i + 1) * k]
+                    for j, row in enumerate(red) if j != i]
+            charts.append(Chart(field, k, tuple(zip(*rows)),
+                                (field.zero,) * k))
+        return charts
+
+
+def _simplex_exponents(frame: _Frame, n: int, alpha) -> dict:
+    """Per rank, the pivots of its pairs in priority order on a simplex
+    flat, read in the frame as the module docstring says: a pair takes
+    every exponent of its degree when all its betas are free, none when no
+    beta is, and otherwise the rows of its L_i table, restricted to the
+    free betas, that raise the rank in decreasing lex order."""
+    field, k = frame.flat.field, frame.flat.dim
+    ranks = [rank for rank, _ in frame.joint_charts]
+    by_degree = _table_shape(k, n).by_degree
+    found = {rank: [] for rank in ranks}
+    for rank, r, taken, gain in _simplex_steps(k, n, frame.joint_charts,
+                                               alpha):
+        gammas = by_degree[r]
+        if gain == len(gammas):
+            found[rank].extend(gammas)
+        elif gain:
+            i = ranks.index(rank)
+            bounds = [n - taken[ranks[t]] if t < len(ranks) else r
+                      for t in range(k + 1) if t != i]
+            table = frame.charts[i].table(n)
+            free = [table.columns[table.index[beta]] for beta in gammas
+                    if all(b <= c for b, c in zip(beta, bounds))]
+            rows = [[col[table.index[gamma]] for gamma in gammas]
+                    for col in free]
+            found[rank].extend(gammas[c] for c in linalg.rref(rows, field)[1])
+    return {rank: tuple(g) for rank, g in found.items()}
+
+
 def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None,
-                      independent=None) -> FlatLedger:
+                      frame=None) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
 
     joint_charts: one (global_rank, Chart) pair per joint on the flat, the
@@ -437,21 +518,21 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None,
     closed form of the module docstring, which that precondition makes
     exact. On a flat of dimension k >= 2 with at most k + 1 joints whose
     lifts (p, 1) are independent the counts take the simplex closed form,
-    and the exponents come from the elimination on first read; any other
-    flat runs the elimination. independent is the verdict of that test
-    where the caller has it for these joint charts, as a ledger plan does;
-    None runs the test here.
+    and the exponents are read in its frame on first read, each pair's by a
+    rank test on its free betas; any other flat runs the elimination. frame
+    is the flat's _Frame for these joint charts where the caller keeps one,
+    as a ledger plan does; None makes one here.
     """
     field, k = flat.field, flat.dim
-    if independent is None:
-        independent = k > 1 and _lifts_independent(flat, joint_charts)
+    if k > 1 and frame is None:
+        frame = _Frame(flat, joint_charts)
     if k == 1:
         counts = _hermite_counts(n, joint_charts, alpha)
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
         pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
-    elif independent:
+    elif frame.independent:
         counts = _simplex_counts(k, n, joint_charts, alpha)
-        pivots = _Pivots(field, k, n, joint_charts,
+        pivots = _Pivots(frame, n,
                          {rank: alpha[rank] for rank, _ in joint_charts})
     else:
         counts, pivots = _eliminate(field, k, n, joint_charts, alpha)
@@ -501,12 +582,11 @@ def default_chosen(h: Hypergraph, config) -> dict:
 class _LedgerPlan:
     """The part of a ledger set that does not depend on alpha: the flat of
     every (joint, edge) and the charts of every flat carrying a joint, with
-    their pullback tables cached on the charts, the verdict of the simplex
-    closed form's test per flat of dimension >= 2, plus a memo of ledgers
-    keyed on (flat, alpha of its joints minus their minimum). A
-    joint's chart is its witness chart on the flats flat_by_edge names for
-    it and a translation on the others. The configuration is passed to each
-    call, not kept."""
+    their pullback tables cached on the charts, the _Frame of each flat of
+    dimension >= 2, plus a memo of ledgers keyed on (flat, alpha of its
+    joints minus their minimum). A joint's chart is its witness chart on
+    the flats flat_by_edge names for it and a translation on the others.
+    The configuration is passed to each call, not kept."""
 
     def __init__(self, h: Hypergraph, config, chosen, n: int):
         self.h, self.chosen, self.n = h, chosen, n
@@ -540,8 +620,8 @@ class _LedgerPlan:
                 joint_charts.append((rank, chart))
             if joint_charts:
                 self.charts.append((fl, joint_charts))
-        self.independent = {fl: _lifts_independent(fl, jc)
-                            for fl, jc in self.charts if fl.dim > 1}
+        self.frames = {fl: _Frame(fl, jc)
+                       for fl, jc in self.charts if fl.dim > 1}
         self.memo: dict = {}
 
     def ledger_set(self, config, alpha) -> LedgerSet:
@@ -562,7 +642,7 @@ class _LedgerPlan:
             else:
                 ledgers[fl] = self.memo[key] = build_flat_ledger(
                     fl, jc, alpha, n, context=context,
-                    independent=self.independent[fl])
+                    frame=self.frames[fl])
         return LedgerSet(self.h, config, n, alpha, order, self.chosen,
                          ledgers, self.flat_by_edge, context)
 
@@ -593,14 +673,38 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
 
 def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
                              ) -> list[tuple[int, ...]]:
-    """All |gamma| <= n whose projections lie in every per-edge set."""
-    # per edge: the coordinates outside it (ascending) and its recorded set
-    checks = [([j - 1 for j in range(1, h.d + 1) if j not in e],
-               set(map(tuple, per_edge_sets[i])))
-              for i, e in enumerate(h.edges)]
-    return [gamma for gamma in _table_shape(h.d, n).monomials
-            if all(tuple([gamma[j] for j in outside]) in recorded
-                   for outside, recorded in checks)]
+    """All |gamma| <= n whose projections lie in every per-edge set, in
+    graded order. The per-edge sets are joined on the coordinates their
+    edges leave out in common, pruned at degree n, and the coordinates in
+    every edge are filled by the compositions of the degree left."""
+    fixed: dict = {}   # coordinate -> its position in a partial exponent
+    partial = [((), 0)]  # (values at the fixed coordinates, their sum)
+    for e, recorded in zip(h.edges, per_edge_sets, strict=True):
+        outside = [j - 1 for j in range(1, h.d + 1) if j not in e]
+        shared = [(q, fixed[j]) for q, j in enumerate(outside) if j in fixed]
+        new = [q for q, j in enumerate(outside) if j not in fixed]
+        extend: dict = {}
+        for g in set(map(tuple, recorded)):
+            x = tuple([g[q] for q in new])
+            extend.setdefault(tuple([g[q] for q, _ in shared]), []).append(
+                (x, sum(x)))
+        partial = [(p + x, s + t) for p, s in partial
+                   for x, t in extend.get(tuple([p[i] for _, i in shared]), ())
+                   if s + t <= n]
+        for q in new:
+            fixed[outside[q]] = len(fixed)
+    by_degree = _table_shape(h.d - len(fixed), n).by_degree
+    for j in range(h.d):  # the coordinates in every edge come last
+        fixed.setdefault(j, len(fixed))
+    place = operator.itemgetter(*[fixed[j] for j in range(h.d)])
+    fills = [(t, level) for t, level in enumerate(by_degree) if level]
+    graded = [[] for _ in range(n + 1)]
+    for p, s in partial:
+        for t, level in fills:
+            if s + t > n:
+                break
+            graded[s + t].extend([place(p + fill) for fill in level])
+    return [gamma for level in graded for gamma in sorted(level)]
 
 
 def point_exponents(ls: LedgerSet, rank: int) -> list[tuple[int, ...]]:

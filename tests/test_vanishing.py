@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import event, given, seed, settings
+from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
@@ -318,6 +318,57 @@ def test_assemble_hand_built_cross_check():
                         and (gamma[0],) in sets[2]:
                     expected.add(gamma)
     assert got == expected
+
+
+def _filtered_exponents(h, per_edge_sets, n):
+    """The admissible exponents by filtering every |gamma| <= n."""
+    checks = [([j - 1 for j in range(1, h.d + 1) if j not in e],
+               set(map(tuple, recorded)))
+              for e, recorded in zip(h.edges, per_edge_sets)]
+    return [gamma for gamma in monomials_upto(h.d, n)
+            if all(tuple(gamma[j] for j in outside) in recorded
+                   for outside, recorded in checks)]
+
+
+@st.composite
+def _edge_patterns(draw):
+    """(pattern, per-edge recorded sets, n): up to 5 vertices and 4 edges,
+    each set a random part, possibly empty, of the exponents of degree <= n
+    over its edge's outside coordinates."""
+    d = draw(st.integers(2, 5))
+    edges = draw(st.lists(st.sets(st.integers(1, d), min_size=1,
+                                  max_size=d - 1), min_size=1, max_size=4))
+    h = Hypergraph(d, tuple(map(tuple, edges)), (1,) * len(edges))
+    n = draw(st.integers(0, 5))
+    sets = [[g for g in monomials_upto(d - len(e), n) if draw(st.booleans())]
+            for e in h.edges]
+    return h, sets, n
+
+
+STAR3 = Hypergraph(3, ((1, 2), (1, 3)), (1, 1))  # vertex 1 in every edge
+TWO_OF_FOUR = Hypergraph(4, ((1, 2), (1, 3)), (1, 1))  # both leave out 4
+
+
+@seed(2418)
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_patterns())
+@example(case=(TWO_OF_FOUR, [[(0, 0), (1, 2), (2, 1)], [(0, 0), (2, 1)]], 3))
+@example(case=(STAR3, [[(0,), (2,)], [(1,), (2,)]], 3))
+@example(case=(K3, [[(0,), (1,)], [], [(0,)]], 2))
+@example(case=(K3, [[(0,)], [(0,)], [(0,)]], 0))
+def test_joined_exponents_match_the_filter(case):
+    # the per-edge sets joined on shared outside coordinates, with the
+    # coordinates in every edge filled by compositions, give the filter's
+    # list in its graded order
+    h, sets, n = case
+    outside = [set(range(1, h.d + 1)) - set(e) for e in h.edges]
+    shared = any(a & b for i, a in enumerate(outside) for b in outside[i + 1:])
+    event(f"shared outside: {shared}")
+    core = set.intersection(*map(set, h.edges))
+    event(f"vertex in every edge: {bool(core)}")
+    event(f"empty set: {not all(sets)}, n = 0: {n == 0}")
+    assert assemble_point_exponents(h, sets, n) == \
+        _filtered_exponents(h, sets, n)
 
 
 def _generic_k3(m, seed=0, field=None):
@@ -736,9 +787,19 @@ def test_simplex_counts_match_elimination(field, k, data):
     assert ledger.exponents == exponents
 
 
-def test_collinear_joints_on_a_plane_are_eliminated():
+def _count_inserts(monkeypatch) -> list:
+    """A list that _Echelon.insert appends to on every call."""
+    inserts = []
+    insert = vanishing._Echelon.insert
+    monkeypatch.setattr(vanishing._Echelon, "insert",
+                        lambda self, row: inserts.append(1) or insert(self, row))
+    return inserts
+
+
+def test_collinear_joints_on_a_plane_are_eliminated(monkeypatch):
     # three joints on a line of the plane: the simplex count would split
     # the 3 conditions at n = 1 one each, the elimination gives {0: 2, 1: 1}
+    inserts = _count_inserts(monkeypatch)
     gf7 = GF(7)
     plane = Flat(gf7, 2, (0, 0), [(1, 0), (0, 1)])
     charts = [(rank, Chart.translation(gf7, (x, 0)))
@@ -747,30 +808,55 @@ def test_collinear_joints_on_a_plane_are_eliminated():
     assert vanishing._simplex_counts(2, 1, charts, alpha) == {0: 1, 1: 1, 2: 1}
     ledger = build_flat_ledger(plane, charts, alpha, 1)
     assert ledger.counts == {0: 2, 1: 1, 2: 0}
-    assert type(ledger.pivots) is dict
+    assert type(ledger.pivots) is dict and inserts
 
 
-def test_exponents_eliminate_on_first_read_and_memo_hits_share(monkeypatch):
-    # building a ledger set on planes reduces no row; reading one ledger's
-    # exponents eliminates it once, and the memo's copy of that ledger for
-    # a shifted handicap reads them without a second elimination
-    inserts = []
-    insert = vanishing._Echelon.insert
-    monkeypatch.setattr(vanishing._Echelon, "insert",
-                        lambda self, row: inserts.append(1) or insert(self, row))
+def test_simplex_exponents_read_without_elimination_and_memo_hits_share(
+        monkeypatch):
+    # on the K7 planes, 3 joints in general position each, building a
+    # ledger set and reading every exponent reduce no row; a memo hit for a
+    # shifted handicap reads the very exponents of the ledger it copies
+    inserts = _count_inserts(monkeypatch)
     h, cfg = FLATS2, _flats2_config(F)
-    plan = _fresh_plan(h, cfg, 3)
     alpha = {r: r % 3 - 1 for r in range(len(cfg.points))}
+    for n in (3, 4):
+        plan = _fresh_plan(h, cfg, n)
+        ls = plan.ledger_set(cfg, alpha)
+        read = {fl: ledger.exponents for fl, ledger in ls.ledgers.items()}
+        assert all(type(ledger.pivots) is vanishing._Pivots
+                   for fl, ledger in ls.ledgers.items() if fl.dim > 1)
+        assert sum(len(g) for e in read.values() for g in e.values()) == \
+            35 * comb(n + 2, 2)
+        hit = plan.ledger_set(cfg, {r: a + 2 for r, a in alpha.items()})
+        assert all(hit.ledgers[fl].exponents is read[fl] for fl in read)
+        assert all(ls.ledgers[fl].exponents is read[fl] for fl in read)
+    assert inserts == []
+    # a K8 plane, with 6 joints, is still eliminated
+    cfg8 = _flats2_k8_config()
+    plan = _fresh_plan(h, cfg8, 2)
+    fl, jc = next((fl, jc) for fl, jc in plan.charts if fl.dim > 1)
+    assert len(jc) == 6
+    alpha = dict.fromkeys(range(len(cfg8.points)), 0)
+    ledger = build_flat_ledger(fl, jc, alpha, 2, frame=plan.frames[fl])
+    assert type(ledger.pivots) is dict and len(inserts) >= comb(2 + 2, 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@seed(2417)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_plane_exponents_match_elimination(field, n, data):
+    # every plane ledger of the K7 configuration under a random handicap:
+    # the frame's exponents, and the simplex counts, equal the elimination's
+    h, cfg = FLATS2, _flats2_config(field)
+    alpha = {r: data.draw(st.integers(-3, 3)) for r in range(len(cfg.points))}
+    plan = _fresh_plan(h, cfg, n)
     ls = plan.ledger_set(cfg, alpha)
-    assert inserts == []
-    fl = ls.flat_by_edge[(0, 0)]
-    exponents = ls.ledgers[fl].exponents
-    assert len(inserts) >= comb(3 + 2, 2)
-    inserts.clear()
-    assert ls.ledgers[fl].exponents is exponents
-    hit = plan.ledger_set(cfg, {r: a + 2 for r, a in alpha.items()})
-    assert hit.ledgers[fl].exponents is exponents
-    assert inserts == []
+    for fl, jc in plan.charts:
+        counts, exponents = vanishing._eliminate(field, fl.dim, n, jc, alpha)
+        assert ls.ledgers[fl].counts == counts
+        assert ls.ledgers[fl].exponents == exponents
 
 
 def test_plan_decides_each_plane_path_once(monkeypatch):
@@ -889,6 +975,13 @@ def _flats2_config(field):
     """The 2-flats pattern over K7: 7 joints on 35 planes, 90 tuples each."""
     return generically_induced(SimpleHypergraph.complete(7, 4), FLATS2,
                                generic_hyperplanes(7, 6, field=field))
+
+
+@functools.cache
+def _flats2_k8_config():
+    """The 2-flats pattern over K8: 6 joints on every plane."""
+    return generically_induced(SimpleHypergraph.complete(8, 4), FLATS2,
+                               generic_hyperplanes(8, 6))
 
 
 def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
