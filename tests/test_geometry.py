@@ -343,6 +343,26 @@ def test_direct_sum_witness_is_the_stacked_bases(family, rng_seed):
         assert linalg.rank(spaces[j] + [v], field) == len(spaces[j])
 
 
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
+@pytest.mark.parametrize("case", ["K3-K6", "C5", "cone-K6"])
+def test_witnesses_read_out_of_order_match_uncached_loop(case, field):
+    # a witness is fixed when the walk yields it: reading backwards at one
+    # point, or alternating between two points, reads the uncached loop's
+    h, cfg, points = _memo_fixture(case, field)
+    first, second = points[0], points[-1]
+    backwards = enumerate_witness_tuples(h, first, cfg, seed=3)
+    assert all(wt.witness is not None for wt in reversed(backwards))
+    assert backwards == _uncached_tuples(h, first, cfg, 3)
+    a = enumerate_witness_tuples(h, first, cfg, seed=4)
+    b = enumerate_witness_tuples(h, second, cfg, seed=5)
+    for i in range(max(len(a), len(b))):
+        for tuples in (b, a):
+            if i < len(tuples):
+                assert tuples[i].witness is not None
+    assert a == _uncached_tuples(h, first, cfg, 4)
+    assert b == _uncached_tuples(h, second, cfg, 5)
+
+
 @seed(8810)
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
