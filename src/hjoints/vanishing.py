@@ -69,15 +69,22 @@ not memoised: they cost less to read off than to keep, and keeping them
 would hold every handicap round's ledgers.
 What a plan keeps lives as long as its configuration: on the 2-flats
 pattern over K7 at n=4, where every plane holds 3 joints in general
-position and param_counting_check reads the exponents of the 15 planes of
-the chosen tuples, 45 tables, all of charts L_i, and the ledgers of every
-distinct relative handicap seen.
+position, the ledgers of every distinct relative handicap seen, and tables
+only once exponent sets are read: 45, all of charts L_i, when
+point_exponents reads the 15 planes of the chosen tuples.
 
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
-outside the edge, ascending) lands in that edge's recorded set. Admissible
-sets are assembled by joining the recorded sets, not by filtering every
-gamma. They satisfy two counting laws checked here exactly: their total
+outside the edge, ascending) lands in that edge's recorded set.
+point_exponents lists them by joining the recorded sets. The counting laws
+need only how many there are, and that is counted from per-degree pivot
+counts: pair (p, r) records exponents of degree r only, as many as its
+rank increment. Edges whose outside coordinates no other edge leaves out
+combine through those counts alone, edges that share outside coordinates
+join on their values there, and c coordinates in every edge fill the
+degree n - s left in C(n - s + c, c) ways. So param_counting_check reads
+no exponent set on the K3 and 2-flats patterns, whose outside coordinates
+are pairwise disjoint. Two counting laws are checked exactly: the total
 over all joints is at least C(n+d, d) (the imposed vanishing conditions
 kill every polynomial of degree <= n), and per joint a Loomis-Whitney
 product bound relates |admissible| to the per-edge counts.
@@ -101,7 +108,7 @@ import hashlib
 import itertools
 import math
 import operator
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
@@ -209,6 +216,7 @@ class PullbackTable:
         field = chart.field
         self.monomials, self.index, self.transition, _ = _table_shape(self.k, n)
         dim = len(self.monomials)
+        self.homogeneous = all(map(field.is_zero, chart.shift))
         self.columns: list[list] = [None] * dim
         const = [field.zero] * dim
         const[self.index[(0,) * self.k]] = field.one
@@ -220,25 +228,29 @@ class PullbackTable:
             down = list(beta)
             down[t] -= 1
             prev = self.columns[self.index[tuple(down)]]
-            self.columns[bi] = self._mul_linear(prev, t)
+            self.columns[bi] = self._mul_linear(prev, t, sum(down))
 
-    def _mul_linear(self, vec, coord: int):
-        field = self.chart.field
+    def _mul_linear(self, vec, coord: int, degree: int):
+        """vec, the column of a monomial of degree < n, times output
+        coordinate coord. vec is zero past the monomials of degree at most
+        `degree`, and on a chart with no shift below that degree too, so
+        only that index range is read."""
+        field, k = self.chart.field, self.k
         c0, coeffs = self.chart.linear_form(coord)
         out = [field.zero] * len(vec)
         use_const = not field.is_zero(c0)
-        for i, v in enumerate(vec):
+        terms = [(self.transition[t], ct) for t, ct in enumerate(coeffs)
+                 if not field.is_zero(ct)]
+        start = comb(degree - 1 + k, k) if self.homogeneous else 0
+        for i in range(start, comb(degree + k, k)):
+            v = vec[i]
             if field.is_zero(v):
                 continue
             if use_const:
                 out[i] = field.add(out[i], field.mul(v, c0))
-            for t in range(self.k):
-                ct = coeffs[t]
-                if field.is_zero(ct):
-                    continue
-                j = self.transition[t][i]
-                if j >= 0:
-                    out[j] = field.add(out[j], field.mul(v, ct))
+            for up, ct in terms:
+                j = up[i]
+                out[j] = field.add(out[j], field.mul(v, ct))
         return out
 
     def row(self, gamma) -> list:
@@ -321,14 +333,15 @@ class _Echelon:
 
 
 class _Pivots:
-    """The exponent sets of a simplex flat's ledger, not yet read:
-    _simplex_exponents runs on the first read and its result is kept,
-    shared by every copy of the ledger that holds this object."""
+    """A simplex flat's pivots: per rank the pivot count at each degree
+    0..n, known at build, and the exponent sets, not yet read.
+    _simplex_exponents runs on the first read of the sets and its result
+    is kept, shared by every copy of the ledger that holds this object."""
 
-    __slots__ = ("args", "exponents")
+    __slots__ = ("degrees", "args", "exponents")
 
-    def __init__(self, *args):
-        self.args, self.exponents = args, None
+    def __init__(self, degrees, *args):
+        self.degrees, self.args, self.exponents = degrees, args, None
 
     def get(self) -> dict:
         if self.exponents is None:
@@ -353,6 +366,20 @@ class FlatLedger:
         if type(self.pivots) is _Pivots:
             return self.pivots.get()
         return self.pivots
+
+    def degree_counts(self, rank: int) -> list:
+        """Per degree r = 0..n, how many of rank's recorded exponents have
+        degree r: 1 below its count on a line, its pairs' rank increments
+        on a simplex flat, read off its exponents on any other flat."""
+        if self.flat.dim == 1:
+            count = self.counts[rank]
+            return [1] * count + [0] * (self.n + 1 - count)
+        if type(self.pivots) is _Pivots:
+            return self.pivots.degrees[rank]
+        out = [0] * (self.n + 1)
+        for gamma in self.pivots[rank]:
+            out[sum(gamma)] += 1
+        return out
 
     def digest(self) -> str:
         payload = repr((self.flat.base, self.flat.dirs, self.n,
@@ -430,12 +457,12 @@ def _simplex_steps(k: int, n: int, joint_charts, alpha):
             return
 
 
-def _simplex_counts(k: int, n: int, joint_charts, alpha) -> dict:
-    """Per rank, the rank increments of its pairs in priority order."""
-    counts = {rank: 0 for rank, _ in joint_charts}
-    for rank, _, _, gain in _simplex_steps(k, n, joint_charts, alpha):
-        counts[rank] += gain
-    return counts
+def _simplex_degrees(k: int, n: int, joint_charts, alpha) -> dict:
+    """Per rank, the rank increment of its pair at each degree 0..n."""
+    degrees = {rank: [0] * (n + 1) for rank, _ in joint_charts}
+    for rank, r, _, gain in _simplex_steps(k, n, joint_charts, alpha):
+        degrees[rank][r] = gain
+    return degrees
 
 
 def _lifts_independent(flat, joint_charts) -> bool:
@@ -531,8 +558,9 @@ def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None,
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
         pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
     elif frame.independent:
-        counts = _simplex_counts(k, n, joint_charts, alpha)
-        pivots = _Pivots(frame, n,
+        degrees = _simplex_degrees(k, n, joint_charts, alpha)
+        counts = {rank: sum(gains) for rank, gains in degrees.items()}
+        pivots = _Pivots(degrees, frame, n,
                          {rank: alpha[rank] for rank, _ in joint_charts})
     else:
         counts, pivots = _eliminate(field, k, n, joint_charts, alpha)
@@ -715,6 +743,51 @@ def point_exponents(ls: LedgerSet, rank: int) -> list[tuple[int, ...]]:
     return assemble_point_exponents(h, per_edge, ls.n)
 
 
+def count_assembled_exponents(h: Hypergraph, recorded, degrees, n: int
+                              ) -> int:
+    """len(assemble_point_exponents(h, [recorded(i) for each edge i], n)),
+    counted, not listed: a sum over the edges in order, keyed by the values
+    at the outside coordinates a later edge reads and the degree so far.
+    degrees(i) is edge i's recorded count at each degree 0..n; an edge
+    whose outside coordinates no other edge leaves out enters through it
+    alone, and recorded(i) is read only for the other edges. The c
+    coordinates in every edge fill the degree left, n - s, in
+    C(n - s + c, c) ways."""
+    outside = [[j for j in range(h.d) if j + 1 not in e] for e in h.edges]
+    left_out = Counter(j for coords in outside for j in coords)
+    states = {((), 0): 1}  # (key, degree) -> partial exponents
+    for i, coords in enumerate(outside):
+        done = {j for before in outside[:i] for j in before}
+        later = {j for after in outside[i + 1:] for j in after}
+        if all(left_out[j] == 1 for j in coords):
+            rows = [((), t, c) for t, c in enumerate(degrees(i)) if c]
+        else:
+            rows = [(tuple(zip(coords, g)),
+                     sum(v for j, v in zip(coords, g) if j not in done), 1)
+                    for g in set(map(tuple, recorded(i)))]
+        grown = Counter()
+        for (key, s), m in states.items():
+            for at, t, c in rows:
+                values = dict(key)
+                if s + t <= n and all(values.setdefault(j, v) == v
+                                      for j, v in at):
+                    grown[tuple([(j, v) for j, v in sorted(values.items())
+                                 if j in later]), s + t] += m * c
+        states = grown
+    c = h.d - len(left_out)
+    return sum(m * comb(n - s + c, c) for (_, s), m in states.items())
+
+
+def count_point_exponents(ls: LedgerSet, rank: int) -> int:
+    """len(point_exponents(ls, rank)), counted from the chosen-tuple
+    ledgers' per-degree pivot counts by count_assembled_exponents."""
+    ledgers = [ls.ledgers[ls.flat_by_edge[(rank, i)]]
+               for i in range(len(ls.h.edges))]
+    return count_assembled_exponents(
+        ls.h, lambda i: ledgers[i].exponents[rank],
+        lambda i: ledgers[i].degree_counts(rank), ls.n)
+
+
 def sum_of_conditions_check(ledger: FlatLedger) -> tuple[int, int]:
     """(sum of counts, C(n+k,k)); equal for every completed ledger."""
     k = ledger.flat.dim
@@ -722,13 +795,14 @@ def sum_of_conditions_check(ledger: FlatLedger) -> tuple[int, int]:
 
 
 def param_counting_check(ls: LedgerSet) -> tuple[int, int, int]:
-    """(sum |admissible sets|, C(n+d,d), slack >= 0), all exact integers."""
+    """(sum |admissible sets|, C(n+d,d), slack >= 0), all exact integers,
+    each |admissible set| counted by count_point_exponents."""
     contexts = {led.context for led in ls.ledgers.values()}
     if len(contexts) > 1:
         raise InconsistentLedgers("ledgers built under different contexts")
     total = 0
     for rank in range(len(ls.rank_order)):
-        total += len(point_exponents(ls, rank))
+        total += count_point_exponents(ls, rank)
     need = comb(ls.n + ls.h.d, ls.h.d)
     return total, need, total - need
 
@@ -755,10 +829,11 @@ def lw_step_check(h: Hypergraph, w: WeightFunction, g_point_size: int,
 
 def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> float:
     """Smallest lw_step_check slack over the joints of a ledger set, with
-    |G_p| from point_exponents and |G_e| from the chosen-tuple ledgers."""
+    |G_p| from count_point_exponents and |G_e| from the chosen-tuple
+    ledgers."""
     worst = math.inf
     for rank in range(len(ls.rank_order)):
-        g_p = len(point_exponents(ls, rank))
+        g_p = count_point_exponents(ls, rank)
         g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
                for i in range(len(ls.h.edges))]
         worst = min(worst, lw_step_check(ls.h, w, g_p, g_e, ls.n))

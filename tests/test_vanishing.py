@@ -23,7 +23,9 @@ from hjoints.configs import (JointsConfiguration, axis_parallel_from_functions,
 from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
 from hjoints.serialize import save_json
-from hjoints.vanishing import PullbackTable, build_flat_ledger, monomials_upto
+from hjoints.vanishing import (PullbackTable, build_flat_ledger,
+                               count_assembled_exponents, lw_step_worst,
+                               monomials_upto)
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -349,13 +351,22 @@ STAR3 = Hypergraph(3, ((1, 2), (1, 3)), (1, 1))  # vertex 1 in every edge
 TWO_OF_FOUR = Hypergraph(4, ((1, 2), (1, 3)), (1, 1))  # both leave out 4
 
 
+def _join_examples(test):
+    """Shared outside coordinates, a vertex in every edge, an empty set,
+    and n = 0."""
+    for case in (
+            (TWO_OF_FOUR, [[(0, 0), (1, 2), (2, 1)], [(0, 0), (2, 1)]], 3),
+            (STAR3, [[(0,), (2,)], [(1,), (2,)]], 3),
+            (K3, [[(0,), (1,)], [], [(0,)]], 2),
+            (K3, [[(0,)], [(0,)], [(0,)]], 0)):
+        test = example(case=case)(test)
+    return test
+
+
 @seed(2418)
 @settings(max_examples=300, deadline=None)
 @given(case=_edge_patterns())
-@example(case=(TWO_OF_FOUR, [[(0, 0), (1, 2), (2, 1)], [(0, 0), (2, 1)]], 3))
-@example(case=(STAR3, [[(0,), (2,)], [(1,), (2,)]], 3))
-@example(case=(K3, [[(0,), (1,)], [], [(0,)]], 2))
-@example(case=(K3, [[(0,)], [(0,)], [(0,)]], 0))
+@_join_examples
 def test_joined_exponents_match_the_filter(case):
     # the per-edge sets joined on shared outside coordinates, with the
     # coordinates in every edge filled by compositions, give the filter's
@@ -369,6 +380,33 @@ def test_joined_exponents_match_the_filter(case):
     event(f"empty set: {not all(sets)}, n = 0: {n == 0}")
     assert assemble_point_exponents(h, sets, n) == \
         _filtered_exponents(h, sets, n)
+
+
+def _degree_sizes(exponents, n):
+    """How many of the distinct exponents have each degree 0..n."""
+    out = [0] * (n + 1)
+    for gamma in set(map(tuple, exponents)):
+        out[sum(gamma)] += 1
+    return out
+
+
+@seed(2424)
+@settings(max_examples=300, deadline=None)
+@given(case=_edge_patterns())
+@_join_examples
+def test_counted_join_matches_the_listing(case):
+    # the counted join gives the listing's length, and reads the recorded
+    # set only of an edge whose outside coordinates another edge shares
+    h, sets, n = case
+    read = []
+    got = count_assembled_exponents(
+        h, lambda i: read.append(i) or sets[i],
+        lambda i: _degree_sizes(sets[i], n), n)
+    assert got == len(assemble_point_exponents(h, sets, n))
+    outside = [set(range(1, h.d + 1)) - set(e) for e in h.edges]
+    assert all(any(outside[i] & b for j, b in enumerate(outside) if j != i)
+               for i in read)
+    event(f"edges read: {bool(read)}")
 
 
 def _generic_k3(m, seed=0, field=None):
@@ -398,6 +436,7 @@ def test_lw_step_on_engine_runs():
         ls = build_ledger_set(K3, cfg, None, n)
         for rank in range(len(cfg.points)):
             g_p = len(point_exponents(ls, rank))
+            assert vanishing.count_point_exponents(ls, rank) == g_p
             g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
                    for i in range(3)]
             assert lw_step_check(K3, w, g_p, g_e, n) >= -1e-9
@@ -785,6 +824,36 @@ def test_simplex_counts_match_elimination(field, k, data):
     counts, exponents = vanishing._eliminate(field, k, n, charts, alpha)
     assert list(ledger.counts.items()) == list(counts.items())
     assert ledger.exponents == exponents
+    _check_degree_counts(ledger)
+
+
+def _check_degree_counts(ledger):
+    """Each joint's per-degree pivot counts are the per-degree sizes of its
+    exponent set."""
+    for rank, gammas in ledger.exponents.items():
+        assert ledger.degree_counts(rank) == _degree_sizes(gammas, ledger.n)
+
+
+def test_degree_counts_match_the_exponent_sets():
+    # lines take their per-degree counts from the counts and K8 planes from
+    # their eliminated exponent sets; the K7 and collinear planes are
+    # checked with the elimination below
+    rng = random.Random(24)
+    lines = 0
+    for h, cfg in _line_chart_cases():
+        for n in (0, 2, 5):
+            alpha = {r: rng.randrange(-3, 4) for r in range(len(cfg.points))}
+            ls = build_ledger_set(h, cfg, alpha, n)
+            for fl, ledger in ls.ledgers.items():
+                lines += fl.dim == 1
+                _check_degree_counts(ledger)
+    assert lines > 300
+    cfg8 = _flats2_k8_config()
+    ls = build_ledger_set(FLATS2, cfg8,
+                          {r: r % 3 for r in range(len(cfg8.points))}, 3)
+    for ledger in ls.ledgers.values():
+        assert type(ledger.pivots) is dict
+        _check_degree_counts(ledger)
 
 
 def _count_inserts(monkeypatch) -> list:
@@ -805,10 +874,12 @@ def test_collinear_joints_on_a_plane_are_eliminated(monkeypatch):
     charts = [(rank, Chart.translation(gf7, (x, 0)))
               for rank, x in enumerate((0, 1, 2))]
     alpha = dict.fromkeys(range(3), 0)
-    assert vanishing._simplex_counts(2, 1, charts, alpha) == {0: 1, 1: 1, 2: 1}
+    assert vanishing._simplex_degrees(2, 1, charts, alpha) == \
+        {0: [1, 0], 1: [1, 0], 2: [1, 0]}
     ledger = build_flat_ledger(plane, charts, alpha, 1)
     assert ledger.counts == {0: 2, 1: 1, 2: 0}
     assert type(ledger.pivots) is dict and inserts
+    _check_degree_counts(ledger)
 
 
 def test_simplex_exponents_read_without_elimination_and_memo_hits_share(
@@ -841,6 +912,34 @@ def test_simplex_exponents_read_without_elimination_and_memo_hits_share(
     assert type(ledger.pivots) is dict and len(inserts) >= comb(2 + 2, 2)
 
 
+def test_parameter_count_reads_no_exponent_set(monkeypatch):
+    # on a fresh K7 plan the parameter count and the Loomis-Whitney step
+    # read the planes' per-degree pivot counts only: no pullback table is
+    # built and no exponent set is read in the simplex frame. Both equal
+    # their values over the listed admissible sets
+    tables, reads = [], []
+    init = PullbackTable.__init__
+    monkeypatch.setattr(PullbackTable, "__init__", lambda self, *args:
+                        tables.append(1) or init(self, *args))
+    simplex = vanishing._simplex_exponents
+    monkeypatch.setattr(vanishing, "_simplex_exponents",
+                        lambda *args: reads.append(1) or simplex(*args))
+    h, cfg, n = FLATS2, _flats2_config(F), 4
+    w = WeightFunction.uniform(h, Fraction(1, 2))
+    ls = _fresh_ledger_set(h, cfg, {r: r % 3 - 1 for r in range(7)}, n)
+    total, need, slack = param_counting_check(ls)
+    worst = lw_step_worst(ls, w)
+    assert tables == [] and reads == []
+    sizes = [len(point_exponents(ls, rank)) for rank in range(7)]
+    assert tables and reads
+    assert (total, need, slack) == (sum(sizes), comb(n + 6, 6),
+                                    sum(sizes) - comb(n + 6, 6))
+    assert worst == min(
+        lw_step_check(h, w, g_p, [ls.ledgers[ls.flat_by_edge[(rank, i)]]
+                                  .counts[rank] for i in range(3)], n)
+        for rank, g_p in enumerate(sizes))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("field", [QQ, F], ids=["Q", "GF"])
 @seed(2417)
@@ -857,6 +956,7 @@ def test_plane_exponents_match_elimination(field, n, data):
         counts, exponents = vanishing._eliminate(field, fl.dim, n, jc, alpha)
         assert ls.ledgers[fl].counts == counts
         assert ls.ledgers[fl].exponents == exponents
+        _check_degree_counts(ls.ledgers[fl])
 
 
 def test_plan_decides_each_plane_path_once(monkeypatch):
