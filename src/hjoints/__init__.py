@@ -29,9 +29,8 @@ from .hypergraph import (Hypergraph, UniformityProfile, WeightFunction,
                          covering_constant, joint_count_bound)
 from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,
-                        LedgerSet, assemble_point_exponents,
-                        bounded_domain_threshold, build_flat_ledger,
-                        build_ledger_set, handicap_iteration,
-                        key_inequality_audit, lw_step_check,
-                        param_counting_check, point_exponents,
+                        LedgerSet, bounded_domain_threshold,
+                        build_flat_ledger, build_ledger_set,
+                        handicap_iteration, key_inequality_audit,
+                        lw_step_check, param_counting_check,
                         sum_of_conditions_check)

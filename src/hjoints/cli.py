@@ -376,6 +376,14 @@ def cmd_handicap_run(args) -> int:
 
 
 def cmd_key_audit(args) -> int:
+    # a factor <= 0 passes condition (1) and an infinite tolerance
+    # condition (2) on any certificate; NaN fails condition (2) on any
+    if not 0 < args.cond1_factor < math.inf:
+        raise ValueError(f"--cond1-factor {args.cond1_factor} is out of "
+                         "range: need a finite factor > 0")
+    if not math.isfinite(args.cond2_tol):
+        raise ValueError(f"--cond2-tol {args.cond2_tol} is out of range: "
+                         "need a finite tolerance")
     cfg, h, w, rep = _config_inputs(args, "key-audit", [args.certificate])
     cert = load_json(args.certificate)
     field, d = field_from_key(cert["field"]), as_int(cert["d"])

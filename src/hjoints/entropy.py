@@ -197,8 +197,9 @@ def joint_multiplicity(h: Hypergraph, w: WeightFunction, tuples, *,
     multiset copies count separately. Frank-Wolfe stops at a duality gap of
     at most tol, a stalled line search, or 100,000 iterations.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol = {tol} is out of range: need tol >= 0")
+    if not 0 <= tol < math.inf:  # inf stops at the first iterate
+        raise ValueError(f"tol = {tol} is out of range: need a finite "
+                         "tol >= 0")
     if not tuples:
         raise EmptyTupleSet("no witness tuples at this point")
     assignments = [t.assignment if hasattr(t, "assignment") else tuple(t)

@@ -9,21 +9,22 @@ and within a pair the exponents |gamma| = r in decreasing lexicographic
 order, Gaussian elimination assigns each pair a pivot count. The ledger
 records per joint those counts (their per-flat total is exactly C(n+k, k))
 and the exponent sets of the pivots, in its chart: the witness chart on
-the flats of the joint's chosen witness tuple, where point_exponents reads
-them, and a translation elsewhere.
+the flats of the joint's chosen witness tuple, whose sets combine into its
+admissible exponents (below), and a translation elsewhere.
 
 On a line (k = 1) with chart x -> u + c x, the order-r functional is c^r
 D^r at u, and priority order gives each joint a prefix 0..m_p - 1 of
 orders. By Hermite interpolation such conditions at distinct points are
-independent over any field up to n + 1 of them, so the pivots are the first
-n + 1 pairs when the shifts u are distinct and no scale c is zero. Both
-always hold: a configuration's points are distinct, so their coordinates u
-on the line are, and c is 1 in a translation and a coordinate of a column
-of an invertible witness matrix otherwise. The split is counted, not
-sorted: with s = -alpha a joint's keys are s..s + n, the key T of the last
-pair taken is the least where the joints with s <= T hold n + 1 keys up to
-T, each joint takes its max(T - s, 0) keys below T, and the keys at T fill
-the rest in rank order.
+independent over any field up to n + 1 of them, so the pivots are the
+first n + 1 pairs when the shifts u are distinct and no scale c is zero.
+Both always hold: a configuration's points are distinct, so their
+coordinates u on the line are, and c is 1 in a translation and a
+coordinate of a column of an invertible witness matrix otherwise. So a
+line's ledger reads no chart, only its joints' ranks. The split is
+counted, not sorted: with s = -alpha a joint's keys are s..s + n, the key
+T of the last pair taken is the least where the joints with s <= T hold
+n + 1 keys up to T, each joint takes its max(T - s, 0) keys below T, and
+the keys at T fill the rest in rank order.
 
 On a k-flat (k >= 2) whose m <= k + 1 joints lift to independent vectors
 (p, 1) in F^(k+1), counts and exponent sets are closed too. Complete the
@@ -53,41 +54,42 @@ multiply-add instead of a list of dim products mod p. Over Q rows stay
 Fraction lists.
 
 Ledger sets over one configuration share a plan, kept on the configuration
-per (pattern, n). The plan holds each flat's joint charts, which do not
-depend on alpha, and on each flat of dimension >= 2 its frame: the rank
-test of the simplex closed form, run once, and the charts L_i, made on the
-first exponent read that needs a rank test. Each chart caches its pullback
-table per n, built by the first elimination or exponent read that reads
-it, and the chart-independent part of a table (monomials, transitions,
-exponents per degree) is shared per (k, n), so a plan builds each table
-once. The plan also memoises ledgers on flats of dimension >= 2 on (flat,
-alpha of the flat's joints minus their minimum): the priority order (r -
-alpha, rank) does not move under that shift, a hit is re-stamped with the
-call's context, so its digest is that of a fresh build, and it shares the
-exponent sets of the ledger it copies, read at most once. Line ledgers are
-not memoised: they cost less to read off than to keep, and keeping them
-would hold every handicap round's ledgers.
+per (pattern, n). The plan holds each flat's joint ranks, all a line
+reads, and on each flat of dimension >= 2 its frame: the joints' charts,
+which do not depend on alpha, the rank test of the simplex closed form,
+run once, and the charts L_i, made on the first exponent read that needs a
+rank test. Each chart caches its pullback table per n, built by the first
+elimination or exponent read that reads it, and the chart-independent part
+of a table (monomials, transitions, exponents per degree) is shared per
+(k, n), so a plan builds each table once. The plan also memoises ledgers
+on flats of dimension >= 2 on (flat, alpha of the flat's joints minus
+their minimum): the priority order (r - alpha, rank) does not move under
+that shift, a hit is re-stamped with the call's context, so its digest is
+that of a fresh build, and it shares the exponent sets of the ledger it
+copies, read at most once. Line ledgers are not memoised: they cost less
+to read off than to keep, and keeping them would hold every handicap
+round's ledgers.
 What a plan keeps lives as long as its configuration: on the 2-flats
 pattern over K7 at n=4, where every plane holds 3 joints in general
 position, the ledgers of every distinct relative handicap seen, and tables
-only once exponent sets are read: 45, all of charts L_i, when
-point_exponents reads the 15 planes of the chosen tuples.
+only once exponent sets are read: 45, all of charts L_i, when the 15
+planes of the chosen tuples are read.
 
 Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
 with |gamma| <= n is *admissible* when every edge projection (coordinates
-outside the edge, ascending) lands in that edge's recorded set.
-point_exponents lists them by joining the recorded sets. The counting laws
-need only how many there are, and that is counted from per-degree pivot
-counts: pair (p, r) records exponents of degree r only, as many as its
-rank increment. Edges whose outside coordinates no other edge leaves out
-combine through those counts alone, edges that share outside coordinates
-join on their values there, and c coordinates in every edge fill the
-degree n - s left in C(n - s + c, c) ways. So param_counting_check reads
-no exponent set on the K3 and 2-flats patterns, whose outside coordinates
-are pairwise disjoint. Two counting laws are checked exactly: the total
-over all joints is at least C(n+d, d) (the imposed vanishing conditions
-kill every polynomial of degree <= n), and per joint a Loomis-Whitney
-product bound relates |admissible| to the per-edge counts.
+outside the edge, ascending) lands in that edge's recorded set. The
+counting laws need only how many there are, |G_p|, and that is counted,
+never listed, from per-degree pivot counts: pair (p, r) records exponents
+of degree r only, as many as its rank increment. Edges whose outside
+coordinates no other edge leaves out combine through those counts alone,
+edges that share outside coordinates join on their values there, and c
+coordinates in every edge fill the degree n - s left in C(n - s + c, c)
+ways. So param_counting_check reads no exponent set on the K3 and 2-flats
+patterns, whose outside coordinates are pairwise disjoint. Two counting
+laws are checked exactly: the total over all joints is at least C(n+d, d)
+(the imposed vanishing conditions kill every polynomial of degree <= n),
+and per joint a Loomis-Whitney product bound relates |admissible| to the
+per-edge counts.
 
 The handicap iteration mimics the equalization argument: repeatedly build
 ledgers, score each joint by W'_p = min over witness tuples of
@@ -107,7 +109,6 @@ import functools
 import hashlib
 import itertools
 import math
-import operator
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -409,20 +410,20 @@ def _eliminate(field, k: int, n: int, joint_charts, alpha):
             {rank: tuple(g) for rank, g in found.items()})
 
 
-def _hermite_counts(n: int, joint_charts, alpha) -> dict:
+def _hermite_counts(n: int, ranks, alpha) -> dict:
     """Per rank, its share of the first n + 1 pairs in priority order,
     counted as the module docstring says. T is within n of the least s, so
     for the first j joints by s, when it lies at or above the j-th s and
     below the next, it is the least T with j (T + 1) - (their s summed) >=
     n + 1: one ceiling division per prefix."""
-    joints = sorted((-alpha[rank], rank) for rank, _ in joint_charts)
+    joints = sorted((-alpha[rank], rank) for rank in ranks)
     total = 0
     for j, (s, _) in enumerate(joints, 1):
         total += s
         cut = max(s, -(-(n + 1 + total) // j) - 1)
         if j == len(joints) or cut < joints[j][0]:
             break
-    counts = {rank: max(cut + alpha[rank], 0) for rank, _ in joint_charts}
+    counts = {rank: max(cut + alpha[rank], 0) for rank in ranks}
     left = n + 1 - sum(counts.values())
     for rank in sorted(rank for s, rank in joints if s <= cut)[:left]:
         counts[rank] += 1
@@ -534,36 +535,37 @@ def _simplex_exponents(frame: _Frame, n: int, alpha) -> dict:
     return {rank: tuple(g) for rank, g in found.items()}
 
 
-def build_flat_ledger(flat, joint_charts, alpha, n: int, *, context=None,
+def build_flat_ledger(flat, joints, alpha, n: int, *, context=None,
                       frame=None) -> FlatLedger:
     """Assign the flat's C(n+k, k) conditions to its joints in priority order.
 
-    joint_charts: one (global_rank, Chart) pair per joint on the flat, the
-    charts at distinct points of the flat and with invertible linear parts.
-    Pairs (rank, r) are processed by (r - alpha[rank], rank); within a pair,
-    exponents of degree r in decreasing lex order. A line takes the Hermite
-    closed form of the module docstring, which that precondition makes
-    exact. On a flat of dimension k >= 2 with at most k + 1 joints whose
-    lifts (p, 1) are independent the counts take the simplex closed form,
-    and the exponents are read in its frame on first read, each pair's by a
-    rank test on its free betas; any other flat runs the elimination. frame
-    is the flat's _Frame for these joint charts where the caller keeps one,
-    as a ledger plan does; None makes one here.
+    joints: on a flat of dimension k >= 2, one (global_rank, Chart) pair
+    per joint on the flat, the charts at distinct points of the flat and
+    with invertible linear parts; on a line, the global ranks of joints at
+    distinct points, all that the Hermite closed form of the module
+    docstring reads, and exact for any such charts. Pairs (rank, r) are
+    processed by (r - alpha[rank], rank); within a pair, exponents of
+    degree r in decreasing lex order. On a k-flat with at most k + 1 joints
+    whose lifts (p, 1) are independent the counts take the simplex closed
+    form, and the exponents are read in its frame on first read, each
+    pair's by a rank test on its free betas; any other flat runs the
+    elimination. frame is the flat's _Frame for these joint charts where
+    the caller keeps one, as a ledger plan does; None makes one here.
     """
     field, k = flat.field, flat.dim
     if k > 1 and frame is None:
-        frame = _Frame(flat, joint_charts)
+        frame = _Frame(flat, joints)
     if k == 1:
-        counts = _hermite_counts(n, joint_charts, alpha)
+        counts = _hermite_counts(n, joints, alpha)
         gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
         pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
     elif frame.independent:
-        degrees = _simplex_degrees(k, n, joint_charts, alpha)
+        degrees = _simplex_degrees(k, n, joints, alpha)
         counts = {rank: sum(gains) for rank, gains in degrees.items()}
         pivots = _Pivots(degrees, frame, n,
-                         {rank: alpha[rank] for rank, _ in joint_charts})
+                         {rank: alpha[rank] for rank, _ in joints})
     else:
-        counts, pivots = _eliminate(field, k, n, joint_charts, alpha)
+        counts, pivots = _eliminate(field, k, n, joints, alpha)
     if context is None:
         context = (n, tuple(sorted(alpha.items())), field.key())
     return FlatLedger(flat, n, counts, pivots, context)
@@ -609,17 +611,16 @@ def default_chosen(h: Hypergraph, config) -> dict:
 
 class _LedgerPlan:
     """The part of a ledger set that does not depend on alpha: the flat of
-    every (joint, edge) and the charts of every flat carrying a joint, with
-    their pullback tables cached on the charts, the _Frame of each flat of
-    dimension >= 2, plus a memo of ledgers keyed on (flat, alpha of its
-    joints minus their minimum). A joint's chart is its witness chart on
-    the flats flat_by_edge names for it and a translation on the others.
-    The configuration is passed to each call, not kept."""
+    every (joint, edge), per flat carrying a joint the ranks of its joints
+    and, on a flat of dimension >= 2, its _Frame, which holds the joints'
+    charts with their pullback tables cached on them, plus a memo of
+    ledgers keyed on (flat, alpha of its joints minus their minimum). A
+    line's ledger reads its joints' ranks alone, so no chart is made on a
+    line. The configuration is passed to each call, not kept."""
 
     def __init__(self, h: Hypergraph, config, chosen, n: int):
         self.h, self.chosen, self.n = h, chosen, n
         self.order = order = preassigned_order(config)
-        field = config.field
         self.flat_by_edge = flat_by_edge = {}
         for rank in range(len(order)):
             for i in range(len(h.edges)):
@@ -630,47 +631,53 @@ class _LedgerPlan:
             incidence = config.incidence(config.points[idx])
             for fl in dict.fromkeys(fl for cls in incidence for _, fl in cls):
                 ranks_on[fl].append(rank)
-        self.charts = []  # (flat, joint charts)
-        for fl, ranks in ranks_on.items():
-            joint_charts = []
-            for rank in ranks:
-                point = config.points[order[rank]]
-                chart = Chart.translation(field, fl.coords_of_direction(
-                    [field.sub(a, b) for a, b in zip(point, fl.base)]))
-                for i, e in enumerate(h.edges):
-                    if flat_by_edge[(rank, i)] == fl:
-                        cols = tuple(
-                            fl.coords_of_direction(
-                                chosen[rank].witness.columns[j - 1])
-                            for j in range(1, h.d + 1) if j not in e)
-                        chart = Chart(field, fl.dim, cols, chart.shift)
-                        break
-                joint_charts.append((rank, chart))
-            if joint_charts:
-                self.charts.append((fl, joint_charts))
-        self.frames = {fl: _Frame(fl, jc)
-                       for fl, jc in self.charts if fl.dim > 1}
+        self.flats = [  # (flat, joint ranks, _Frame or None on a line)
+            (fl, ranks, _Frame(fl, self._joint_charts(config, fl, ranks))
+             if fl.dim > 1 else None)
+            for fl, ranks in ranks_on.items() if ranks]
         self.memo: dict = {}
+
+    def _joint_charts(self, config, fl, ranks) -> list:
+        """One (rank, Chart) pair per rank on the flat: the joint's witness
+        chart on the flats flat_by_edge names for it, a translation on the
+        others."""
+        h, field = self.h, config.field
+        out = []
+        for rank in ranks:
+            point = config.points[self.order[rank]]
+            shift = fl.coords_of_direction(
+                [field.sub(a, b) for a, b in zip(point, fl.base)])
+            edge = next((e for i, e in enumerate(h.edges)
+                         if self.flat_by_edge[(rank, i)] == fl), None)
+            if edge is None:
+                chart = Chart.translation(field, shift)
+            else:
+                witness = self.chosen[rank].witness
+                chart = Chart(field, fl.dim, tuple(
+                    fl.coords_of_direction(witness.columns[j - 1])
+                    for j in range(1, h.d + 1) if j not in edge), shift)
+            out.append((rank, chart))
+        return out
 
     def ledger_set(self, config, alpha) -> LedgerSet:
         n, order = self.n, self.order
         alpha = {r: int(alpha[r]) for r in range(len(order))}
         context = (n, tuple(sorted(alpha.items())), config.field.key())
         ledgers = {}
-        for fl, jc in self.charts:
-            if fl.dim == 1:
-                ledgers[fl] = build_flat_ledger(fl, jc, alpha, n,
+        for fl, ranks, frame in self.flats:
+            if frame is None:
+                ledgers[fl] = build_flat_ledger(fl, ranks, alpha, n,
                                                 context=context)
                 continue
-            low = min(alpha[rank] for rank, _ in jc)
-            key = (fl, tuple(alpha[rank] - low for rank, _ in jc))
+            low = min(alpha[rank] for rank in ranks)
+            key = (fl, tuple(alpha[rank] - low for rank in ranks))
             if key in self.memo:
                 ledgers[fl] = dataclasses.replace(self.memo[key],
                                                   context=context)
             else:
                 ledgers[fl] = self.memo[key] = build_flat_ledger(
-                    fl, jc, alpha, n, context=context,
-                    frame=self.frames[fl])
+                    fl, frame.joint_charts, alpha, n, context=context,
+                    frame=frame)
         return LedgerSet(self.h, config, n, alpha, order, self.chosen,
                          ledgers, self.flat_by_edge, context)
 
@@ -699,55 +706,13 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
 # admissible exponent sets and the two counting laws
 # ---------------------------------------------------------------------------
 
-def assemble_point_exponents(h: Hypergraph, per_edge_sets, n: int
-                             ) -> list[tuple[int, ...]]:
-    """All |gamma| <= n whose projections lie in every per-edge set, in
-    graded order. The per-edge sets are joined on the coordinates their
-    edges leave out in common, pruned at degree n, and the coordinates in
-    every edge are filled by the compositions of the degree left."""
-    fixed: dict = {}   # coordinate -> its position in a partial exponent
-    partial = [((), 0)]  # (values at the fixed coordinates, their sum)
-    for e, recorded in zip(h.edges, per_edge_sets, strict=True):
-        outside = [j - 1 for j in range(1, h.d + 1) if j not in e]
-        shared = [(q, fixed[j]) for q, j in enumerate(outside) if j in fixed]
-        new = [q for q, j in enumerate(outside) if j not in fixed]
-        extend: dict = {}
-        for g in set(map(tuple, recorded)):
-            x = tuple([g[q] for q in new])
-            extend.setdefault(tuple([g[q] for q, _ in shared]), []).append(
-                (x, sum(x)))
-        partial = [(p + x, s + t) for p, s in partial
-                   for x, t in extend.get(tuple([p[i] for _, i in shared]), ())
-                   if s + t <= n]
-        for q in new:
-            fixed[outside[q]] = len(fixed)
-    by_degree = _table_shape(h.d - len(fixed), n).by_degree
-    for j in range(h.d):  # the coordinates in every edge come last
-        fixed.setdefault(j, len(fixed))
-    place = operator.itemgetter(*[fixed[j] for j in range(h.d)])
-    fills = [(t, level) for t, level in enumerate(by_degree) if level]
-    graded = [[] for _ in range(n + 1)]
-    for p, s in partial:
-        for t, level in fills:
-            if s + t > n:
-                break
-            graded[s + t].extend([place(p + fill) for fill in level])
-    return [gamma for level in graded for gamma in sorted(level)]
-
-
-def point_exponents(ls: LedgerSet, rank: int) -> list[tuple[int, ...]]:
-    """Admissible exponents of one joint from its chosen-tuple ledgers."""
-    h = ls.h
-    per_edge = [ls.ledgers[ls.flat_by_edge[(rank, i)]].exponents[rank]
-                for i in range(len(h.edges))]
-    return assemble_point_exponents(h, per_edge, ls.n)
-
-
 def count_assembled_exponents(h: Hypergraph, recorded, degrees, n: int
                               ) -> int:
-    """len(assemble_point_exponents(h, [recorded(i) for each edge i], n)),
-    counted, not listed: a sum over the edges in order, keyed by the values
-    at the outside coordinates a later edge reads and the degree so far.
+    """How many |gamma| <= n have every edge projection in the edge's
+    recorded set, recorded(i) for edge i (the module docstring's admissible
+    exponents), counted, not listed: a sum over the edges in order, keyed
+    by the values at the outside coordinates a later edge reads and the
+    degree so far.
     degrees(i) is edge i's recorded count at each degree 0..n; an edge
     whose outside coordinates no other edge leaves out enters through it
     alone, and recorded(i) is read only for the other edges. The c
@@ -779,8 +744,9 @@ def count_assembled_exponents(h: Hypergraph, recorded, degrees, n: int
 
 
 def count_point_exponents(ls: LedgerSet, rank: int) -> int:
-    """len(point_exponents(ls, rank)), counted from the chosen-tuple
-    ledgers' per-degree pivot counts by count_assembled_exponents."""
+    """|G_p|, the admissible exponents of one joint, counted from its
+    chosen-tuple ledgers' per-degree pivot counts by
+    count_assembled_exponents."""
     ledgers = [ls.ledgers[ls.flat_by_edge[(rank, i)]]
                for i in range(len(ls.h.edges))]
     return count_assembled_exponents(
@@ -889,8 +855,8 @@ def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan, sigma) -> list:
     """Per rank: its distinct (slot, sigma) pairs with sigma > 0, and per
     witness tuple the slot of each edge's flat and the positions in those
     pairs of its weighted edges, in edge order. A slot is a position in
-    plan.charts, which is also the position in a ledger set's ledgers."""
-    slot = {fl: i for i, (fl, _) in enumerate(plan.charts)}
+    plan.flats, which is also the position in a ledger set's ledgers."""
+    slot = {fl: i for i, (fl, _, _) in enumerate(plan.flats)}
     out = []
     for idx in plan.order:
         keys: dict = {}
@@ -948,8 +914,10 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
         raise ValueError(f"max_rounds = {max_rounds} is negative")
     if delta is None:
         delta = 1 / math.log(n)
-    if not delta >= 0:  # a negative delta cuts at every gap; NaN at none
-        raise ValueError(f"delta = {delta} is out of range: need delta >= 0")
+    # a negative delta cuts at every gap; NaN and inf at none
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta = {delta} is out of range: need a finite "
+                         "delta >= 0")
     w.require_covering()
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")

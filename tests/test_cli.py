@@ -481,17 +481,47 @@ def test_out_of_range_clique_counts_exit_two(workdir, capsys, argv, named):
 @pytest.mark.parametrize("argv,named", [
     (["handicap-run", "--weights", "half.w", "--delta", "-1"], "delta = -1.0"),
     (["handicap-run", "--weights", "half.w", "--delta", "nan"], "delta = nan"),
+    (["handicap-run", "--weights", "half.w", "--delta", "inf"], "delta = inf"),
     (["eta", "--weights", "half.w", "--point", "0", "--tol", "-1"],
      "tol = -1.0"),
     (["eta", "--weights", "half.w", "--point", "0", "--tol", "nan"],
      "tol = nan"),
+    (["eta", "--weights", "half.w", "--point", "0", "--tol", "inf"],
+     "tol = inf"),
     (["verify-mult-bound", "--weights", "half.w", "--tol", "-1"], "tol = -1.0"),
-], ids=["handicap-delta-minus-1", "handicap-delta-nan", "eta-tol-minus-1",
-        "eta-tol-nan", "verify-mult-bound-tol-minus-1"])
+], ids=["handicap-delta-minus-1", "handicap-delta-nan", "handicap-delta-inf",
+        "eta-tol-minus-1", "eta-tol-nan", "eta-tol-inf",
+        "verify-mult-bound-tol-minus-1"])
 def test_out_of_range_tolerances_exit_two(workdir, capsys, argv, named):
-    # a negative delta cut at every gap and passed handicap-termination; a
-    # negative tol reported UNCONVERGED; both exited 0
+    # a negative delta cut at every gap and passed handicap-termination, and
+    # an infinite one passed it after 0 rounds at any gap; a negative tol
+    # reported UNCONVERGED, and an infinite one passed after 1 iteration;
+    # all exited 0
     test_out_of_range_integers_exit_two(workdir, capsys, "k4", argv, named)
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--cond1-factor", "-1", "--cond1-factor -1.0"),
+    ("--cond1-factor", "inf", "--cond1-factor inf"),
+    ("--cond2-tol", "inf", "--cond2-tol inf"),
+    ("--cond2-tol", "nan", "--cond2-tol nan"),
+], ids=["cond1-factor-minus-1", "cond1-factor-inf", "cond2-tol-inf",
+        "cond2-tol-nan"])
+def test_vacuous_audit_options_exit_two(workdir, capsys, tmp_path, flag,
+                                        value, named):
+    # a factor <= 0 and an infinite tolerance passed any certificate, and a
+    # NaN tolerance failed any with exit 1
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    inputs = ["--config", cfg_path, "--pattern", workdir / "k3.hg",
+              "--weights", workdir / "half.w"]
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    run(capsys, "handicap-run", *inputs, "--n", "4", "-o", cert_path)
+    code = main([str(a) for a in ["key-audit", "--certificate", cert_path,
+                                  *inputs, flag, value]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ValueError: ") and named in err
 
 
 @pytest.mark.parametrize("entries", [6, 3])

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,11 @@ from hypothesis import event, example, given, seed, settings
 from hypothesis import strategies as st
 
 from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
-                     WeightFunction, assemble_point_exponents,
-                     bounded_domain_threshold, build_ledger_set,
-                     generic_hyperplanes, generically_induced,
-                     handicap_iteration, key_inequality_audit, lw_step_check,
-                     param_counting_check, point_exponents,
-                     sum_of_conditions_check)
+                     WeightFunction, bounded_domain_threshold,
+                     build_ledger_set, generic_hyperplanes,
+                     generically_induced, handicap_iteration,
+                     key_inequality_audit, lw_step_check,
+                     param_counting_check, sum_of_conditions_check)
 from hjoints import geometry, linalg, vanishing
 from hjoints.cli import main
 from hjoints.configs import (JointsConfiguration, axis_parallel_from_functions,
@@ -173,7 +173,7 @@ def test_ledger_single_joint_takes_everything():
         assert sum_of_conditions_check(ledger) == (n + 1, n + 1)
         assert ledger.counts[0] == n + 1
         assert set(ledger.exponents[0]) == {(r,) for r in range(n + 1)}
-    assert len(point_exponents(ls, 0)) == comb(n + 2, 2)
+    assert len(_admissible(ls, 0)) == comb(n + 2, 2)
 
 
 def test_ledger_two_joints_alternate_orders():
@@ -298,18 +298,24 @@ def test_ledger_determinism():
 # admissible exponent sets
 # ---------------------------------------------------------------------------
 
+def _counted(h, sets, n):
+    """count_assembled_exponents over the given per-edge sets, with each
+    edge's per-degree counts read off its set."""
+    return count_assembled_exponents(
+        h, sets.__getitem__, lambda i: _degree_sizes(sets[i], n), n)
+
+
 def test_assemble_full_boxes_and_empty():
     n = 2
     full = [{(r,) for r in range(n + 1)} for _ in range(3)]
-    got = assemble_point_exponents(K3, full, n)
-    assert len(got) == comb(n + 3, 3)
-    assert assemble_point_exponents(K3, [set(), full[1], full[2]], n) == []
+    assert _counted(K3, full, n) == comb(n + 3, 3)
+    assert _counted(K3, [set(), full[1], full[2]], n) == 0
 
 
 def test_assemble_hand_built_cross_check():
     n = 2
     sets = [{(0,), (1,)}, {(0,), (2,)}, {(0,), (1,), (2,)}]
-    got = set(assemble_point_exponents(K3, sets, n))
+    got = set(_filtered_exponents(K3, sets, n))
     # brute force, written independently: projections drop the edge's slots
     expected = set()
     for g1 in range(n + 1):
@@ -320,6 +326,7 @@ def test_assemble_hand_built_cross_check():
                         and (gamma[0],) in sets[2]:
                     expected.add(gamma)
     assert got == expected
+    assert _counted(K3, sets, n) == len(expected)
 
 
 def _filtered_exponents(h, per_edge_sets, n):
@@ -330,6 +337,14 @@ def _filtered_exponents(h, per_edge_sets, n):
     return [gamma for gamma in monomials_upto(h.d, n)
             if all(tuple(gamma[j] for j in outside) in recorded
                    for outside, recorded in checks)]
+
+
+def _admissible(ls, rank):
+    """A joint's admissible exponents G_p, listed by filtering against the
+    exponent sets of its chosen-tuple ledgers."""
+    return _filtered_exponents(
+        ls.h, [ls.ledgers[ls.flat_by_edge[(rank, i)]].exponents[rank]
+               for i in range(len(ls.h.edges))], ls.n)
 
 
 @st.composite
@@ -363,25 +378,6 @@ def _join_examples(test):
     return test
 
 
-@seed(2418)
-@settings(max_examples=300, deadline=None)
-@given(case=_edge_patterns())
-@_join_examples
-def test_joined_exponents_match_the_filter(case):
-    # the per-edge sets joined on shared outside coordinates, with the
-    # coordinates in every edge filled by compositions, give the filter's
-    # list in its graded order
-    h, sets, n = case
-    outside = [set(range(1, h.d + 1)) - set(e) for e in h.edges]
-    shared = any(a & b for i, a in enumerate(outside) for b in outside[i + 1:])
-    event(f"shared outside: {shared}")
-    core = set.intersection(*map(set, h.edges))
-    event(f"vertex in every edge: {bool(core)}")
-    event(f"empty set: {not all(sets)}, n = 0: {n == 0}")
-    assert assemble_point_exponents(h, sets, n) == \
-        _filtered_exponents(h, sets, n)
-
-
 def _degree_sizes(exponents, n):
     """How many of the distinct exponents have each degree 0..n."""
     out = [0] * (n + 1)
@@ -395,15 +391,21 @@ def _degree_sizes(exponents, n):
 @given(case=_edge_patterns())
 @_join_examples
 def test_counted_join_matches_the_listing(case):
-    # the counted join gives the listing's length, and reads the recorded
-    # set only of an edge whose outside coordinates another edge shares
+    # the counted join gives the length of the filter's list, and reads the
+    # recorded set only of an edge whose outside coordinates another edge
+    # shares
     h, sets, n = case
     read = []
     got = count_assembled_exponents(
         h, lambda i: read.append(i) or sets[i],
         lambda i: _degree_sizes(sets[i], n), n)
-    assert got == len(assemble_point_exponents(h, sets, n))
+    assert got == len(_filtered_exponents(h, sets, n))
     outside = [set(range(1, h.d + 1)) - set(e) for e in h.edges]
+    shared = any(a & b for i, a in enumerate(outside) for b in outside[i + 1:])
+    event(f"shared outside: {shared}")
+    core = set.intersection(*map(set, h.edges))
+    event(f"vertex in every edge: {bool(core)}")
+    event(f"empty set: {not all(sets)}, n = 0: {n == 0}")
     assert all(any(outside[i] & b for j, b in enumerate(outside) if j != i)
                for i in read)
     event(f"edges read: {bool(read)}")
@@ -435,7 +437,7 @@ def test_lw_step_on_engine_runs():
     for n in (2, 4):
         ls = build_ledger_set(K3, cfg, None, n)
         for rank in range(len(cfg.points)):
-            g_p = len(point_exponents(ls, rank))
+            g_p = len(_admissible(ls, rank))
             assert vanishing.count_point_exponents(ls, rank) == g_p
             g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
                    for i in range(3)]
@@ -468,7 +470,7 @@ def test_admissible_conditions_kill_all_polynomials():
                 chosen = ls.chosen[rank]
                 ambient = Chart(cfg.field, 3, chosen.witness.columns, point)
                 table = PullbackTable(ambient, n)
-                for gamma in point_exponents(ls, rank):
+                for gamma in _admissible(ls, rank):
                     rows.append(table.row(gamma))
             dim = comb(n + 3, 3)
             assert len(rows) >= dim  # the exact counting law, again
@@ -630,30 +632,30 @@ def _k3_config(m, field):
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_hermite_closed_form_matches_elimination(m, field, n, data):
-    # the oracle runs the elimination on each line's charts
+    # the oracle runs the elimination on the charts that the plan's chart
+    # helper makes on each line, which the plan itself never makes
     cfg = _k3_config(m, field)
     nj = len(cfg.points)
     alpha = dict(enumerate(data.draw(
         st.lists(st.integers(-4, 4), min_size=nj, max_size=nj))))
     plan = _fresh_plan(K3, cfg, n)
     closed = _closed_form(lambda: plan.ledger_set(cfg, alpha))
-    assert list(closed.ledgers) == [fl for fl, _ in plan.charts]
-    for fl, joint_charts in plan.charts:
-        counts, exponents = vanishing._eliminate(field, 1, n, joint_charts,
-                                                 alpha)
+    assert list(closed.ledgers) == [fl for fl, _, _ in plan.flats]
+    for fl, ranks, _ in plan.flats:
+        counts, exponents = vanishing._eliminate(
+            field, 1, n, plan._joint_charts(cfg, fl, ranks), alpha)
         ledger = closed.ledgers[fl]
         assert list(ledger.counts.items()) == list(counts.items())
         assert ledger.exponents == exponents
 
 
-def _sorted_line_ledger(line, joint_charts, alpha, n):
+def _sorted_line_ledger(line, ranks, alpha, n):
     """A Hermite line's ledger as the first n + 1 pairs of the sorted
     priority order: the oracle for the counted closed form."""
-    pairs = sorted(((r, rank) for rank, _ in joint_charts
-                    for r in range(n + 1)),
+    pairs = sorted(((r, rank) for rank in ranks for r in range(n + 1)),
                    key=lambda pr: (pr[0] - alpha[pr[1]], pr[1]))
-    counts = {rank: 0 for rank, _ in joint_charts}
-    exponents = {rank: () for rank, _ in joint_charts}
+    counts = {rank: 0 for rank in ranks}
+    exponents = {rank: () for rank in ranks}
     for r, rank in pairs[:n + 1]:
         counts[rank] += 1
         exponents[rank] += ((r,),)
@@ -667,22 +669,17 @@ def _sorted_line_ledger(line, joint_charts, alpha, n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_counted_line_ledger_matches_sorted_pairs(n, data):
-    # 1-8 joints with distinct shifts and nonzero scales, in any rank order;
-    # equal handicaps tie every key and are split by rank alone, and
-    # spreads wider than n leave some joints nothing
+    # 1-8 joints in any rank order; equal handicaps tie every key and are
+    # split by rank alone, and spreads wider than n leave some joints
+    # nothing
     field = data.draw(st.sampled_from([QQ, F]))
     line = Flat(field, 2, (field.zero, field.zero), [(field.one, field.zero)])
     ranks = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=8,
                                unique=True))
-    shifts = data.draw(st.lists(st.integers(-50, 50), min_size=len(ranks),
-                                max_size=len(ranks), unique=True))
     spread = data.draw(st.sampled_from([0, 1, n, 2 * n + 3]))
     alpha = {rank: data.draw(st.integers(-spread, spread)) for rank in ranks}
-    charts = [(rank, Chart(field, 1, ((field.from_int(data.draw(
-        st.integers(1, 9))),),), (field.from_int(u),)))
-              for rank, u in zip(ranks, shifts)]
-    ledger = _closed_form(lambda: build_flat_ledger(line, charts, alpha, n))
-    oracle = _sorted_line_ledger(line, charts, alpha, n)
+    ledger = _closed_form(lambda: build_flat_ledger(line, ranks, alpha, n))
+    oracle = _sorted_line_ledger(line, ranks, alpha, n)
     assert list(ledger.counts.items()) == list(oracle.counts.items())
     assert ledger.exponents == oracle.exponents
     assert ledger.digest() == oracle.digest()
@@ -696,7 +693,8 @@ def test_counted_line_ledger_matches_sorted_pairs(n, data):
 def test_degenerate_line_charts_are_eliminated(field, degenerate, counts):
     # charts outside the closed form's precondition: the elimination, the
     # oracle for lines, splits them unlike the first n + 1 pairs, which give
-    # {0: 3, 1: 2} in both cases; no plan builds such charts (see below)
+    # {0: 3, 1: 2} in both cases; the plan's chart helper makes no such
+    # charts (see below)
     u, c = field.from_int(3), field.from_int(2)
     scale = field.zero if degenerate == "zero scale" else c
     other = u if degenerate == "coincident shifts" else field.from_int(5)
@@ -704,7 +702,7 @@ def test_degenerate_line_charts_are_eliminated(field, degenerate, counts):
               (1, Chart.translation(field, (other,)))]
     alpha, n = {0: 0, 1: -1}, 4
     assert vanishing._eliminate(field, 1, n, charts, alpha)[0] == counts
-    assert vanishing._hermite_counts(n, charts, alpha) == {0: 3, 1: 2}
+    assert vanishing._hermite_counts(n, [0, 1], alpha) == {0: 3, 1: 2}
 
 
 def test_repeated_point_is_rejected(tmp_path, capsys):
@@ -737,7 +735,7 @@ def test_repeated_point_is_rejected(tmp_path, capsys):
 
 
 def _line_chart_cases():
-    """(pattern, configuration) pairs whose plans hold line charts."""
+    """(pattern, configuration) pairs whose plans have lines."""
     for m in range(4, 9):
         for field in (QQ, F):
             yield K3, _k3_config(m, field)
@@ -751,20 +749,50 @@ def _line_chart_cases():
 
 
 def test_plan_line_charts_meet_the_closed_form_precondition():
-    # every line chart a plan builds has a nonzero scale, and the charts on
-    # one line have pairwise distinct shifts
+    # every line chart the plan's chart helper makes has a nonzero scale,
+    # and the charts on one line have pairwise distinct shifts
     lines = 0
     for h, cfg in _line_chart_cases():
         assert 1 in cfg.dims
-        for fl, joint_charts in _fresh_plan(h, cfg, 2).charts:
+        plan = _fresh_plan(h, cfg, 2)
+        for fl, ranks, _ in plan.flats:
             if fl.dim != 1:
                 continue
             lines += 1
+            joint_charts = plan._joint_charts(cfg, fl, ranks)
             assert not any(cfg.field.is_zero(chart.cols[0][0])
                            for _, chart in joint_charts)
             shifts = [chart.shift for _, chart in joint_charts]
             assert len(set(shifts)) == len(shifts)
     assert lines > 100
+
+
+def test_plans_make_charts_on_planes_only(monkeypatch):
+    # a line's ledger reads its joints' ranks alone, so a fresh K3 plan
+    # makes no chart; a K7 2-flats plan makes one per (plane, joint), and
+    # its ledger set is the one pinned below
+    made = []
+    init = Chart.__init__
+    monkeypatch.setattr(Chart, "__init__", lambda self, *args:
+                        made.append(1) or init(self, *args))
+    for m in range(4, 9):
+        for field in (QQ, F):
+            cfg = _k3_config(m, field)
+            plan = _fresh_plan(K3, cfg, 5)
+            ls = plan.ledger_set(cfg, {r: r % 3 - 1
+                                       for r in range(len(cfg.points))})
+            assert all(fl.dim == 1 for fl in ls.ledgers)
+            assert made == []
+    h, cfg = FLATS2, _flats2_config(F)
+    plan = _fresh_plan(h, cfg, 4)
+    assert len(made) == sum(len(ranks) for _, ranks, _ in plan.flats) == 105
+    assert all(len(frame.joint_charts) == len(ranks)
+               for _, ranks, frame in plan.flats)
+    ls = plan.ledger_set(cfg, {r: r % 3 - 1 for r in range(7)})
+    digest = hashlib.sha256("".join(
+        ledger.digest() for ledger in ls.ledgers.values()).encode())
+    assert digest.hexdigest() == \
+        "4f32a051f602dc5530bb2c65d607be3bc4c710642f3bd4c0a0752539a23a8773"
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +933,10 @@ def test_simplex_exponents_read_without_elimination_and_memo_hits_share(
     # a K8 plane, with 6 joints, is still eliminated
     cfg8 = _flats2_k8_config()
     plan = _fresh_plan(h, cfg8, 2)
-    fl, jc = next((fl, jc) for fl, jc in plan.charts if fl.dim > 1)
-    assert len(jc) == 6
+    fl, frame = next((fl, frame) for fl, _, frame in plan.flats if frame)
+    assert len(frame.joint_charts) == 6
     alpha = dict.fromkeys(range(len(cfg8.points)), 0)
-    ledger = build_flat_ledger(fl, jc, alpha, 2, frame=plan.frames[fl])
+    ledger = build_flat_ledger(fl, frame.joint_charts, alpha, 2, frame=frame)
     assert type(ledger.pivots) is dict and len(inserts) >= comb(2 + 2, 2)
 
 
@@ -930,7 +958,7 @@ def test_parameter_count_reads_no_exponent_set(monkeypatch):
     total, need, slack = param_counting_check(ls)
     worst = lw_step_worst(ls, w)
     assert tables == [] and reads == []
-    sizes = [len(point_exponents(ls, rank)) for rank in range(7)]
+    sizes = [len(_admissible(ls, rank)) for rank in range(7)]
     assert tables and reads
     assert (total, need, slack) == (sum(sizes), comb(n + 6, 6),
                                     sum(sizes) - comb(n + 6, 6))
@@ -952,8 +980,9 @@ def test_plane_exponents_match_elimination(field, n, data):
     alpha = {r: data.draw(st.integers(-3, 3)) for r in range(len(cfg.points))}
     plan = _fresh_plan(h, cfg, n)
     ls = plan.ledger_set(cfg, alpha)
-    for fl, jc in plan.charts:
-        counts, exponents = vanishing._eliminate(field, fl.dim, n, jc, alpha)
+    for fl, _, frame in plan.flats:
+        counts, exponents = vanishing._eliminate(field, fl.dim, n,
+                                                 frame.joint_charts, alpha)
         assert ls.ledgers[fl].counts == counts
         assert ls.ledgers[fl].exponents == exponents
         _check_degree_counts(ls.ledgers[fl])
@@ -969,7 +998,7 @@ def test_plan_decides_each_plane_path_once(monkeypatch):
                         lambda *args: calls.append(1) or decide(*args))
     h, cfg = FLATS2, _flats2_config(F)
     plan = _fresh_plan(h, cfg, 4)
-    planes = [fl for fl, _ in plan.charts if fl.dim > 1]
+    planes = [fl for fl, _, frame in plan.flats if frame]
     assert len(calls) == len(planes) == 35
     rng = random.Random(22)
     alphas = [{r: rng.randrange(-2, 3) for r in range(len(cfg.points))}
@@ -977,8 +1006,9 @@ def test_plan_decides_each_plane_path_once(monkeypatch):
     sets = [plan.ledger_set(cfg, alpha) for alpha in alphas]
     assert len(calls) == 35
     for ls in sets:
-        for fl, jc in plan.charts:
-            want = build_flat_ledger(fl, jc, ls.alpha, 4, context=ls.context)
+        for fl, _, frame in plan.flats:
+            want = build_flat_ledger(fl, frame.joint_charts, ls.alpha, 4,
+                                     context=ls.context)
             assert ls.ledgers[fl].digest() == want.digest()
 
 
@@ -1004,7 +1034,7 @@ def test_incidence_matches_the_contains_scan():
         plan = _fresh_plan(h, cfg, 2)
         points = [cfg.points[idx] for idx in plan.order]
         flats = dict.fromkeys(fl for cls in cfg.classes for fl in cls)
-        assert [(fl, [rank for rank, _ in jc]) for fl, jc in plan.charts] == [
+        assert [(fl, ranks) for fl, ranks, _ in plan.flats] == [
             (fl, ranks) for fl in flats
             if (ranks := [r for r, p in enumerate(points) if fl.contains(p)])]
 
@@ -1187,7 +1217,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
         ls = build_ledger_set(h, cfg, alpha, n)
         plan = cfg._ledger_plans[(h, n)]
         memoised = len(plan.memo)
-        assert bool(memoised) == any(fl.dim > 1 for fl, _ in plan.charts)
+        assert bool(memoised) == any(frame for _, _, frame in plan.flats)
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
         shifted = {r: a + 3 for r, a in alpha.items()}
         _assert_same_ledger_set(build_ledger_set(h, cfg, shifted, n),
