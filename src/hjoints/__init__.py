@@ -8,6 +8,8 @@ derivative-condition ledgers with a handicap balancing dynamic. See the CLI
 
 __version__ = "0.1.0"
 
+from .counting import (lw_step_check, param_counting_check,
+                       sum_of_conditions_check)
 from .cover import CoverSolution, dual_cover, rho_star
 from .configs import (HyperplaneFamily, JointsConfiguration,
                       axis_parallel_from_functions, axis_parallel_pattern,
@@ -31,6 +33,4 @@ from .logspace import Log2Value
 from .vanishing import (AuditReport, Chart, FlatLedger, HandicapResult,
                         LedgerSet, bounded_domain_threshold,
                         build_flat_ledger, build_ledger_set,
-                        handicap_iteration, key_inequality_audit,
-                        lw_step_check, param_counting_check,
-                        sum_of_conditions_check)
+                        handicap_iteration, key_inequality_audit)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import random
 import platform
 import sys
@@ -24,6 +25,8 @@ from .acceptance import (geo_shearer_optimal_record, geo_shearer_random_record,
                          run_suite, simple_bound_record)
 from .configs import (axis_parallel_from_functions, axis_parallel_pattern,
                       generic_hyperplanes, projected_generically_induced)
+from .counting import (lw_step_worst, param_counting_check,
+                       sum_of_conditions_check)
 from .cover import dual_cover, rho_star
 from .entropy import (FiniteDistribution, holder_check, joint_multiplicity,
                       loomis_whitney_check, shearer_check)
@@ -38,8 +41,7 @@ from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord,
 from .serialize import (certificate_to_dict, dumps, load_config,
                         load_hypergraph, load_json, load_simple_hypergraph,
                         load_weights, parse_fraction, save_json)
-from .vanishing import (build_ledger_set, handicap_iteration, lw_step_worst,
-                        param_counting_check, sum_of_conditions_check)
+from .vanishing import build_ledger_set, handicap_iteration
 
 
 def _digest_files(paths) -> str:
@@ -58,11 +60,21 @@ def _field_arg(text):
     return GF(int(text))
 
 
+def _say(text: str) -> None:
+    """Write text to stdout now, or, once its reader has closed, to devnull,
+    as every later write and the flush at exit are then."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, report: VerificationReport, payload=None) -> int:
     if payload is not None:
-        sys.stdout.write(dumps(payload))
+        _say(dumps(payload))
     if report.records:
-        print(report.render_table())
+        _say(report.render_table() + "\n")
     if getattr(args, "json", None):
         save_json(args.json, report.to_dict())
     return report.exit_code()
@@ -118,7 +130,7 @@ def cmd_cone(args) -> int:
     if args.output:
         save_json(args.output, out.to_dict())
     else:
-        sys.stdout.write(dumps(out.to_dict()))
+        _say(dumps(out.to_dict()))
     return 0
 
 
@@ -155,8 +167,8 @@ def cmd_build_config(args) -> int:
         cfg = projected_generically_induced(host, pattern, args.t, fam,
                                             projection_seed=seed)
     save_json(args.output, cfg.to_dict())
-    print(f"configuration written to {args.output}: "
-          f"{len(cfg.points)} points, classes {cfg.class_sizes()}")
+    _say(f"configuration written to {args.output}: "
+         f"{len(cfg.points)} points, classes {cfg.class_sizes()}\n")
     return 0
 
 
@@ -347,9 +359,8 @@ def cmd_vanishing(args) -> int:
     rep.add(record_bound("parameter-counting", need, total, tol=0,
                          note="sum |G_p| >= C(n+d,d)"))
     if args.weights:
-        worst = lw_step_worst(ls, load_weights(args.weights, h))
-        rep.add(CheckRecord("lw-step", PASS if worst >= -1e-9 else FAIL,
-                            slack=worst))
+        worst, holds = lw_step_worst(ls, load_weights(args.weights, h))
+        rep.add(CheckRecord("lw-step", PASS if holds else FAIL, slack=worst))
     payload = {"n": args.n, "ledgers": table,
                "param_counting": {"total": total, "required": need}}
     return _emit(args, rep, payload)
@@ -369,7 +380,7 @@ def cmd_handicap_run(args) -> int:
                              f"delta={res.delta:.5f}, lambda={res.lam:.5f}"))
     if args.output:
         save_json(args.output, certificate_to_dict(h, res))
-        print(f"certificate written to {args.output}")
+        _say(f"certificate written to {args.output}\n")
         # what key-audit reports for the written certificate at its defaults
         rep.extend(key_audit_records(h, w, cfg, res.b, res.W))
     return _emit(args, rep)
@@ -442,8 +453,8 @@ def cmd_suite(args) -> int:
     rep.extend(records)
     rep.wall_time_s = time.time() - t0
     for name, verdict, count in summary:
-        print(f"[{verdict}] {name} ({count} checks)")
-    print()
+        _say(f"[{verdict}] {name} ({count} checks)\n")
+    _say("\n")
     return _emit(args, rep)
 
 

@@ -139,26 +139,6 @@ def _require_covering(d: int, subsets, weights) -> None:
             raise NotCovering(j, load)
 
 
-def tensor_power_bound(d: int, subsets, weights, functions, s: int,
-                       constant: float, power: int) -> float:
-    """n-th root of the weakened product bound applied to the n-th tensor
-    power, evaluated by explicit enumeration of the tensored instance."""
-    subsets = [tuple(sorted(I)) for I in subsets]
-    rhs = constant
-    for I, w, f in zip(subsets, weights, functions):
-        tensored = 0.0
-        for qs in itertools.product(
-                itertools.product(range(s), repeat=len(I)), repeat=power):
-            term = 1.0
-            for q in qs:
-                term *= float(f.get(q, 0))
-                if term == 0.0:
-                    break
-            tensored += term
-        rhs *= tensored ** float(w)
-    return rhs ** (1.0 / power)
-
-
 # ---------------------------------------------------------------------------
 # joint multiplicity via Frank-Wolfe
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ order, Gaussian elimination assigns each pair a pivot count. The ledger
 records per joint those counts (their per-flat total is exactly C(n+k, k))
 and the exponent sets of the pivots, in its chart: the witness chart on
 the flats of the joint's chosen witness tuple, whose sets combine into its
-admissible exponents (below), and a translation elsewhere.
+admissible exponents (see counting), and a translation elsewhere.
 
 On a line (k = 1) with chart x -> u + c x, the order-r functional is c^r
 D^r at u, and priority order gives each joint a prefix 0..m_p - 1 of
@@ -75,22 +75,6 @@ position, the ledgers of every distinct relative handicap seen, and tables
 only once exponent sets are read: 45, all of charts L_i, when the 15
 planes of the chosen tuples are read.
 
-Combining per-edge exponent sets at a joint p: a d-variate exponent gamma
-with |gamma| <= n is *admissible* when every edge projection (coordinates
-outside the edge, ascending) lands in that edge's recorded set. The
-counting laws need only how many there are, |G_p|, and that is counted,
-never listed, from per-degree pivot counts: pair (p, r) records exponents
-of degree r only, as many as its rank increment. Edges whose outside
-coordinates no other edge leaves out combine through those counts alone,
-edges that share outside coordinates join on their values there, and c
-coordinates in every edge fill the degree n - s left in C(n - s + c, c)
-ways. So param_counting_check reads no exponent set on the K3 and 2-flats
-patterns, whose outside coordinates are pairwise disjoint. Two counting
-laws are checked exactly: the total over all joints is at least C(n+d, d)
-(the imposed vanishing conditions kill every polynomial of degree <= n),
-and per joint a Loomis-Whitney product bound relates |admissible| to the
-per-edge counts.
-
 The handicap iteration mimics the equalization argument: repeatedly build
 ledgers, score each joint by W'_p = min over witness tuples of
 prod_e (B_{p,F}/n^dim F)^(w(e)/(|w|-1)) / W(p), sort, and decrement the
@@ -109,15 +93,14 @@ import functools
 import hashlib
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
 from . import linalg
-from .errors import (ChartMissing, DegreeOverflow, InconsistentLedgers,
-                     NotConnected)
+from .errors import ChartMissing, DegreeOverflow, NotConnected
 from .fields import PrimeField
 from .hypergraph import Hypergraph, WeightFunction
 from .logspace import log2_sum_sign
@@ -700,110 +683,6 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
     if alpha is None:
         alpha = dict.fromkeys(range(len(config.points)), 0)
     return _ledger_plan(h, config, n).ledger_set(config, alpha)
-
-
-# ---------------------------------------------------------------------------
-# admissible exponent sets and the two counting laws
-# ---------------------------------------------------------------------------
-
-def count_assembled_exponents(h: Hypergraph, recorded, degrees, n: int
-                              ) -> int:
-    """How many |gamma| <= n have every edge projection in the edge's
-    recorded set, recorded(i) for edge i (the module docstring's admissible
-    exponents), counted, not listed: a sum over the edges in order, keyed
-    by the values at the outside coordinates a later edge reads and the
-    degree so far.
-    degrees(i) is edge i's recorded count at each degree 0..n; an edge
-    whose outside coordinates no other edge leaves out enters through it
-    alone, and recorded(i) is read only for the other edges. The c
-    coordinates in every edge fill the degree left, n - s, in
-    C(n - s + c, c) ways."""
-    outside = [[j for j in range(h.d) if j + 1 not in e] for e in h.edges]
-    left_out = Counter(j for coords in outside for j in coords)
-    states = {((), 0): 1}  # (key, degree) -> partial exponents
-    for i, coords in enumerate(outside):
-        done = {j for before in outside[:i] for j in before}
-        later = {j for after in outside[i + 1:] for j in after}
-        if all(left_out[j] == 1 for j in coords):
-            rows = [((), t, c) for t, c in enumerate(degrees(i)) if c]
-        else:
-            rows = [(tuple(zip(coords, g)),
-                     sum(v for j, v in zip(coords, g) if j not in done), 1)
-                    for g in set(map(tuple, recorded(i)))]
-        grown = Counter()
-        for (key, s), m in states.items():
-            for at, t, c in rows:
-                values = dict(key)
-                if s + t <= n and all(values.setdefault(j, v) == v
-                                      for j, v in at):
-                    grown[tuple([(j, v) for j, v in sorted(values.items())
-                                 if j in later]), s + t] += m * c
-        states = grown
-    c = h.d - len(left_out)
-    return sum(m * comb(n - s + c, c) for (_, s), m in states.items())
-
-
-def count_point_exponents(ls: LedgerSet, rank: int) -> int:
-    """|G_p|, the admissible exponents of one joint, counted from its
-    chosen-tuple ledgers' per-degree pivot counts by
-    count_assembled_exponents."""
-    ledgers = [ls.ledgers[ls.flat_by_edge[(rank, i)]]
-               for i in range(len(ls.h.edges))]
-    return count_assembled_exponents(
-        ls.h, lambda i: ledgers[i].exponents[rank],
-        lambda i: ledgers[i].degree_counts(rank), ls.n)
-
-
-def sum_of_conditions_check(ledger: FlatLedger) -> tuple[int, int]:
-    """(sum of counts, C(n+k,k)); equal for every completed ledger."""
-    k = ledger.flat.dim
-    return sum(ledger.counts.values()), comb(ledger.n + k, k)
-
-
-def param_counting_check(ls: LedgerSet) -> tuple[int, int, int]:
-    """(sum |admissible sets|, C(n+d,d), slack >= 0), all exact integers,
-    each |admissible set| counted by count_point_exponents."""
-    contexts = {led.context for led in ls.ledgers.values()}
-    if len(contexts) > 1:
-        raise InconsistentLedgers("ledgers built under different contexts")
-    total = 0
-    for rank in range(len(ls.rank_order)):
-        total += count_point_exponents(ls, rank)
-    need = comb(ls.n + ls.h.d, ls.h.d)
-    return total, need, total - need
-
-
-def lw_step_check(h: Hypergraph, w: WeightFunction, g_point_size: int,
-                  g_edge_sizes, n: int) -> float:
-    """log-space slack of |G_p|/(n+1)^d <= prod_e (|G_e|/(n+1)^(d-|e|))^sigma(e)."""
-    w.require_covering()
-    denom = float(w.total - 1)
-    if g_point_size == 0:
-        return math.inf
-    lhs = math.log2(g_point_size) - h.d * math.log2(n + 1)
-    rhs = 0.0
-    for i, e in enumerate(h.edges):
-        sigma = float(w.weights[i]) / denom
-        if sigma == 0.0:
-            continue
-        ge = g_edge_sizes[i]
-        if ge == 0:
-            return -math.inf
-        rhs += sigma * (math.log2(ge) - (h.d - len(e)) * math.log2(n + 1))
-    return rhs - lhs
-
-
-def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> float:
-    """Smallest lw_step_check slack over the joints of a ledger set, with
-    |G_p| from count_point_exponents and |G_e| from the chosen-tuple
-    ledgers."""
-    worst = math.inf
-    for rank in range(len(ls.rank_order)):
-        g_p = count_point_exponents(ls, rank)
-        g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-               for i in range(len(ls.h.edges))]
-        worst = min(worst, lw_step_check(ls.h, w, g_p, g_e, ls.n))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ fails the suite.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from hjoints import acceptance
+from hjoints import Log2Value, acceptance
 from hjoints.acceptance import CRITERIA
-from hjoints.report import FAIL
+from hjoints.report import FAIL, PASS
 
 
 @pytest.mark.parametrize("name,fn", CRITERIA, ids=[c[0] for c in CRITERIA])
@@ -56,3 +57,18 @@ def test_config_count_mismatch_is_a_fail_record(monkeypatch):
     records = {r.name: r for r in
                acceptance.criterion_geometry_combinatorics(fast=True)}
     assert records["config-vs-count-0"].status == FAIL
+
+
+@pytest.mark.parametrize("constant,status", [
+    (Fraction(2**40 - 1, 2**40), FAIL), (Fraction(1), PASS)],
+    ids=["below-1", "at-1"])
+def test_tensor_power_trend_follows_the_constant(monkeypatch, constant,
+                                                  status):
+    # the n-th root of the weakened bound on the n-th tensor power is
+    # C^(1/n) times the Holder right side: it rises with n once C < 1,
+    # however close to 1, and is flat at C = 1
+    monkeypatch.setattr(acceptance, "covering_constant",
+                        lambda h, w: Log2Value.of_fraction_log(constant))
+    records = {r.name: r for r in
+               acceptance.criterion_entropy_inequalities(fast=True)}
+    assert records["entropy-tensor-power-trend"].status == status

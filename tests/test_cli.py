@@ -5,12 +5,17 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hjoints
 from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
                      SimpleHypergraph, WeightFunction, acceptance,
                      covering_constant, generic_hyperplanes,
@@ -151,6 +156,24 @@ def test_kk_and_shadow_cli(workdir, capsys, tmp_path):
     payload = first_json(out)
     assert code == 0 and payload["colex_count"] == 49995000
     assert payload["bound"] == 49995000 and "clamped" not in payload
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the reader of stdout is gone before the run starts: no traceback, the
+    # --json report is still written, and the exit code is the checks'
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hjoints.__file__).resolve().parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hjoints.cli", "kk", "--n", "10", "--d",
+             "3", "--json", str(tmp_path / "kk.json")],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert load_json(tmp_path / "kk.json")["command"] == "kk"
 
 
 @pytest.mark.parametrize("d", [171, 200])

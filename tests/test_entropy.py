@@ -10,7 +10,8 @@ from hjoints import (FiniteDistribution, Hypergraph, SimpleHypergraph,
                      generically_induced, geometric_shearer_audit,
                      holder_check, joint_entropy, joint_multiplicity,
                      loomis_whitney_check, shearer_check)
-from hjoints.entropy import project_joint, tensor_power_bound
+from hjoints.acceptance import _random_cover
+from hjoints.entropy import project_joint
 from hjoints.errors import EmptyTupleSet, NotCovering
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -154,6 +155,26 @@ def test_loomis_whitney_random_audit():
         assert loomis_whitney_check(d, subsets, weights, pts) >= -1e-9
 
 
+def tensor_power_bound(d: int, subsets, weights, functions, s: int,
+                       constant: float, power: int) -> float:
+    """n-th root of the weakened product bound applied to the n-th tensor
+    power, evaluated by explicit enumeration of the tensored instance."""
+    subsets = [tuple(sorted(I)) for I in subsets]
+    rhs = constant
+    for I, w, f in zip(subsets, weights, functions):
+        tensored = 0.0
+        for qs in itertools.product(
+                itertools.product(range(s), repeat=len(I)), repeat=power):
+            term = 1.0
+            for q in qs:
+                term *= float(f.get(q, 0))
+                if term == 0.0:
+                    break
+            tensored += term
+        rhs *= tensored ** float(w)
+    return rhs ** (1.0 / power)
+
+
 def test_tensor_power_bound_monotone():
     # the n-th root of the tensored weak bound is nonincreasing since the
     # covering constant for rainbow patterns is at least 1
@@ -168,6 +189,28 @@ def test_tensor_power_bound_monotone():
     assert bounds[0] >= bounds[1] - 1e-9 >= bounds[2] - 2e-9
     lhs, rhs, _ = holder_check(d, subsets, weights, [f1, f2], s)
     assert lhs <= bounds[2] + 1e-9
+
+
+def test_tensor_power_bound_closed_form():
+    # the tensored sums are (sum f)^n, so the enumerated bound is
+    # C^(1/n) times holder_check's right side, and nonincreasing in n
+    # exactly when C >= 1
+    rng = random.Random(31)
+    for _ in range(20):
+        d, s = rng.randrange(2, 4), 2
+        subsets, weights = _random_cover(rng, d)
+        functions = [{vals: rng.randrange(1, 4) for vals in
+                      itertools.product(range(s), repeat=len(I))}
+                     for I in subsets]
+        _, rhs, _ = holder_check(d, subsets, weights, functions, s)
+        constant = rng.choice([0.5, 0.9, 2.0, 6.0])
+        bounds = [tensor_power_bound(d, subsets, weights, functions, s,
+                                     constant, n) for n in (1, 2, 3)]
+        for n, bound in enumerate(bounds, 1):
+            assert bound == pytest.approx(constant ** (1 / n) * rhs,
+                                          rel=1e-12)
+        falling = bounds[0] >= bounds[1] >= bounds[2]
+        assert falling == (constant >= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no private module-level function or class goes unused, every public
 function, class or method has a caller in the package or a README mention,
-and every field of a result type is read in the package or named in the
-README."""
+every field of a result type is read in the package or named in the
+README, and every module stays below the parser's token threshold."""
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -208,3 +209,29 @@ def test_every_result_field_is_read():
     sources = {p.name: p.read_text() for p in PACKAGE}
     readme = (ROOT / "README.md").read_text()
     assert unread_fields(sources, readme) == []
+
+
+# CPython's parser doubles its token array past 8,192 tokens, which shows as
+# a step in the peak memory of a process that compiles the package
+PARSER_TOKENS = 8192
+
+
+def parser_tokens(path: Path) -> int:
+    """Tokens of a source file as the parser sees them: no ENCODING,
+    COMMENT or NL tokens."""
+    with path.open("rb") as fh:
+        return sum(tok.type not in (tokenize.ENCODING, tokenize.COMMENT,
+                                    tokenize.NL)
+                   for tok in tokenize.tokenize(fh.readline))
+
+
+def test_token_counter_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("# a comment\n\nx = 1  # another\n")
+    # NAME, OP, NUMBER, NEWLINE, ENDMARKER
+    assert parser_tokens(path) == 5
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_modules_stay_below_the_parser_token_threshold(path):
+    assert parser_tokens(path) < PARSER_TOKENS

@@ -13,19 +13,20 @@ from hjoints import (GF, QQ, Chart, Hypergraph, SimpleHypergraph,
                      WeightFunction, bounded_domain_threshold,
                      build_ledger_set, generic_hyperplanes,
                      generically_induced, handicap_iteration,
-                     key_inequality_audit, lw_step_check,
-                     param_counting_check, sum_of_conditions_check)
+                     key_inequality_audit)
 from hjoints import geometry, linalg, vanishing
 from hjoints.cli import main
+from hjoints.counting import (count_assembled_exponents,
+                              count_point_exponents, lw_step_check,
+                              lw_step_worst, param_counting_check,
+                              sum_of_conditions_check)
 from hjoints.configs import (JointsConfiguration, axis_parallel_from_functions,
                              axis_parallel_pattern,
                              projected_generically_induced)
 from hjoints.errors import CapExceeded, NotConnected
 from hjoints.geometry import Flat
 from hjoints.serialize import save_json
-from hjoints.vanishing import (PullbackTable, build_flat_ledger,
-                               count_assembled_exponents, lw_step_worst,
-                               monomials_upto)
+from hjoints.vanishing import PullbackTable, build_flat_ledger, monomials_upto
 
 F = GF()
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -438,10 +439,10 @@ def test_lw_step_on_engine_runs():
         ls = build_ledger_set(K3, cfg, None, n)
         for rank in range(len(cfg.points)):
             g_p = len(_admissible(ls, rank))
-            assert vanishing.count_point_exponents(ls, rank) == g_p
+            assert count_point_exponents(ls, rank) == g_p
             g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
                    for i in range(3)]
-            assert lw_step_check(K3, w, g_p, g_e, n) >= -1e-9
+            assert lw_step_check(K3, w, g_p, g_e, n)[1]
 
 
 def test_lw_step_full_boxes():
@@ -449,7 +450,20 @@ def test_lw_step_full_boxes():
     n = 4
     g_p = comb(n + 3, 3)
     g_e = [n + 1] * 3
-    assert lw_step_check(K3, w, g_p, g_e, n) >= -1e-9
+    assert lw_step_check(K3, w, g_p, g_e, n)[1]
+
+
+def test_lw_step_verdict_is_exact():
+    # weights 1/2 on K3 make every sigma(e) 1, so the step reads
+    # |G_p| <= prod |G_e|. One past a product near 10^18 is below the float
+    # slack's resolution, which reads it as holding, and fails; the tie
+    # itself holds
+    w = WeightFunction.uniform(K3, Fraction(1, 2))
+    g_e = [10**6 + 3, 10**6 + 7, 10**6 + 9]
+    tie = math.prod(g_e)
+    slack, holds = lw_step_check(K3, w, tie + 1, g_e, 4)
+    assert slack >= -1e-9 and not holds
+    assert lw_step_check(K3, w, tie, g_e, 4)[1]
 
 
 def test_admissible_conditions_kill_all_polynomials():
@@ -457,24 +471,58 @@ def test_admissible_conditions_kill_all_polynomials():
     # order gamma at p vanishes, gamma in the admissible set of p" admit only
     # the zero polynomial of degree <= n, i.e. the stacked functional rows
     # have full rank C(n+d, d) in the ambient polynomial space
-    from hjoints.vanishing import Chart, PullbackTable
     cfg = _generic_k3(4)
     rng = random.Random(12)
     for n in (2, 3):
         for _ in range(4):
             alpha = {r: rng.randrange(-2, 3) for r in range(4)}
             ls = build_ledger_set(K3, cfg, alpha, n)
-            rows = []
-            for rank in range(4):
-                point = cfg.points[ls.rank_order[rank]]
-                chosen = ls.chosen[rank]
-                ambient = Chart(cfg.field, 3, chosen.witness.columns, point)
-                table = PullbackTable(ambient, n)
-                for gamma in _admissible(ls, rank):
-                    rows.append(table.row(gamma))
+            rows = _admissible_rows(ls)
             dim = comb(n + 3, 3)
             assert len(rows) >= dim  # the exact counting law, again
             assert linalg.rank(rows, cfg.field) == dim
+
+
+def _admissible_rows(ls):
+    """The functional rows, over the ambient polynomials of degree <= n,
+    of the conditions "derivative of order gamma at p vanishes in the
+    chosen witness chart" for every joint p and gamma in G_p."""
+    cfg, rows = ls.config, []
+    for rank in range(len(ls.rank_order)):
+        point = cfg.points[ls.rank_order[rank]]
+        ambient = Chart(cfg.field, ls.h.d, ls.chosen[rank].witness.columns,
+                        point)
+        table = PullbackTable(ambient, ls.n)
+        rows.extend(table.row(gamma) for gamma in _admissible(ls, rank))
+    return rows
+
+
+C4 = Hypergraph.cycle(4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m,joints_per_plane", [(5, 3), (6, 6)])
+def test_counting_law_on_edges_sharing_outside_coordinates(
+        m, joints_per_plane, n):
+    # C4's edges 12 and 23 both leave out coordinate 4, and so on around
+    # the cycle, so the counted join reads exponent sets at every joint.
+    # Over K5 each plane holds 3 joints in general position, whose sets are
+    # read in the simplex frame; over K6 each holds 6 and is eliminated
+    cfg = generically_induced(SimpleHypergraph.complete(m, 2), C4,
+                              generic_hyperplanes(m, 4))
+    rng = random.Random(m * 10 + n)
+    for alpha in (None, {r: rng.randrange(-2, 3)
+                         for r in range(len(cfg.points))}):
+        ls = build_ledger_set(C4, cfg, alpha, n)
+        assert {len(led.counts) for led in ls.ledgers.values()} == \
+            {joints_per_plane}
+        assert all((type(led.pivots) is vanishing._Pivots) == (m == 5)
+                   for led in ls.ledgers.values())
+        for rank in range(len(cfg.points)):
+            assert count_point_exponents(ls, rank) == \
+                len(_admissible(ls, rank))
+        assert param_counting_check(ls)[2] >= 0
+        assert linalg.rank(_admissible_rows(ls), cfg.field) == comb(n + 4, 4)
 
 
 def test_rational_field_cross_check():
@@ -962,10 +1010,11 @@ def test_parameter_count_reads_no_exponent_set(monkeypatch):
     assert tables and reads
     assert (total, need, slack) == (sum(sizes), comb(n + 6, 6),
                                     sum(sizes) - comb(n + 6, 6))
-    assert worst == min(
-        lw_step_check(h, w, g_p, [ls.ledgers[ls.flat_by_edge[(rank, i)]]
-                                  .counts[rank] for i in range(3)], n)
-        for rank, g_p in enumerate(sizes))
+    steps = [lw_step_check(h, w, g_p, [ls.ledgers[ls.flat_by_edge[(rank, i)]]
+                                       .counts[rank] for i in range(3)], n)
+             for rank, g_p in enumerate(sizes)]
+    assert worst == (min(slack for slack, _ in steps),
+                     all(holds for _, holds in steps))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
