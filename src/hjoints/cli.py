@@ -179,9 +179,8 @@ def cmd_detect(args) -> int:
         candidates = list(cfg.points)
     else:
         candidates = candidate_points_from_flats(cfg, budget=args.budget)
-    joints = detect_joints(h, cfg, candidates, seed=args.seed)
-    rep = _new_report(args, "detect", [args.config, args.pattern],
-                      seed=args.seed)
+    joints = detect_joints(h, cfg, candidates)
+    rep = _new_report(args, "detect", [args.config, args.pattern])
     rep.add(CheckRecord("joints-detected", INFO, lhs=len(joints),
                         rhs=len(candidates),
                         note=f"candidates from {args.candidates}"))
@@ -415,6 +414,9 @@ def cmd_key_audit(args) -> int:
     held = {fl for cls in cfg.classes for fl in cls}
     if any(fl not in held for _, fl in b):
         raise ValueError("certificate b names a flat in no configuration class")
+    if len(cert["W"]) != len(cfg.points):
+        raise ValueError(f"certificate W has {len(cert['W'])} entries but "
+                         f"the configuration has {len(cfg.points)} points")
     W = {r: float(v) for r, v in enumerate(cert["W"])}
     if not all(0 < x < math.inf for x in W.values()):
         raise ValueError("certificate W values must be positive and finite")
@@ -509,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200000,
                    help="most flat intersections made for --candidates "
                         "intersections")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("eta", cmd_eta, help="joint multiplicity by Frank-Wolfe")
     p.add_argument("--config", required=True)

@@ -69,7 +69,7 @@ class JointsConfiguration:
         self._tuple_cache: dict = {}
         # the spans every witness walk over these flats keeps, shared
         self._spans = _SpanMemo(self.field, self.d)
-        self._ledger_plans: dict = {}  # (h, n) -> vanishing._LedgerPlan
+        self._ledger_plans: dict = {}  # h -> vanishing._LedgerPlan
 
     @property
     def r(self) -> int:
@@ -96,9 +96,6 @@ class JointsConfiguration:
             self._tuple_cache[key] = enumerate_witness_tuples(
                 h, self.points[point_index], self)
         return self._tuple_cache[key]
-
-    def flat_of(self, color: int, instance: int) -> Flat:
-        return self.classes[color - 1][instance]
 
     def to_dict(self) -> dict:
         f = self.field

@@ -226,9 +226,11 @@ class Witness:
 class WitnessTuple:
     """A qualifying assignment edge -> flat instance at one point.
 
-    assignment: per edge, an index into the edge color's class."""
+    assignment: per edge, an index into the edge color's class; flats: per
+    edge, the flat it names."""
 
     assignment: tuple
+    flats: tuple
     witness: Witness
 
 
@@ -465,8 +467,9 @@ def _walk(h, point, field, candidates, seed, spans):
     partial assignment once some final W_j is zero or the final W_j plus
     the bounds of the unfinished groups cannot reach dimension d. At a leaf
     the W_j are nonzero and jointly span F^d; identical flat tuples share
-    one witness. A direct-sum leaf's witness is the stacked bases; any other
-    leaf draws from one random.Random(seed), made at the first such leaf.
+    one witness and one tuple of flats. A direct-sum leaf's witness is the
+    stacked bases; any other leaf draws from one random.Random(seed), made
+    at the first such leaf.
     spans is the _SpanMemo of the ambient space."""
     d, m = h.d, len(h.edges)
     members, final_at, reads, everywhere = _walk_plan(h)
@@ -516,7 +519,7 @@ def _walk(h, point, field, candidates, seed, spans):
                             wit = _sample_witness(point, spaces, d, field, rng)
                 checked[key] = wit
             if checked[key] is not None:
-                yield WitnessTuple(tuple(assignment), checked[key])
+                yield WitnessTuple(tuple(assignment), key, checked[key])
             i -= 1
             continue
         if not nxt[i]:  # entering depth i
@@ -609,9 +612,10 @@ def enumerate_witness_tuples(h: Hypergraph, point, config, *,
     return out
 
 
-def has_witness_tuple(h: Hypergraph, point, config, *, seed: int = 0) -> bool:
-    """Early-exit variant: is T_p nonempty?"""
-    return any(True for _ in _witnessed_assignments(h, point, config, seed))
+def has_witness_tuple(h: Hypergraph, point, config) -> bool:
+    """Early-exit variant: is T_p nonempty? The answer is exact whatever
+    witness a draw finds, so no seed is taken."""
+    return any(True for _ in _witnessed_assignments(h, point, config, 0))
 
 
 def candidate_points_from_flats(config, *, budget: int = 200000):
@@ -652,10 +656,9 @@ def candidate_points_from_flats(config, *, budget: int = 200000):
 
 
 def detect_joints(h: Hypergraph, config, candidate_points=None, *,
-                  budget: int = 200000, seed: int = 0):
+                  budget: int = 200000):
     """Candidates with nonempty witness-tuple set, sorted canonically."""
     if candidate_points is None:
         candidate_points = candidate_points_from_flats(config, budget=budget)
-    joints = [p for p in candidate_points
-              if has_witness_tuple(h, p, config, seed=seed)]
+    joints = [p for p in candidate_points if has_witness_tuple(h, p, config)]
     return sorted(set(joints))

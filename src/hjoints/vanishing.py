@@ -54,26 +54,28 @@ multiply-add instead of a list of dim products mod p. Over Q rows stay
 Fraction lists.
 
 Ledger sets over one configuration share a plan, kept on the configuration
-per (pattern, n). The plan holds each flat's joint ranks, all a line
-reads, and on each flat of dimension >= 2 its frame: the joints' charts,
-which do not depend on alpha, the rank test of the simplex closed form,
-run once, and the charts L_i, made on the first exponent read that needs a
+per pattern; it depends on neither alpha nor n. The plan is the one place
+that decides the joints' rank order, their witness tuples and the chosen
+tuple of each, whose flats the witness tuples name. It holds each flat's
+joint ranks, all a line reads, and on each flat of dimension >= 2 its
+frame: the joints' charts, the rank test of the simplex closed form, run
+once, and the charts L_i, made on the first exponent read that needs a
 rank test. Each chart caches its pullback table per n, built by the first
 elimination or exponent read that reads it, and the chart-independent part
 of a table (monomials, transitions, exponents per degree) is shared per
-(k, n), so a plan builds each table once. The plan also memoises ledgers
-on flats of dimension >= 2 on (flat, alpha of the flat's joints minus
-their minimum): the priority order (r - alpha, rank) does not move under
-that shift, a hit is re-stamped with the call's context, so its digest is
-that of a fresh build, and it shares the exponent sets of the ledger it
-copies, read at most once. Line ledgers are not memoised: they cost less
-to read off than to keep, and keeping them would hold every handicap
-round's ledgers.
-What a plan keeps lives as long as its configuration: on the 2-flats
-pattern over K7 at n=4, where every plane holds 3 joints in general
-position, the ledgers of every distinct relative handicap seen, and tables
-only once exponent sets are read: 45, all of charts L_i, when the 15
-planes of the chosen tuples are read.
+(k, n), so a plan builds each table once per n. The plan also memoises
+ledgers on flats of dimension >= 2 on (flat, n, alpha of the flat's joints
+minus their minimum): the priority order (r - alpha, rank) does not move
+under that shift, a hit is re-stamped with the call's context, so its
+digest is that of a fresh build, and it shares the exponent sets of the
+ledger it copies, read at most once. Line ledgers are not memoised: they
+cost less to read off than to keep, and keeping them would hold every
+handicap round's ledgers.
+What a plan keeps lives as long as its configuration, for every n it was
+asked for: on the 2-flats pattern over K7 at n=4, where every plane holds
+3 joints in general position, the ledgers of every distinct relative
+handicap seen, and tables only once exponent sets are read: 45, all of
+charts L_i, when the 15 planes of the chosen tuples are read.
 
 The handicap iteration mimics the equalization argument: repeatedly build
 ledgers, score each joint by W'_p = min over witness tuples of
@@ -580,40 +582,34 @@ def preassigned_order(config) -> tuple[int, ...]:
                         key=lambda i: config.points[i]))
 
 
-def default_chosen(h: Hypergraph, config) -> dict:
-    """First enumerated witness tuple per joint, keyed by preassigned rank."""
-    order = preassigned_order(config)
-    chosen = {}
-    for rank, idx in enumerate(order):
-        tuples = config.tuples_at(h, idx)
-        if not tuples:
-            raise ChartMissing(f"stored point {idx} admits no witness tuple")
-        chosen[rank] = tuples[0]
-    return chosen
-
-
 class _LedgerPlan:
-    """The part of a ledger set that does not depend on alpha: the flat of
-    every (joint, edge), per flat carrying a joint the ranks of its joints
-    and, on a flat of dimension >= 2, its _Frame, which holds the joints'
-    charts with their pullback tables cached on them, plus a memo of
-    ledgers keyed on (flat, alpha of its joints minus their minimum). A
-    line's ledger reads its joints' ranks alone, so no chart is made on a
-    line. The configuration is passed to each call, not kept."""
+    """The part of a ledger set that depends on neither alpha nor n: the
+    joints' rank order and per rank its witness tuples, the first of which
+    is its chosen tuple; the flat of every (joint, edge), read off the
+    chosen tuples; per flat carrying a joint the ranks of its joints and, on
+    a flat of dimension >= 2, its _Frame, which holds the joints' charts
+    with their pullback tables cached on them per n; plus a memo of ledgers
+    keyed on (flat, n, alpha of its joints minus their minimum). A line's
+    ledger reads its joints' ranks alone, so no chart is made on a line.
+    The configuration is passed to each call, not kept."""
 
-    def __init__(self, h: Hypergraph, config, chosen, n: int):
-        self.h, self.chosen, self.n = h, chosen, n
+    def __init__(self, h: Hypergraph, config):
+        self.h = h
         self.order = order = preassigned_order(config)
-        self.flat_by_edge = flat_by_edge = {}
-        for rank in range(len(order)):
-            for i in range(len(h.edges)):
-                flat_by_edge[(rank, i)] = config.flat_of(
-                    h.colors[i], chosen[rank].assignment[i])
+        self.tuples, self.chosen = [], {}
         ranks_on = {fl: [] for cls in config.classes for fl in cls}
         for rank, idx in enumerate(order):
+            tuples = config.tuples_at(h, idx)
+            if not tuples:
+                raise ChartMissing(
+                    f"stored point {idx} admits no witness tuple")
+            self.tuples.append(tuples)
+            self.chosen[rank] = tuples[0]
             incidence = config.incidence(config.points[idx])
             for fl in dict.fromkeys(fl for cls in incidence for _, fl in cls):
                 ranks_on[fl].append(rank)
+        self.flat_by_edge = {(rank, i): fl for rank, wt in self.chosen.items()
+                             for i, fl in enumerate(wt.flats)}
         self.flats = [  # (flat, joint ranks, _Frame or None on a line)
             (fl, ranks, _Frame(fl, self._joint_charts(config, fl, ranks))
              if fl.dim > 1 else None)
@@ -622,28 +618,28 @@ class _LedgerPlan:
 
     def _joint_charts(self, config, fl, ranks) -> list:
         """One (rank, Chart) pair per rank on the flat: the joint's witness
-        chart on the flats flat_by_edge names for it, a translation on the
-        others."""
+        chart where its chosen tuple names the flat, a translation
+        elsewhere."""
         h, field = self.h, config.field
         out = []
         for rank in ranks:
             point = config.points[self.order[rank]]
             shift = fl.coords_of_direction(
                 [field.sub(a, b) for a, b in zip(point, fl.base)])
-            edge = next((e for i, e in enumerate(h.edges)
-                         if self.flat_by_edge[(rank, i)] == fl), None)
+            wt = self.chosen[rank]
+            edge = next((e for e, f in zip(h.edges, wt.flats) if f == fl),
+                        None)
             if edge is None:
                 chart = Chart.translation(field, shift)
             else:
-                witness = self.chosen[rank].witness
                 chart = Chart(field, fl.dim, tuple(
-                    fl.coords_of_direction(witness.columns[j - 1])
+                    fl.coords_of_direction(wt.witness.columns[j - 1])
                     for j in range(1, h.d + 1) if j not in edge), shift)
             out.append((rank, chart))
         return out
 
-    def ledger_set(self, config, alpha) -> LedgerSet:
-        n, order = self.n, self.order
+    def ledger_set(self, config, alpha, n: int) -> LedgerSet:
+        order = self.order
         alpha = {r: int(alpha[r]) for r in range(len(order))}
         context = (n, tuple(sorted(alpha.items())), config.field.key())
         ledgers = {}
@@ -653,7 +649,7 @@ class _LedgerPlan:
                                                 context=context)
                 continue
             low = min(alpha[rank] for rank in ranks)
-            key = (fl, tuple(alpha[rank] - low for rank in ranks))
+            key = (fl, n, tuple(alpha[rank] - low for rank in ranks))
             if key in self.memo:
                 ledgers[fl] = dataclasses.replace(self.memo[key],
                                                   context=context)
@@ -665,13 +661,11 @@ class _LedgerPlan:
                          ledgers, self.flat_by_edge, context)
 
 
-def _ledger_plan(h: Hypergraph, config, n: int) -> _LedgerPlan:
-    """The configuration's plan for (h, n), built on first use."""
-    key = (h, n)
-    plan = config._ledger_plans.get(key)
+def _ledger_plan(h: Hypergraph, config) -> _LedgerPlan:
+    """The configuration's plan for h, built on first use."""
+    plan = config._ledger_plans.get(h)
     if plan is None:
-        plan = config._ledger_plans[key] = _LedgerPlan(
-            h, config, default_chosen(h, config), n)
+        plan = config._ledger_plans[h] = _LedgerPlan(h, config)
     return plan
 
 
@@ -682,7 +676,7 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
         raise ValueError(f"degree n = {n} is negative")
     if alpha is None:
         alpha = dict.fromkeys(range(len(config.points)), 0)
-    return _ledger_plan(h, config, n).ledger_set(config, alpha)
+    return _ledger_plan(h, config).ledger_set(config, alpha, n)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +697,7 @@ def used_flat_connectivity(h: Hypergraph, config) -> bool:
     by_flat: dict = {}
     for rank, idx in enumerate(order):
         for wt in config.tuples_at(h, idx):
-            for i in range(len(h.edges)):
-                fl = config.flat_of(h.colors[i], wt.assignment[i])
+            for fl in wt.flats:
                 if fl in by_flat:
                     ra, rb = find(by_flat[fl]), find(rank)
                     parent[ra] = rb
@@ -730,19 +723,18 @@ class HandicapResult:
     ledger_set: LedgerSet
 
 
-def _tuple_slots(h: Hypergraph, config, plan: _LedgerPlan, sigma) -> list:
+def _tuple_slots(plan: _LedgerPlan, sigma) -> list:
     """Per rank: its distinct (slot, sigma) pairs with sigma > 0, and per
     witness tuple the slot of each edge's flat and the positions in those
     pairs of its weighted edges, in edge order. A slot is a position in
     plan.flats, which is also the position in a ledger set's ledgers."""
     slot = {fl: i for i, (fl, _, _) in enumerate(plan.flats)}
     out = []
-    for idx in plan.order:
+    for wts in plan.tuples:
         keys: dict = {}
         tuples = []
-        for wt in config.tuples_at(h, idx):
-            slots = tuple(slot[config.flat_of(c, a)]
-                          for c, a in zip(h.colors, wt.assignment))
+        for wt in wts:
+            slots = tuple(slot[fl] for fl in wt.flats)
             tuples.append((slots, tuple(
                 keys.setdefault((slot, s), len(keys))
                 for slot, s in zip(slots, sigma) if s)))
@@ -800,8 +792,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     w.require_covering()
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")
-    order = preassigned_order(config)
-    nj = len(order)
+    nj = len(config.points)
     if W is None:
         W = {rank: 1.0 / (nj * math.factorial(h.d)) for rank in range(nj)}
     else:
@@ -810,8 +801,8 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
         raise ValueError("W must be strictly positive")
     denom = float(w.total - 1)
     sigma = [float(we) / denom for we in w.weights]
-    plan = _ledger_plan(h, config, n)
-    slots = _tuple_slots(h, config, plan, sigma)
+    plan = _ledger_plan(h, config)
+    slots = _tuple_slots(plan, sigma)
     alpha = {rank: 0 for rank in range(nj)}
     seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
     trace = []
@@ -820,7 +811,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     ls = None
     scores = None
     for rounds in range(max_rounds + 1):
-        ls = plan.ledger_set(config, alpha)
+        ls = plan.ledger_set(config, alpha, n)
         scores = _score_ranks(ls, slots, W)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
@@ -896,16 +887,15 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
         for wt in tuples:
             prod = 1.0
             logs = []  # (b, exponent) pairs; None once a weighted b is zero
-            for i in range(len(h.edges)):
-                fl = config.flat_of(h.colors[i], wt.assignment[i])
+            for fl, we, e in zip(wt.flats, w.weights, exps):
                 bval = b.get((rank, fl), 0)
-                if w.weights[i] == 0:
+                if we == 0:
                     continue
-                prod *= float(bval) ** float(w.weights[i])
+                prod *= float(bval) ** float(we)
                 if not bval:
                     logs = None
                 elif logs is not None:
-                    logs.append((bval, exps[i]))
+                    logs.append((bval, e))
             prod **= exponent
             best = min(best, prod)
             cond1_worst = max(cond1_worst, cond1_factor * W[rank] - prod)
@@ -935,12 +925,12 @@ def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
     """Smallest handicap gap g with B_{p,F}(alpha_p = -g, n) = 0, by sweep
     up to 2n + 4."""
     max_gap = 2 * n + 4
-    nj = len(preassigned_order(config))
-    plan = _ledger_plan(h, config, n)
+    nj = len(config.points)
+    plan = _ledger_plan(h, config)
     for g in range(max_gap + 1):
         alpha = {r: 0 for r in range(nj)}
         alpha[target_rank] = -g
-        ls = plan.ledger_set(config, alpha)
+        ls = plan.ledger_set(config, alpha, n)
         if ls.count(target_rank, flat) == 0:
             return g
     raise RuntimeError(f"no vanishing gap found up to {max_gap}")

@@ -92,6 +92,12 @@ def test_build_detect_verify_pipeline(workdir, capsys, tmp_path):
                     "--pattern", workdir / "k3.hg")
     assert code == 0
     assert first_json(out)["count"] == 4
+    # the verdict is exact whatever witness a draw finds: detect takes no
+    # seed
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--config", str(cfg_path), "--pattern",
+              str(workdir / "k3.hg"), "--seed", "1"])
+    assert exc.value.code == 2
     code, out = run(capsys, "verify-simple-bound", "--config", cfg_path,
                     "--pattern", workdir / "k3.hg",
                     "--weights", workdir / "half.w")
@@ -671,6 +677,58 @@ def test_key_audit_rejects_a_zero_target_weight(workdir, capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "positive and finite" in err
 
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_key_audit_rejects_a_W_of_the_wrong_length(workdir, capsys, tmp_path,
+                                                  extra):
+    # a W one entry short failed as "KeyError: 3"; one entry long was
+    # audited and passed
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    inputs = ["--config", cfg_path, "--pattern", workdir / "k3.hg",
+              "--weights", workdir / "half.w"]
+    run(capsys, "handicap-run", *inputs, "--n", "24", "-o", cert_path)
+    cert = load_json(cert_path)
+    assert len(cert["W"]) == 4
+    cert["W"] = cert["W"][:extra] if extra < 0 else cert["W"] + cert["W"][:1]
+    save_json(cert_path, cert)
+    code = main([str(a) for a in ["key-audit", "--certificate", cert_path,
+                                  *inputs]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert (f"certificate W has {4 + extra} entries but the configuration "
+            "has 4 points") in err
+
+
+def test_a_stored_point_with_no_witness_tuple_exits_two(capsys, tmp_path):
+    # the K3 configuration over K6 plus a stored point on no line: the
+    # ledgers have no chosen tuple for it, the dynamic finds it cut off from
+    # every used flat first, and eta has no tuple to weigh
+    cfg = generically_induced(SimpleHypergraph.complete(6, 2), K3,
+                              generic_hyperplanes(6, 3))
+    stray = tuple(cfg.field.from_int(x) for x in (1, 2, 3))
+    assert not any(fl.contains(stray) for cls in cfg.classes for fl in cls)
+    cfg = JointsConfiguration(cfg.field, cfg.d, cfg.dims, cfg.classes,
+                              cfg.points + (stray,))
+    save_json(tmp_path / "x.cfg", cfg.to_dict())
+    save_json(tmp_path / "k3.hg", K3.to_dict())
+    save_json(tmp_path / "half.w",
+              WeightFunction.uniform(K3, Fraction(1, 2)).to_dict())
+    inputs = ["--config", tmp_path / "x.cfg", "--pattern", tmp_path / "k3.hg"]
+    weights = ["--weights", tmp_path / "half.w"]
+    for argv, message in (
+            (["vanishing", *inputs, "--n", "4"],
+             "error: stored point 20 admits no witness tuple"),
+            (["handicap-run", *inputs, *weights, "--n", "4"],
+             "error: configuration is not connected through used flats"),
+            (["eta", *inputs, *weights, "--point", "20"],
+             "error: no witness tuples at this point")):
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv[0]
+        assert err.strip() == message
 
 
 @pytest.mark.parametrize("change", ["none", "field", "d", "flat"])

@@ -623,11 +623,10 @@ def test_loomis_whitney_axis_joints_found_at_every_seed():
     cfg = axis_parallel_from_functions(3, subsets, [ones] * 3, 2, field=GF(3))
     h = axis_parallel_pattern(3, subsets)
     assert len(cfg.points) == 8
+    assert detect_joints(h, cfg, list(cfg.points)) == sorted(cfg.points)
     for rng_seed in range(20):
-        joints = detect_joints(h, cfg, list(cfg.points), seed=rng_seed)
-        assert joints == sorted(cfg.points), rng_seed
         assert all(enumerate_witness_tuples(h, p, cfg, seed=rng_seed)
-                   for p in cfg.points)
+                   for p in cfg.points), rng_seed
 
 
 def test_detect_joints_axis_grid():
@@ -735,7 +734,7 @@ def _uncached_tuples(h, point, cfg, seed):
         if flats not in checked:
             checked[flats] = _oracle_witness(h, point, flats, rng, meets)
         if checked[flats] is not None:
-            out.append(WitnessTuple(assignment, checked[flats]))
+            out.append(WitnessTuple(assignment, flats, checked[flats]))
     return out
 
 
@@ -750,7 +749,7 @@ def _check_against_uncached_loop(h, cfg, points, data):
     want = _uncached_tuples(h, point, cfg, rng_seed)
     event(f"tuples={len(want) > 0}")
     assert enumerate_witness_tuples(h, point, cfg, seed=rng_seed) == want
-    assert has_witness_tuple(h, point, cfg, seed=rng_seed) == bool(want)
+    assert has_witness_tuple(h, point, cfg) == bool(want)
     candidates = [[fl for fl in cfg.classes[c - 1] if fl.contains(point)]
                   for c in h.colors]
     if all(candidates):
@@ -853,7 +852,7 @@ def test_enumeration_leaves_nothing_for_the_collector(case):
     try:
         for point in points:
             enumerate_witness_tuples(h, point, cfg, seed=1)
-            has_witness_tuple(h, point, cfg, seed=1)
+            has_witness_tuple(h, point, cfg)
         witness_check(h, points[0], flats, seed=1)
         assert gc.collect() == 0
     finally:

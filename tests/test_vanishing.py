@@ -651,14 +651,14 @@ def _no_elimination(*args):
     raise AssertionError("the elimination ran on a line")
 
 
-def _fresh_plan(h, cfg, n):
+def _fresh_plan(h, cfg):
     """A plan of its own, not the configuration's, so charts, tables and
     ledgers are all new."""
-    return vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
+    return vanishing._LedgerPlan(h, cfg)
 
 
 def _fresh_ledger_set(h, cfg, alpha, n):
-    return _fresh_plan(h, cfg, n).ledger_set(cfg, alpha)
+    return _fresh_plan(h, cfg).ledger_set(cfg, alpha, n)
 
 
 def _closed_form(build):
@@ -686,8 +686,8 @@ def test_hermite_closed_form_matches_elimination(m, field, n, data):
     nj = len(cfg.points)
     alpha = dict(enumerate(data.draw(
         st.lists(st.integers(-4, 4), min_size=nj, max_size=nj))))
-    plan = _fresh_plan(K3, cfg, n)
-    closed = _closed_form(lambda: plan.ledger_set(cfg, alpha))
+    plan = _fresh_plan(K3, cfg)
+    closed = _closed_form(lambda: plan.ledger_set(cfg, alpha, n))
     assert list(closed.ledgers) == [fl for fl, _, _ in plan.flats]
     for fl, ranks, _ in plan.flats:
         counts, exponents = vanishing._eliminate(
@@ -802,7 +802,7 @@ def test_plan_line_charts_meet_the_closed_form_precondition():
     lines = 0
     for h, cfg in _line_chart_cases():
         assert 1 in cfg.dims
-        plan = _fresh_plan(h, cfg, 2)
+        plan = _fresh_plan(h, cfg)
         for fl, ranks, _ in plan.flats:
             if fl.dim != 1:
                 continue
@@ -826,17 +826,17 @@ def test_plans_make_charts_on_planes_only(monkeypatch):
     for m in range(4, 9):
         for field in (QQ, F):
             cfg = _k3_config(m, field)
-            plan = _fresh_plan(K3, cfg, 5)
+            plan = _fresh_plan(K3, cfg)
             ls = plan.ledger_set(cfg, {r: r % 3 - 1
-                                       for r in range(len(cfg.points))})
+                                       for r in range(len(cfg.points))}, 5)
             assert all(fl.dim == 1 for fl in ls.ledgers)
             assert made == []
     h, cfg = FLATS2, _flats2_config(F)
-    plan = _fresh_plan(h, cfg, 4)
+    plan = _fresh_plan(h, cfg)
     assert len(made) == sum(len(ranks) for _, ranks, _ in plan.flats) == 105
     assert all(len(frame.joint_charts) == len(ranks)
                for _, ranks, frame in plan.flats)
-    ls = plan.ledger_set(cfg, {r: r % 3 - 1 for r in range(7)})
+    ls = plan.ledger_set(cfg, {r: r % 3 - 1 for r in range(7)}, 4)
     digest = hashlib.sha256("".join(
         ledger.digest() for ledger in ls.ledgers.values()).encode())
     assert digest.hexdigest() == \
@@ -967,20 +967,20 @@ def test_simplex_exponents_read_without_elimination_and_memo_hits_share(
     h, cfg = FLATS2, _flats2_config(F)
     alpha = {r: r % 3 - 1 for r in range(len(cfg.points))}
     for n in (3, 4):
-        plan = _fresh_plan(h, cfg, n)
-        ls = plan.ledger_set(cfg, alpha)
+        plan = _fresh_plan(h, cfg)
+        ls = plan.ledger_set(cfg, alpha, n)
         read = {fl: ledger.exponents for fl, ledger in ls.ledgers.items()}
         assert all(type(ledger.pivots) is vanishing._Pivots
                    for fl, ledger in ls.ledgers.items() if fl.dim > 1)
         assert sum(len(g) for e in read.values() for g in e.values()) == \
             35 * comb(n + 2, 2)
-        hit = plan.ledger_set(cfg, {r: a + 2 for r, a in alpha.items()})
+        hit = plan.ledger_set(cfg, {r: a + 2 for r, a in alpha.items()}, n)
         assert all(hit.ledgers[fl].exponents is read[fl] for fl in read)
         assert all(ls.ledgers[fl].exponents is read[fl] for fl in read)
     assert inserts == []
     # a K8 plane, with 6 joints, is still eliminated
     cfg8 = _flats2_k8_config()
-    plan = _fresh_plan(h, cfg8, 2)
+    plan = _fresh_plan(h, cfg8)
     fl, frame = next((fl, frame) for fl, _, frame in plan.flats if frame)
     assert len(frame.joint_charts) == 6
     alpha = dict.fromkeys(range(len(cfg8.points)), 0)
@@ -1027,8 +1027,8 @@ def test_plane_exponents_match_elimination(field, n, data):
     # the frame's exponents, and the simplex counts, equal the elimination's
     h, cfg = FLATS2, _flats2_config(field)
     alpha = {r: data.draw(st.integers(-3, 3)) for r in range(len(cfg.points))}
-    plan = _fresh_plan(h, cfg, n)
-    ls = plan.ledger_set(cfg, alpha)
+    plan = _fresh_plan(h, cfg)
+    ls = plan.ledger_set(cfg, alpha, n)
     for fl, _, frame in plan.flats:
         counts, exponents = vanishing._eliminate(field, fl.dim, n,
                                                  frame.joint_charts, alpha)
@@ -1046,13 +1046,13 @@ def test_plan_decides_each_plane_path_once(monkeypatch):
     monkeypatch.setattr(vanishing, "_lifts_independent",
                         lambda *args: calls.append(1) or decide(*args))
     h, cfg = FLATS2, _flats2_config(F)
-    plan = _fresh_plan(h, cfg, 4)
+    plan = _fresh_plan(h, cfg)
     planes = [fl for fl, _, frame in plan.flats if frame]
     assert len(calls) == len(planes) == 35
     rng = random.Random(22)
     alphas = [{r: rng.randrange(-2, 3) for r in range(len(cfg.points))}
               for _ in range(8)]
-    sets = [plan.ledger_set(cfg, alpha) for alpha in alphas]
+    sets = [plan.ledger_set(cfg, alpha, 4) for alpha in alphas]
     assert len(calls) == 35
     for ls in sets:
         for fl, _, frame in plan.flats:
@@ -1080,7 +1080,7 @@ def test_incidence_matches_the_contains_scan():
                 for cls in cfg.classes)
         assert all(cfg.incidence(p) is cfg.incidence(p) for p in cfg.points)
         assert off not in cfg._incidence
-        plan = _fresh_plan(h, cfg, 2)
+        plan = _fresh_plan(h, cfg)
         points = [cfg.points[idx] for idx in plan.order]
         flats = dict.fromkeys(fl for cls in cfg.classes for fl in cls)
         assert [(fl, ranks) for fl, ranks, _ in plan.flats] == [
@@ -1178,10 +1178,10 @@ def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
     alpha = {r: 0 for r in range(nj)}
     seen, trace = set(), []
     while True:
-        plan = vanishing._LedgerPlan(h, cfg, vanishing.default_chosen(h, cfg), n)
-        ls = plan.ledger_set(cfg, alpha)
+        plan = vanishing._LedgerPlan(h, cfg)
+        ls = plan.ledger_set(cfg, alpha, n)
         scores = vanishing._score_ranks(
-            ls, vanishing._tuple_slots(h, cfg, plan, sigma), W)
+            ls, vanishing._tuple_slots(plan, sigma), W)
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
@@ -1221,6 +1221,7 @@ def _assert_same_ledger_set(ls, ref):
     assert (ls.h, ls.n, ls.alpha, ls.context, ls.rank_order) == \
         (ref.h, ref.n, ref.alpha, ref.context, ref.rank_order)
     assert ls.flat_by_edge == ref.flat_by_edge
+    assert ls.chosen == ref.chosen
     assert ls.ledgers.keys() == ref.ledgers.keys()
     for fl, ledger in ls.ledgers.items():
         assert ledger.digest() == ref.ledgers[fl].digest()
@@ -1264,7 +1265,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
             alpha[data.draw(st.integers(0, nj - 1))] += data.draw(
                 st.sampled_from([-1, 1]))
         ls = build_ledger_set(h, cfg, alpha, n)
-        plan = cfg._ledger_plans[(h, n)]
+        plan = cfg._ledger_plans[h]
         memoised = len(plan.memo)
         assert bool(memoised) == any(frame for _, _, frame in plan.flats)
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
@@ -1275,21 +1276,26 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
 
 
 def test_ledger_plan_cache_key_covers_every_input():
+    # one plan per pattern serves every n; each ledger set, cached or not,
+    # equals a fresh build. n changes the ledgers, and the pattern the
+    # witness chosen at each joint, whose chart the admissible rows read
     h, cfg, fresh, _ = _plan_case("2-flats-GF")
     cfg = JointsConfiguration.from_dict(cfg.to_dict())  # no plans yet
     nj = len(cfg.points)
     rng = random.Random(7)
     alpha = {r: rng.randrange(-2, 3) for r in range(nj)}
     rotated = Hypergraph(6, h.edges[1:] + h.edges[:1], h.colors)
-    for _ in range(2):  # the second pass finds every plan cached
-        for n in (2, 3):
-            _assert_same_ledger_set(build_ledger_set(h, cfg, alpha, n),
-                                    _fresh_ledger_set(h, fresh, alpha, n))
-            _assert_same_ledger_set(
-                build_ledger_set(rotated, cfg, alpha, n),
-                _fresh_ledger_set(rotated, fresh, alpha, n))
-    assert set(cfg._ledger_plans) == {
-        (pattern, n) for pattern in (h, rotated) for n in (2, 3)}
+    digests = set()
+    for _ in range(2):  # the second pass finds both plans cached
+        for pattern in (h, rotated):
+            for n in (2, 3):
+                ls = build_ledger_set(pattern, cfg, alpha, n)
+                _assert_same_ledger_set(
+                    ls, _fresh_ledger_set(pattern, fresh, alpha, n))
+                digests.add((tuple(ls.chosen.values()), tuple(
+                    ledger.digest() for ledger in ls.ledgers.values())))
+    assert len(digests) == 4
+    assert set(cfg._ledger_plans) == {h, rotated}
 
 
 def test_tuple_cap_applies_on_the_ledger_path(monkeypatch, tmp_path, capsys):
