@@ -369,8 +369,10 @@ def cmd_handicap_run(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "handicap-run")
     W = None
     if args.W != "uniform":
-        data = load_json(args.W)
-        W = {r: float(parse_fraction(v)) for r, v in enumerate(data["W"])}
+        # a JSON number is taken as it is, NaN and the infinities too, so
+        # that handicap_iteration names the value it rejects
+        W = {r: v if isinstance(v, float) else float(parse_fraction(v))
+             for r, v in enumerate(load_json(args.W)["W"])}
     res = handicap_iteration(h, w, cfg, W=W, n=args.n, delta=args.delta,
                              max_rounds=args.rounds)
     status = PASS if res.status in ("flat", "cycle") else UNCONVERGED

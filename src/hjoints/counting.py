@@ -93,39 +93,58 @@ def param_counting_check(ls: LedgerSet) -> tuple[int, int, int]:
     return total, need, total - need
 
 
+def _edge_exponents(h: Hypergraph, w: WeightFunction) -> list:
+    """Per edge with sigma(e) = w(e) / (|w| - 1) nonzero as a float: (edge
+    index, float sigma, d - |e|, exact sigma, exact -sigma (d - |e|)), the
+    exponents of the LW step's terms, which depend on the weights alone."""
+    w.require_covering()
+    denom = float(w.total - 1)
+    out = []
+    for i, e in enumerate(h.edges):
+        sigma = float(w.weights[i]) / denom
+        if sigma != 0.0:
+            exact = w.weights[i] / (w.total - 1)
+            out.append((i, sigma, h.d - len(e), exact,
+                        -exact * (h.d - len(e))))
+    return out
+
+
+def _lw_step(d: int, edges, g_point_size: int, g_edge_sizes, n: int
+             ) -> tuple[float, bool]:
+    """lw_step_check on the edge exponents of _edge_exponents."""
+    if g_point_size == 0:
+        return math.inf, True
+    lhs = math.log2(g_point_size) - d * math.log2(n + 1)
+    terms = [(g_point_size, -1), (n + 1, d)]
+    rhs = 0.0
+    for i, sigma, outside, exact, scale in edges:
+        ge = g_edge_sizes[i]
+        if ge == 0:
+            return -math.inf, False
+        rhs += sigma * (math.log2(ge) - outside * math.log2(n + 1))
+        terms += [(ge, exact), (n + 1, scale)]
+    return rhs - lhs, log2_sum_sign(terms) >= 0
+
+
 def lw_step_check(h: Hypergraph, w: WeightFunction, g_point_size: int,
                   g_edge_sizes, n: int) -> tuple[float, bool]:
     """(log-space slack, whether it holds) of |G_p|/(n+1)^d <=
     prod_e (|G_e|/(n+1)^(d-|e|))^sigma(e). Whether it holds is the exact
     sign of the slack, by log2_sum_sign on the integers and the rational
     sigma(e) = w(e) / (|w| - 1); the float slack is only reported."""
-    w.require_covering()
-    denom = float(w.total - 1)
-    if g_point_size == 0:
-        return math.inf, True
-    lhs = math.log2(g_point_size) - h.d * math.log2(n + 1)
-    terms = [(g_point_size, -1), (n + 1, h.d)]
-    rhs = 0.0
-    for i, e in enumerate(h.edges):
-        sigma = float(w.weights[i]) / denom
-        if sigma == 0.0:
-            continue
-        ge = g_edge_sizes[i]
-        if ge == 0:
-            return -math.inf, False
-        rhs += sigma * (math.log2(ge) - (h.d - len(e)) * math.log2(n + 1))
-        exact = w.weights[i] / (w.total - 1)
-        terms += [(ge, exact), (n + 1, -exact * (h.d - len(e)))]
-    return rhs - lhs, log2_sum_sign(terms) >= 0
+    edges = _edge_exponents(h, w)
+    return _lw_step(h.d, edges, g_point_size, g_edge_sizes, n)
 
 
 def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> tuple[float, bool]:
     """(smallest lw_step_check slack, whether the step holds at every
     joint) over the joints of a ledger set, with |G_p| from
-    count_point_exponents and |G_e| from the chosen-tuple ledgers."""
-    steps = [lw_step_check(ls.h, w, count_point_exponents(ls, rank),
-                           [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-                            for i in range(len(ls.h.edges))], ls.n)
+    count_point_exponents and |G_e| from the chosen-tuple ledgers; the
+    edge exponents are made once for the set."""
+    edges = _edge_exponents(ls.h, w)
+    steps = [_lw_step(ls.h.d, edges, count_point_exponents(ls, rank),
+                      [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
+                       for i in range(len(ls.h.edges))], ls.n)
              for rank in range(len(ls.rank_order))]
     return (min([slack for slack, _ in steps], default=math.inf),
             all(holds for _, holds in steps))

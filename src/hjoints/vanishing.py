@@ -64,13 +64,16 @@ rank test. Each chart caches its pullback table per n, built by the first
 elimination or exponent read that reads it, and the chart-independent part
 of a table (monomials, transitions, exponents per degree) is shared per
 (k, n), so a plan builds each table once per n. The plan also memoises
-ledgers on flats of dimension >= 2 on (flat, n, alpha of the flat's joints
-minus their minimum): the priority order (r - alpha, rank) does not move
-under that shift, a hit is re-stamped with the call's context, so its
-digest is that of a fresh build, and it shares the exponent sets of the
-ledger it copies, read at most once. Line ledgers are not memoised: they
-cost less to read off than to keep, and keeping them would hold every
-handicap round's ledgers.
+the ledger of every flat, line or not, on (flat, n, alpha of the flat's
+joints minus their minimum): the priority order (r - alpha, rank) does not
+move under that shift. The memo keeps a ledger's counts, as a tuple in the
+flat's rank order, and its pivots, but not its context: a hit is
+re-stamped with the call's context and its counts, so its digest is that
+of a fresh build, and on a plane it shares the exponent sets of the ledger
+it copies, read at most once. A line's ledger holds its counts only and
+derives its exponent sets on read, the first count orders of each joint,
+so a handicap run keeps one small tuple per relative handicap seen on a
+line, and a round rebuilds only the lines whose relative handicap is new.
 What a plan keeps lives as long as its configuration, for every n it was
 asked for: on the 2-flats pattern over K7 at n=4, where every plane holds
 3 joints in general position, the ledgers of every distinct relative
@@ -85,12 +88,13 @@ delta-flatness, cycle detection, or a round cap are all legitimate,
 reported outcomes. The witness tuples do not change between rounds, so one
 iteration maps each tuple's flats once to their slots, the positions of
 their ledgers in every round's ledger set, and scores a round by reading
-B_{p,F} and n^dim F from lists by slot.
+B_{p,F} and n^dim F from lists by slot. A joint's score reads only its
+own counts B_{p,F}, so a round rescores only the joints whose count on
+some flat moved since the round before.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -155,13 +159,8 @@ class Chart:
     @classmethod
     def translation(cls, field, shift) -> "Chart":
         k = len(shift)
-        cols = tuple(tuple(field.one if i == j else field.zero
-                           for i in range(k)) for j in range(k))
-        return cls(field, k, cols, tuple(shift))
-
-    def linear_form(self, coord: int):
-        """(constant, per-variable coefficients) of output coordinate `coord`."""
-        return self.shift[coord], tuple(col[coord] for col in self.cols)
+        return cls(field, k, tuple(linalg.identity_rows(k, field)),
+                   tuple(shift))
 
     def table(self, n: int) -> "PullbackTable":
         """The chart's pullback table at degree cap n, built on first use."""
@@ -203,13 +202,10 @@ class PullbackTable:
         self.monomials, self.index, self.transition, _ = _table_shape(self.k, n)
         dim = len(self.monomials)
         self.homogeneous = all(map(field.is_zero, chart.shift))
-        self.columns: list[list] = [None] * dim
         const = [field.zero] * dim
-        const[self.index[(0,) * self.k]] = field.one
-        self.columns[self.index[(0,) * self.k]] = const
-        for bi, beta in enumerate(self.monomials):
-            if self.columns[bi] is not None:
-                continue
+        const[0] = field.one  # graded order: the constant monomial is first
+        self.columns = [const] + [None] * (dim - 1)
+        for bi, beta in enumerate(self.monomials[1:], 1):
             t = next(j for j, b in enumerate(beta) if b > 0)
             down = list(beta)
             down[t] -= 1
@@ -222,7 +218,8 @@ class PullbackTable:
         `degree`, and on a chart with no shift below that degree too, so
         only that index range is read."""
         field, k = self.chart.field, self.k
-        c0, coeffs = self.chart.linear_form(coord)
+        c0 = self.chart.shift[coord]
+        coeffs = [col[coord] for col in self.chart.cols]
         out = [field.zero] * len(vec)
         use_const = not field.is_zero(c0)
         terms = [(self.transition[t], ct) for t, ct in enumerate(coeffs)
@@ -343,12 +340,16 @@ class FlatLedger:
     flat: object
     n: int
     counts: dict                       # rank -> B_{p,F}, every joint on F
-    pivots: object                     # the exponents, or a _Pivots
+    pivots: object                     # the exponents, a _Pivots, or None
     context: tuple                     # shared (n, alpha fingerprint, field)
 
     @property
     def exponents(self) -> dict:
-        """rank -> tuple of recorded gammas."""
+        """rank -> tuple of recorded gammas; on a line, whose pivots are
+        None, the first count orders (0,), (1,), ..."""
+        if self.pivots is None:
+            return {rank: tuple(_table_shape(1, self.n).monomials[:c])
+                    for rank, c in self.counts.items()}
         if type(self.pivots) is _Pivots:
             return self.pivots.get()
         return self.pivots
@@ -357,7 +358,7 @@ class FlatLedger:
         """Per degree r = 0..n, how many of rank's recorded exponents have
         degree r: 1 below its count on a line, its pairs' rank increments
         on a simplex flat, read off its exponents on any other flat."""
-        if self.flat.dim == 1:
+        if self.pivots is None:
             count = self.counts[rank]
             return [1] * count + [0] * (self.n + 1 - count)
         if type(self.pivots) is _Pivots:
@@ -541,9 +542,7 @@ def build_flat_ledger(flat, joints, alpha, n: int, *, context=None,
     if k > 1 and frame is None:
         frame = _Frame(flat, joints)
     if k == 1:
-        counts = _hermite_counts(n, joints, alpha)
-        gammas = _table_shape(1, n).monomials  # (0,), (1,), ..., (n,)
-        pivots = {rank: tuple(gammas[:c]) for rank, c in counts.items()}
+        counts, pivots = _hermite_counts(n, joints, alpha), None
     elif frame.independent:
         degrees = _simplex_degrees(k, n, joints, alpha)
         counts = {rank: sum(gains) for rank, gains in degrees.items()}
@@ -588,10 +587,11 @@ class _LedgerPlan:
     is its chosen tuple; the flat of every (joint, edge), read off the
     chosen tuples; per flat carrying a joint the ranks of its joints and, on
     a flat of dimension >= 2, its _Frame, which holds the joints' charts
-    with their pullback tables cached on them per n; plus a memo of ledgers
-    keyed on (flat, n, alpha of its joints minus their minimum). A line's
-    ledger reads its joints' ranks alone, so no chart is made on a line.
-    The configuration is passed to each call, not kept."""
+    with their pullback tables cached on them per n; plus a memo of every
+    flat's ledger counts and pivots keyed on (flat, n, alpha of its joints
+    minus their minimum, unpacked). A line's ledger reads its joints' ranks alone,
+    so no chart is made on a line. The configuration is passed to each
+    call, not kept."""
 
     def __init__(self, h: Hypergraph, config):
         self.h = h
@@ -639,25 +639,22 @@ class _LedgerPlan:
         return out
 
     def ledger_set(self, config, alpha, n: int) -> LedgerSet:
-        order = self.order
-        alpha = {r: int(alpha[r]) for r in range(len(order))}
+        alpha = {r: int(alpha[r]) for r in range(len(self.order))}
         context = (n, tuple(sorted(alpha.items())), config.field.key())
         ledgers = {}
         for fl, ranks, frame in self.flats:
-            if frame is None:
-                ledgers[fl] = build_flat_ledger(fl, ranks, alpha, n,
-                                                context=context)
-                continue
             low = min(alpha[rank] for rank in ranks)
-            key = (fl, n, tuple(alpha[rank] - low for rank in ranks))
-            if key in self.memo:
-                ledgers[fl] = dataclasses.replace(self.memo[key],
-                                                  context=context)
-            else:
-                ledgers[fl] = self.memo[key] = build_flat_ledger(
-                    fl, frame.joint_charts, alpha, n, context=context,
-                    frame=frame)
-        return LedgerSet(self.h, config, n, alpha, order, self.chosen,
+            key = (fl, n, *(alpha[rank] - low for rank in ranks))
+            hit = self.memo.get(key)
+            if hit is None:
+                led = build_flat_ledger(fl, frame.joint_charts if frame
+                                        else ranks, alpha, n,
+                                        context=context, frame=frame)
+                # every builder returns its counts in the order of ranks
+                hit = self.memo[key] = tuple(led.counts.values()), led.pivots
+            ledgers[fl] = FlatLedger(fl, n, dict(zip(ranks, hit[0])), hit[1],
+                                     context)
+        return LedgerSet(self.h, config, n, alpha, self.order, self.chosen,
                          ledgers, self.flat_by_edge, context)
 
 
@@ -684,27 +681,16 @@ def build_ledger_set(h: Hypergraph, config, alpha=None, n: int = 4
 # ---------------------------------------------------------------------------
 
 def used_flat_connectivity(h: Hypergraph, config) -> bool:
-    """Union-find over joints sharing a flat used by some witness tuple."""
-    order = preassigned_order(config)
-    parent = list(range(len(order)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    by_flat: dict = {}
-    for rank, idx in enumerate(order):
-        for wt in config.tuples_at(h, idx):
-            for fl in wt.flats:
-                if fl in by_flat:
-                    ra, rb = find(by_flat[fl]), find(rank)
-                    parent[ra] = rb
-                else:
-                    by_flat[fl] = rank
-    roots = {find(r) for r in range(len(order))}
-    return len(roots) <= 1
+    """Whether the joints are connected through the flats of their witness
+    tuples: the flats of each joint's tuples join every group of flats
+    they meet, and one group must be left."""
+    groups = []
+    for idx in preassigned_order(config):
+        group = {fl for wt in config.tuples_at(h, idx) for fl in wt.flats}
+        met = [g for g in groups if not g.isdisjoint(group)]
+        groups = [g for g in groups if g.isdisjoint(group)]
+        groups.append(group.union(*met))
+    return len(groups) <= 1
 
 
 @dataclass
@@ -742,22 +728,19 @@ def _tuple_slots(plan: _LedgerPlan, sigma) -> list:
     return out
 
 
-def _score_ranks(ls: LedgerSet, slots, W):
-    """Per rank: (W', S, min-product) from the current ledgers, with the
-    flats of its witness tuples given as slots (see _tuple_slots). Each
-    factor (B_{p,F} / n^dim F)^sigma is raised once per round, and a
-    tuple's product multiplies its factors in edge order."""
-    n = ls.n
+def _score_ranks(ls: LedgerSet, slots, W, ranks) -> dict:
+    """rank -> (W', S, min-product) for the given ranks from the current
+    ledgers, with the flats of its witness tuples given as slots (see
+    _tuple_slots). Each factor (B_{p,F} / n^dim F)^sigma is raised once per
+    round, and a tuple's product multiplies its factors in edge order."""
     counts = [led.counts for led in ls.ledgers.values()]
-    scale = [n ** led.flat.dim for led in ls.ledgers.values()]
-    out = []
-    for rank, (keys, tuples) in enumerate(slots):
-        factors = []
-        for slot, s in keys:
-            bcount = counts[slot][rank]
-            factors.append((bcount / scale[slot]) ** s if bcount else 0.0)
-        best = None
-        best_s = None
+    scale = [ls.n ** led.flat.dim for led in ls.ledgers.values()]
+    out = {}
+    for rank in ranks:
+        keys, tuples = slots[rank]
+        factors = [(counts[slot][rank] / scale[slot]) ** s
+                   if counts[slot][rank] else 0.0 for slot, s in keys]
+        best = best_s = None
         for tup, weighted in tuples:
             prod = 1.0
             for j in weighted:
@@ -765,9 +748,9 @@ def _score_ranks(ls: LedgerSet, slots, W):
             ssum = 0
             for slot in tup:
                 ssum += counts[slot][rank]
-            if best is None or prod < best or (prod == best and ssum < best_s):
+            if best is None or prod < best or prod == best and ssum < best_s:
                 best, best_s = prod, ssum
-        out.append((best / W[rank], best_s, best))
+        out[rank] = best / W[rank], best_s, best
     return out
 
 
@@ -778,7 +761,7 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     defaults to 1 / ln(n)."""
     if not config.points:
         raise ValueError("the configuration has 0 points to balance")
-    if n < 1 or (n < 2 and delta is None):
+    if n < 1 or n < 2 and delta is None:
         raise ValueError(f"degree n = {n} is out of range: need n >= 1, "
                          "and n >= 2 for the default delta = 1 / ln(n)")
     if max_rounds < 0:
@@ -795,40 +778,46 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     nj = len(config.points)
     if W is None:
         W = {rank: 1.0 / (nj * math.factorial(h.d)) for rank in range(nj)}
+    elif len(W) != nj:
+        raise ValueError(f"W has {len(W)} entries for {nj} points")
     else:
         W = {rank: float(W[rank]) for rank in range(nj)}
-    if any(v <= 0 for v in W.values()):
-        raise ValueError("W must be strictly positive")
-    denom = float(w.total - 1)
-    sigma = [float(we) / denom for we in w.weights]
+    for v in W.values():
+        if not 0 < v < math.inf:  # NaN too
+            raise ValueError(f"W value {v} is not finite and positive")
+    sigma = [float(we) / float(w.total - 1) for we in w.weights]
     plan = _ledger_plan(h, config)
     slots = _tuple_slots(plan, sigma)
     alpha = {rank: 0 for rank in range(nj)}
-    seen_states: OrderedDict = OrderedDict()  # ring of the last 1024 states
+    seen_states = OrderedDict()  # ring of the last 1024 states
     trace = []
     status = "max-rounds"
-    rounds = 0
-    ls = None
-    scores = None
+    counts = None
+    scores = {}
     for rounds in range(max_rounds + 1):
         ls = plan.ledger_set(config, alpha, n)
-        scores = _score_ranks(ls, slots, W)
+        last, counts = counts, [led.counts for led in ls.ledgers.values()]
+        # rescore the ranks whose count on some flat moved
+        moved = range(nj) if last is None else {
+            rank for old, new in zip(last, counts)
+            for rank, count in new.items() if old[rank] != count}
+        scores.update(_score_ranks(ls, slots, W, moved))
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
-        gaps = [wps[i] - wps[i + 1] for i in range(nj - 1)]
+        gaps = [a - b for a, b in zip(wps, wps[1:])]
         max_gap = max(gaps, default=0.0)
         cut = next((i for i, g in enumerate(gaps) if g > delta), None)
         trace.append({"round": rounds,
                       "alpha": dict(alpha),
-                      "sorted_wprime": list(wps),
+                      "sorted_wprime": wps,
                       "max_gap": max_gap,
-                      "decremented": (ranked[:cut + 1] if cut is not None
-                                      else [])})
+                      "decremented": ranked[:cut + 1] if cut is not None
+                                     else []})
         if cut is None:
             status = "flat"
             break
         shift = min(alpha.values())
-        state = tuple(alpha[r] - shift for r in range(nj))
+        state = tuple(a - shift for a in alpha.values())
         if state in seen_states:
             status = "cycle"
             break
@@ -837,10 +826,9 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
             seen_states.popitem(last=False)
         for r in ranked[:cut + 1]:
             alpha[r] -= 1
-    b = {}
-    for fl, ledger in ls.ledgers.items():
-        for rank, count in ledger.counts.items():
-            b[(rank, fl)] = Fraction(count, n ** fl.dim)
+    b = {(rank, fl): Fraction(count, n ** fl.dim)
+         for fl, ledger in ls.ledgers.items()
+         for rank, count in ledger.counts.items()}
     wprime = {rank: scores[rank][0] for rank in range(nj)}
     lam = math.fsum(wprime.values()) / nj
     spread = max(wprime.values()) - min(wprime.values())
@@ -870,39 +858,48 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
     Condition (1), product >= factor * W(p) for every witness tuple with
     product = (prod_i b_i^w_i)^(1/(|w| - 1)), is decided exactly as the sign
     of sum_i (w_i / (|w| - 1)) log2 b_i - log2(factor * W(p)), on the
-    Fraction b and the exact binary values of the floats; the float
-    products only feed the reported slacks."""
+    Fraction b and the exact binary values of the floats, once per joint
+    and distinct multiset of (b_i, exponent) over its tuples; the float
+    products, one per tuple, only feed the reported slacks."""
     exponent = 1.0 / float(w.total - 1)
     root = 1 / (w.total - 1)
     exps = [we * root for we in w.weights]  # of b_i in log2(product)
-    order = preassigned_order(config)
+    # per weighted edge: (position, weight, first position of its exponent)
+    weighted = [(i, float(we), exps.index(exps[i]))
+                for i, we in enumerate(w.weights) if we]
+    # per (rank, flat): its float b and the number of its b value
+    numbers = {}
+    cells = {key: (float(val), numbers.setdefault(val, len(numbers)))
+             for key, val in b.items()}
     cond1_pass = True
     cond1_worst = -math.inf
     cond1_margin = math.inf
     wprime = {}
-    for rank, idx in enumerate(order):
-        tuples = config.tuples_at(h, idx)
+    for rank, idx in enumerate(preassigned_order(config)):
         target = Fraction(cond1_factor) * Fraction(W[rank])
+        # sorted (b number, exponent position) pairs -> the exact verdict;
+        # None where condition (1) holds whatever b is
+        signs = {} if target > 0 else None
         best = math.inf
-        for wt in tuples:
+        for wt in config.tuples_at(h, idx):
             prod = 1.0
-            logs = []  # (b, exponent) pairs; None once a weighted b is zero
-            for fl, we, e in zip(wt.flats, w.weights, exps):
-                bval = b.get((rank, fl), 0)
-                if we == 0:
-                    continue
-                prod *= float(bval) ** float(we)
-                if not bval:
-                    logs = None
-                elif logs is not None:
-                    logs.append((bval, e))
+            key = []
+            for i, we, j in weighted:
+                fb, number = cells.get((rank, wt.flats[i]), (0.0, -1))
+                prod *= fb ** we
+                key.append((number, j))
             prod **= exponent
             best = min(best, prod)
             cond1_worst = max(cond1_worst, cond1_factor * W[rank] - prod)
             cond1_margin = min(cond1_margin, prod - W[rank])
-            cond1_pass = cond1_pass and (target <= 0 or (
-                logs is not None
-                and log2_sum_sign([*logs, (target, -1)]) >= 0))
+            if cond1_pass and signs is not None:
+                key = tuple(sorted(key))
+                if key not in signs:
+                    logs = [(b.get((rank, wt.flats[i]), 0), exps[j])
+                            for i, _, j in weighted]
+                    signs[key] = all(v for v, _ in logs) and log2_sum_sign(
+                        [*logs, (target, -1)]) >= 0
+                cond1_pass = signs[key]
         wprime[rank] = best / W[rank]
     by_flat: dict = {}
     for (rank, fl), val in b.items():
@@ -925,10 +922,9 @@ def bounded_domain_threshold(h: Hypergraph, config, flat, target_rank: int,
     """Smallest handicap gap g with B_{p,F}(alpha_p = -g, n) = 0, by sweep
     up to 2n + 4."""
     max_gap = 2 * n + 4
-    nj = len(config.points)
     plan = _ledger_plan(h, config)
     for g in range(max_gap + 1):
-        alpha = {r: 0 for r in range(nj)}
+        alpha = dict.fromkeys(range(len(config.points)), 0)
         alpha[target_rank] = -g
         ls = plan.ledger_set(config, alpha, n)
         if ls.count(target_rank, flat) == 0:

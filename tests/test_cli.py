@@ -702,6 +702,36 @@ def test_key_audit_rejects_a_W_of_the_wrong_length(workdir, capsys, tmp_path,
             "has 4 points") in err
 
 
+@pytest.mark.parametrize("case, named", [
+    ("short", "W has 19 entries for 20 points"),
+    ("long", "W has 21 entries for 20 points"),
+    ("nan", "W value nan is not finite and positive"),
+    ("inf", "W value inf is not finite and positive"),
+], ids=["short", "long", "nan", "inf"])
+def test_handicap_run_rejects_a_W_that_is_not_one_positive_entry_per_point(
+        workdir, capsys, tmp_path, case, named):
+    # K3 over the generic K6 configuration has 20 points: a W one entry
+    # short failed as "KeyError: 19", one entry long ran and ignored the
+    # extra entry, and a JSON NaN or Infinity failed in the fraction parser
+    # without naming the value
+    save_json(tmp_path / "k6.hg", SimpleHypergraph.complete(6, 2).to_dict())
+    cfg_path, cert_path = tmp_path / "g.cfg", tmp_path / "run.cert"
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        tmp_path / "k6.hg", "--pattern", workdir / "k3.hg", "-o", cfg_path)
+    W = {"short": ["1/120"] * 19, "long": ["1/120"] * 21,
+         "nan": [math.nan] + ["1/120"] * 19,
+         "inf": ["1/120"] * 19 + [math.inf]}[case]
+    save_json(tmp_path / "bad.W", {"W": W})
+    code = main([str(a) for a in [
+        "handicap-run", "--config", cfg_path, "--pattern", workdir / "k3.hg",
+        "--weights", workdir / "half.w", "--n", "6", "--W",
+        tmp_path / "bad.W", "-o", cert_path]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: ValueError: {named}\n"
+    assert not cert_path.exists()
+
+
 def test_a_stored_point_with_no_witness_tuple_exits_two(capsys, tmp_path):
     # the K3 configuration over K6 plus a stored point on no line: the
     # ledgers have no chosen tuple for it, the dynamic finds it cut off from

@@ -1181,7 +1181,7 @@ def _check_rounds_against_fresh_ledger_sets(h, cfg, n, rounds):
         plan = vanishing._LedgerPlan(h, cfg)
         ls = plan.ledger_set(cfg, alpha, n)
         scores = vanishing._score_ranks(
-            ls, vanishing._tuple_slots(plan, sigma), W)
+            ls, vanishing._tuple_slots(plan, sigma), W, range(nj))
         ranked = sorted(range(nj), key=lambda r: (-scores[r][0], -scores[r][1]))
         wps = [scores[r][0] for r in ranked]
         gaps = [a - b for a, b in zip(wps, wps[1:])]
@@ -1213,6 +1213,50 @@ def test_plane_handicap_rounds_match_fresh_ledger_sets():
     _check_rounds_against_fresh_ledger_sets(FLATS2, _flats2_config(F), 4, 7)
 
 
+@pytest.mark.parametrize("m", [6, 8])
+@seed(2418)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_memoised_lines_and_rescored_ranks_match_fresh_builds(m, data):
+    # handicap walks driven by random target weights W on one configuration,
+    # whose plan keeps its memo from walk to walk: in every round each line
+    # ledger, a memo hit or not, equals a fresh build_flat_ledger, and the
+    # scores the dynamic keeps, refreshed only for the ranks whose own
+    # counts moved, equal a full _score_ranks
+    cfg = _k3_config(m, F)
+    nj = len(cfg.points)
+    n = data.draw(st.sampled_from([3, 6, 24]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    W = {r: rng.uniform(0.5, 2.0) / (6 * nj) for r in range(nj)}
+    score_ranks = vanishing._score_ranks
+    kept, rounds = {}, []
+
+    def checked(ls, slots, W, ranks):
+        if not isinstance(ranks, range):
+            assert rounds, "the first round scores every rank"
+        rounds.append(ls.alpha)
+        ranks_on = {fl: on for fl, on, _ in cfg._ledger_plans[K3].flats}
+        for fl, ledger in ls.ledgers.items():
+            fresh = build_flat_ledger(fl, ranks_on[fl], ls.alpha, ls.n,
+                                      context=ls.context)
+            assert ledger.pivots is None and fresh.pivots is None
+            assert ledger.counts == fresh.counts
+            assert ledger.exponents == fresh.exponents
+            assert ledger.digest() == fresh.digest()
+        out = score_ranks(ls, slots, W, ranks)
+        kept.update(out)
+        assert kept == score_ranks(ls, slots, W, range(nj))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vanishing, "_score_ranks", checked)
+        res = handicap_iteration(K3, WeightFunction.uniform(
+            K3, Fraction(1, 2)), cfg, W=W, n=n, max_rounds=30)
+    event(f"{res.status} after {res.rounds} rounds")
+    assert len(rounds) == res.rounds + 1 and rounds[-1] == res.alpha
+    assert res.wprime == {r: kept[r][0] for r in range(nj)}
+
+
 # ---------------------------------------------------------------------------
 # the ledger plan kept on the configuration
 # ---------------------------------------------------------------------------
@@ -1232,7 +1276,7 @@ def _plan_case(case):
     """(pattern, configuration, its fresh copy, degree caps to draw from)."""
     if case == "K3-dup":
         # the K3 configuration that once stored a point twice, now with its
-        # distinct points only: every flat is a line, so nothing is memoised
+        # distinct points only: every flat is a line, memoised as planes are
         h, cfg, caps = K3, _generic_k3(4), (2, 3, 5)
     else:
         field = QQ if case.endswith("Q") else F
@@ -1267,7 +1311,7 @@ def test_ledger_plan_matches_fresh_ledger_sets(case, data):
         ls = build_ledger_set(h, cfg, alpha, n)
         plan = cfg._ledger_plans[h]
         memoised = len(plan.memo)
-        assert bool(memoised) == any(frame for _, _, frame in plan.flats)
+        assert memoised >= len(plan.flats)
         _assert_same_ledger_set(ls, _fresh_ledger_set(h, fresh, alpha, n))
         shifted = {r: a + 3 for r, a in alpha.items()}
         _assert_same_ledger_set(build_ledger_set(h, cfg, shifted, n),
@@ -1296,6 +1340,18 @@ def test_ledger_plan_cache_key_covers_every_input():
                     ledger.digest() for ledger in ls.ledgers.values())))
     assert len(digests) == 4
     assert set(cfg._ledger_plans) == {h, rotated}
+    # lines are memoised too, on their counts alone: a key without n, or
+    # without the handicap relative to the line's least, returns another
+    # call's counts
+    cfg = _generic_k3(6)
+    alphas = [{r: rng.randrange(-2, 3) for r in range(len(cfg.points))}
+              for _ in range(3)]
+    for _ in range(2):
+        for n in (2, 3):
+            for alpha in alphas:
+                _assert_same_ledger_set(build_ledger_set(K3, cfg, alpha, n),
+                                        _fresh_ledger_set(K3, cfg, alpha, n))
+    assert len(cfg._ledger_plans[K3].memo) > len(cfg._ledger_plans[K3].flats)
 
 
 def test_tuple_cap_applies_on_the_ledger_path(monkeypatch, tmp_path, capsys):
@@ -1365,6 +1421,44 @@ def test_audit_condition_one_is_exact(values, passes):
     audit = key_inequality_audit(K3, w, cfg, b, W, cond1_factor=1.0)
     assert audit.cond1_pass is passes
     assert (audit.cond1_worst <= 0.0) is not passes  # the float verdict
+
+
+@pytest.mark.parametrize("lowered, passes", [(0, True), (1, False)],
+                         ids=["at-target", "below-by-1/n"])
+def test_audit_decides_permuted_exponents_apart(monkeypatch, lowered, passes):
+    # weights (1, 1/2, 1/2): a tuple's product is b_0 (b_1 b_2)^(1/2). At
+    # every joint the line a, which the first tuple puts on edge 1, carries
+    # b = 12/24 - lowered/24 and the other lines 1, so the tuples with a on
+    # edge 0 give 1/2 - lowered/24 against W = 1/2 and the first tuple
+    # about 0.7: the same flats with exponents permuted, which a verdict
+    # kept per multiset of b values would pass. The exact sign is taken
+    # once per distinct multiset of (b, exponent): b = 1 or not on edge 0
+    cfg = _generic_k3(5)
+    w = WeightFunction.for_hypergraph(K3, [1, Fraction(1, 2), Fraction(1, 2)])
+    n = 24
+    b = {}
+    for rank, idx in enumerate(vanishing.preassigned_order(cfg)):
+        tuples = cfg.tuples_at(K3, idx)
+        a = tuples[0].flats[1]
+        assert any(wt.flats[0] == a for wt in tuples)
+        for wt in tuples:
+            b.update({(rank, fl): Fraction(1) for fl in wt.flats})
+        b[(rank, a)] = Fraction(12 - lowered, n ** a.dim)
+    W = {rank: 0.5 for rank in range(len(cfg.points))}
+    signs, sign = [], vanishing.log2_sum_sign
+
+    def counted(terms):
+        signs.append(terms)
+        return sign(terms)
+
+    monkeypatch.setattr(vanishing, "log2_sum_sign", counted)
+    audit = key_inequality_audit(K3, w, cfg, b, W, cond1_factor=1.0)
+    assert audit.cond1_pass is passes
+    assert (audit.cond1_worst <= 0.0) is passes
+    if passes:
+        assert len(signs) == 2 * len(cfg.points)
+    else:  # the first joint's first tuple with a on edge 0 fails it
+        assert len(signs) == 2
 
 
 def test_audit_hand_built_and_degenerate():
