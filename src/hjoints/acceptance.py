@@ -31,36 +31,30 @@ from .geometry import detect_joints
 from .hypergraph import (Hypergraph, WeightFunction, covering_constant,
                          joint_count_bound)
 from .logspace import Log2Value
-from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord, record_bound,
-                     record_equal)
+from .report import (FAIL, GUARD, INFO, PASS, UNCONVERGED, CheckRecord,
+                     guard_status, record_bound, record_equal)
 from .vanishing import (build_ledger_set, bounded_domain_threshold,
                         handicap_iteration, key_inequality_audit)
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
 P3 = Hypergraph(3, ((1, 2), (2, 3)), (1, 1))
 
+_PATTERNS = {  # key -> (pattern, edge size of its complete host)
+    "k3": (K3, 2), "c5": (Hypergraph.cycle(5), 2),
+    "flats6": (Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)),
+                          (1, 1, 1)), 4)}
 _config_cache: dict = {}
 
 
-def _generic_config(pattern_key, m, seed=0):
-    key = (pattern_key, m, seed)
-    if key not in _config_cache:
-        if pattern_key == "k3":
-            pattern, host = K3, SimpleHypergraph.complete(m, 2)
-        elif pattern_key == "p3":
-            pattern, host = P3, SimpleHypergraph.complete(m, 2)
-        elif pattern_key == "flats6":
-            pattern = Hypergraph(6, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)),
-                                 (1, 1, 1))
-            host = SimpleHypergraph.complete(m, 4)
-        elif pattern_key == "c5":
-            pattern, host = Hypergraph.cycle(5), SimpleHypergraph.complete(m, 2)
-        else:
-            raise KeyError(pattern_key)
-        fam = generic_hyperplanes(m, pattern.d, seed=seed)
-        _config_cache[key] = (pattern, host,
-                              generically_induced(host, pattern, fam), fam)
-    return _config_cache[key]
+def _generic_config(pattern_key, m):
+    """(pattern, the configuration the complete host on m vertices induces
+    through generic hyperplanes at seed 0), built once."""
+    if (pattern_key, m) not in _config_cache:
+        pattern, k = _PATTERNS[pattern_key]
+        _config_cache[pattern_key, m] = pattern, generically_induced(
+            SimpleHypergraph.complete(m, k), pattern,
+            generic_hyperplanes(m, pattern.d, seed=0))
+    return _config_cache[pattern_key, m]
 
 
 def simple_bound_record(name, h, w, cfg) -> CheckRecord:
@@ -79,23 +73,37 @@ def simple_bound_record(name, h, w, cfg) -> CheckRecord:
                        note="log2 scale, exact-direction")
 
 
-def multiplicities(h, w, cfg, *, tol=1e-9):
+FW_TOL = 1e-9  # the Frank-Wolfe gap tolerance of the battery and the CLI
+
+
+def gap_status(results) -> str:
+    """The Frank-Wolfe gap rule: PASS when every solve converged, its
+    certified gap within its tol, UNCONVERGED otherwise."""
+    return PASS if all(res.converged for res in results) else UNCONVERGED
+
+
+def multiplicities(h, w, cfg, *, tol=FW_TOL):
     """joint_multiplicity at every stored point, in point order."""
     return [joint_multiplicity(h, w, cfg.tuples_at(h, idx), tol=tol)
             for idx in range(len(cfg.points))]
 
 
-def mult_bound_record(name, h, w, cfg, results) -> CheckRecord:
-    """sum_p eta(p) <= C(H, w) * prod |F_i|^wbar_i, with the float bound
-    (0^0 = 1 gives the wbar_i = 0 convention) and a 1e-9 guard."""
+def mult_bound_records(names, h, w, cfg, results):
+    """(records, summary) of the multiplicities at every point: sum_p eta(p)
+    <= C(H, w) * prod |F_i|^wbar_i under names[0], the bound a float (0^0 =
+    1 gives the wbar_i = 0 convention), and where gap_status is not PASS
+    the worst gap under names[1]."""
     total = 0.0
     for res in results:
         total += res.value
     bound = covering_constant(h, w).pow2_float() * math.prod(
         size ** float(wbar) for size, wbar in zip(cfg.class_sizes(), w.subtotals))
-    worst_gap = max([0.0] + [res.gap for res in results])
-    return record_bound(name, total, bound,
-                        note=f"sum of multiplicities, FW gap<= {worst_gap:.2e}")
+    gap = max([0.0] + [res.gap for res in results])
+    records = [record_bound(names[0], total, bound,
+                            note=f"sum of multiplicities, FW gap<= {gap:.2e}")]
+    if gap_status(results) == UNCONVERGED:
+        records.append(CheckRecord(names[1], UNCONVERGED, slack=gap))
+    return records, {"sum_eta": total, "bound": bound, "worst_gap": gap}
 
 
 def _random_distribution(rng, k):
@@ -117,8 +125,7 @@ def geo_shearer_random_record(h, w, cfg, rng, count) -> CheckRecord:
                        for idx in range(len(cfg.points))]
         rep = geometric_shearer_audit(h, w, cfg, point_probs, tuple_probs)
         worst = min(worst, rep.slack)
-    return CheckRecord("geo-shearer-random", PASS if worst >= -1e-9 else FAIL,
-                       slack=worst,
+    return CheckRecord("geo-shearer-random", guard_status(worst), slack=worst,
                        note=f"{count} random (point, tuple) distribution pairs")
 
 
@@ -131,10 +138,23 @@ def geo_shearer_optimal_record(h, w, cfg) -> CheckRecord:
     tot = sum(res.value for res in results)
     rep = geometric_shearer_audit(h, w, cfg, [res.value / tot for res in results],
                                   [res.distribution for res in results])
-    ok = abs(rep.lhs - math.log2(tot)) <= 1e-6 and rep.slack >= -1e-9
+    ok = abs(rep.lhs - math.log2(tot)) <= 1e-6 and rep.slack >= -GUARD
     return CheckRecord("geo-shearer-optimal", PASS if ok else FAIL,
                        rep.lhs, math.log2(tot), rep.slack,
                        note="lhs = log2(sum of multiplicities)")
+
+
+def holder_slack(slack: float, rhs: float) -> float:
+    """A Hoelder slack over max(rhs, 1), the slack the float guard reads."""
+    return slack / max(rhs, 1.0)
+
+
+def termination_record(name, res, note) -> CheckRecord:
+    """A handicap run's end: PASS when flat or in a logged cycle,
+    UNCONVERGED at the round cap; the slack is its final largest W' gap."""
+    ok = res.status in ("flat", "cycle")
+    return CheckRecord(name, PASS if ok else UNCONVERGED, slack=res.max_gap,
+                       note=f"status={res.status}, rounds={res.rounds}, {note}")
 
 
 def key_audit_records(h, w, cfg, b, W, *, cond1_factor=0.8, cond2_tol=0.1
@@ -228,7 +248,7 @@ def criterion_simple_bound(fast=False) -> list[CheckRecord]:
     ratios = []
     top = 8 if fast else 10
     for m in range(4, top + 1):
-        _, _, cfg, _ = _generic_config("k3", m)
+        _, cfg = _generic_config("k3", m)
         out.append(simple_bound_record(f"simple-bound-K3-m{m}", K3, w_half,
                                        cfg))
         ratios.append(Log2Value.of_int_log(len(cfg.points))
@@ -238,11 +258,11 @@ def criterion_simple_bound(fast=False) -> list[CheckRecord]:
                            PASS if monotone else FAIL,
                            note=f"|J|/bound nondecreasing for m=4..{top}, "
                                 "exact log comparison"))
-    flats6_pattern, _, cfg6, _ = _generic_config("flats6", 7)
+    flats6_pattern, cfg6 = _generic_config("flats6", 7)
     w6 = WeightFunction.uniform(flats6_pattern, Fraction(1, 2))
     out.append(simple_bound_record("simple-bound-2flats-F6", flats6_pattern,
                                    w6, cfg6))
-    c5_pattern, _, cfg5, _ = _generic_config("c5", 6)
+    c5_pattern, cfg5 = _generic_config("c5", 6)
     w5 = WeightFunction.uniform(c5_pattern, Fraction(1, 2))
     out.append(simple_bound_record("simple-bound-5cycle", c5_pattern, w5,
                                    cfg5))
@@ -274,19 +294,18 @@ def criterion_multiplicity(fast=False) -> list[CheckRecord]:
             float(w.subtotals[c])
     top = 6 if fast else 7
     for m in range(4, top + 1):
-        _, _, cfg, _ = _generic_config("k3", m)
+        _, cfg = _generic_config("k3", m)
         results = multiplicities(K3, w, cfg)
-        worst_gap = max([0.0] + [res.gap for res in results])
         worst_dev = max([0.0] + [abs(res.value - closed_form)
                                  for res in results])
-        out.append(mult_bound_record(f"mult-bound-m{m}", K3, w, cfg, results))
+        (bound, *unconverged), _ = mult_bound_records(
+            (f"mult-bound-m{m}", f"mult-gap-m{m}"), K3, w, cfg, results)
+        out.append(bound)
         out.append(CheckRecord(
             f"mult-closed-form-m{m}", PASS if worst_dev <= 1e-6 else FAIL,
             closed_form, None, worst_dev,
             note="multiplicity vs C*prod binom(d,d-k)^wbar"))
-        if worst_gap > 1e-9:
-            out.append(CheckRecord(f"mult-gap-m{m}", UNCONVERGED,
-                                   slack=worst_gap))
+        out.extend(unconverged)
     # simple joints: one flat per color class through the point
     fam = generic_hyperplanes(3, 3, seed=5)
     lines = [fam.intersection([a, b]) for a, b in ((0, 1), (0, 2), (1, 2))]
@@ -307,7 +326,7 @@ def criterion_multiplicity(fast=False) -> list[CheckRecord]:
 
 
 def criterion_geo_shearer(fast=False) -> list[CheckRecord]:
-    _, _, cfg, _ = _generic_config("k3", 5)
+    _, cfg = _generic_config("k3", 5)
     w = WeightFunction.uniform(K3, Fraction(1, 2))
     return [geo_shearer_random_record(K3, w, cfg, random.Random(99),
                                       40 if fast else 200),
@@ -327,8 +346,8 @@ def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
         tot = sum(raw)
         joint = {s: p / tot for s, p in zip(support, raw)}
         worst = min(worst, shearer_check(d, subsets, weights, joint))
-    out.append(CheckRecord("entropy-shearer-random",
-                           PASS if worst >= -1e-9 else FAIL, slack=worst,
+    out.append(CheckRecord("entropy-shearer-random", guard_status(worst),
+                           slack=worst,
                            note=f"{n_shearer} random joints, d <= 4"))
     worst_rel = math.inf
     n_holder = 200 if fast else 1000
@@ -340,9 +359,8 @@ def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
                       for vals in itertools.product(range(s), repeat=len(I))}
                      for I in subsets]
         lhs, rhs, slack = holder_check(d, subsets, weights, functions, s)
-        worst_rel = min(worst_rel, slack / max(rhs, 1e-30))
-    out.append(CheckRecord("entropy-holder-random",
-                           PASS if worst_rel >= -1e-9 else FAIL,
+        worst_rel = min(worst_rel, holder_slack(slack, rhs))
+    out.append(CheckRecord("entropy-holder-random", guard_status(worst_rel),
                            slack=worst_rel,
                            note=f"{n_holder} random integer instances, relative"))
     worst = math.inf
@@ -357,7 +375,7 @@ def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
         weights = [Fraction(1, d - 1)] * d
         worst = min(worst, loomis_whitney_check(d, subsets, weights, pts))
     out.append(CheckRecord("entropy-loomis-whitney-random",
-                           PASS if worst >= -1e-9 else FAIL, slack=worst,
+                           guard_status(worst), slack=worst,
                            note=f"{n_lw} random subsets"))
     trend_ok = True
     for trial in range(10):
@@ -374,8 +392,8 @@ def criterion_entropy_inequalities(fast=False) -> list[CheckRecord]:
         # each tensored sum is (sum f)^n, so the n-th root bound is
         # C^(1/n) * rhs, nonincreasing in n exactly when C >= 1
         bound3 = constant.pow2_float() ** (1 / 3) * rhs
-        trend_ok = (trend_ok and constant.sign() >= 0
-                    and lhs <= bound3 + 1e-9 * max(1.0, bound3))
+        trend_ok = (trend_ok and constant.sign() >= 0 and guard_status(
+            holder_slack(bound3 - lhs, bound3)) == PASS)
     out.append(CheckRecord("entropy-tensor-power-trend",
                            PASS if trend_ok else FAIL,
                            note="n-th-root bound nonincreasing, n = 1..3, "
@@ -456,7 +474,7 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
     handicaps = 10 if fast else 50
     n_range = (2, 3, 4) if fast else (2, 3, 4, 5, 6)
     for m in (4, 5):
-        _, _, cfg, _ = _generic_config("k3", m)
+        _, cfg = _generic_config("k3", m)
         nj = len(cfg.points)
         sum_ok = mono_ok = shift_ok = lip_ok = param_ok = True
         lw_steps = []  # (worst slack, holds) per ledger set
@@ -510,7 +528,7 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
                                else FAIL,
                                note="monotone, shift-invariant, dim-1 Lipschitz"))
     # bounded domain: swept threshold, then confirmed past it
-    _, _, cfg4, _ = _generic_config("k3", 4)
+    _, cfg4 = _generic_config("k3", 4)
     n = 4
     ls = build_ledger_set(K3, cfg4, None, n)
     flat = next(fl for fl in ls.ledgers if len(ls.ledgers[fl].counts) >= 2)
@@ -526,7 +544,7 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
                            PASS if beyond_ok else FAIL,
                            note=f"B = 0 for handicap gaps >= {g} (swept)"))
     # dim-2 Lipschitz constant, calibrated and reported (never asserted)
-    flats6_pattern, _, cfg6, _ = _generic_config("flats6", 7)
+    flats6_pattern, cfg6 = _generic_config("flats6", 7)
     worst_c = 0.0
     n6 = 3
     for _ in range(4 if fast else 8):
@@ -552,15 +570,12 @@ def criterion_vanishing_lemmas(fast=False) -> list[CheckRecord]:
 
 
 def criterion_handicap_audit(fast=False) -> list[CheckRecord]:
-    _, _, cfg, _ = _generic_config("k3", 4)
+    _, cfg = _generic_config("k3", 4)
     w = WeightFunction.uniform(K3, Fraction(1, 2))
     out = []
     res24 = handicap_iteration(K3, w, cfg, n=24)
-    status = PASS if res24.status in ("flat", "cycle") else UNCONVERGED
-    out.append(CheckRecord("handicap-n24-terminates", status,
-                           slack=res24.max_gap,
-                           note=f"status={res24.status}, rounds={res24.rounds}, "
-                                f"delta={res24.delta:.4f}, trace attached"))
+    out.append(termination_record("handicap-n24-terminates", res24,
+                                  f"delta={res24.delta:.4f}, trace attached"))
     audit24 = key_inequality_audit(K3, w, cfg, res24.b, res24.W)
     out.append(CheckRecord("key-audit-n24-cond1",
                            PASS if audit24.cond1_pass else FAIL,

@@ -20,9 +20,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .acceptance import (geo_shearer_optimal_record, geo_shearer_random_record,
-                         key_audit_records, mult_bound_record, multiplicities,
-                         run_suite, simple_bound_record)
+from .acceptance import (FW_TOL, gap_status, geo_shearer_optimal_record,
+                         geo_shearer_random_record, holder_slack,
+                         key_audit_records, mult_bound_records, multiplicities,
+                         run_suite, simple_bound_record, termination_record)
 from .configs import (axis_parallel_from_functions, axis_parallel_pattern,
                       generic_hyperplanes, projected_generically_induced)
 from .counting import (lw_step_worst, param_counting_check,
@@ -32,15 +33,17 @@ from .entropy import (FiniteDistribution, holder_check, joint_multiplicity,
                       loomis_whitney_check, shearer_check)
 from .errors import HJointsError, SizeMismatch
 from .extremal import (count_inducing_sets, kruskal_katona_count,
-                       lovasz_bound, partial_shadow_check, search_M)
-from .fields import GF, QQ, as_int, field_from_key
-from .geometry import Flat, candidate_points_from_flats, detect_joints
+                       lovasz_bound, lovasz_holds, partial_shadow_check,
+                       search_M)
+from .fields import GF, QQ, as_int
+from .geometry import candidate_points_from_flats, detect_joints
 from .hypergraph import covering_constant
-from .report import (FAIL, INFO, PASS, UNCONVERGED, CheckRecord,
-                     VerificationReport, record_bound, record_equal)
-from .serialize import (certificate_to_dict, dumps, load_config,
-                        load_hypergraph, load_json, load_simple_hypergraph,
-                        load_weights, parse_fraction, save_json)
+from .report import (FAIL, INFO, PASS, CheckRecord, VerificationReport,
+                     guard_status, record_bound, record_equal)
+from .serialize import (certificate_to_dict, dumps, load_certificate,
+                        load_config, load_hypergraph, load_json,
+                        load_simple_hypergraph, load_weights, parse_fraction,
+                        save_json)
 from .vanishing import build_ledger_set, handicap_iteration
 
 
@@ -153,10 +156,10 @@ def cmd_build_config(args) -> int:
         spec = load_json(args.axis_spec)
         d = as_int(spec["d"])
         subsets = [tuple(as_int(j) for j in s) for s in spec["subsets"]]
-        functions = [{k: as_int(v) for k, v in _parse_keyed_tuples(f).items()}
-                     for f in spec["functions"]]
-        cfg = axis_parallel_from_functions(d, subsets, functions,
-                                           as_int(spec["s"]), field)
+        s, functions = _parse_functions(spec, subsets)
+        cfg = axis_parallel_from_functions(
+            d, subsets, [{k: as_int(v) for k, v in f.items()}
+                         for f in functions], s, field)
         pattern = axis_parallel_pattern(d, subsets)
     else:
         host = load_simple_hypergraph(args.host)
@@ -196,8 +199,7 @@ def cmd_eta(args) -> int:
                          f"the configuration's {len(cfg.points)} points")
     tuples = cfg.tuples_at(h, args.point)
     res = joint_multiplicity(h, w, tuples, tol=args.tol)
-    status = PASS if res.converged else UNCONVERGED
-    rep.add(CheckRecord("multiplicity", status, lhs=res.value,
+    rep.add(CheckRecord("multiplicity", gap_status([res]), lhs=res.value,
                         slack=res.gap,
                         note=f"{len(tuples)} tuples, {res.iterations} iterations"))
     payload = {"point": args.point, "eta": res.value,
@@ -212,15 +214,34 @@ def _parse_keyed_tuples(d: dict):
         raise TypeError(f"expected an object keyed by 'a,b,...', got {d!r}")
     out = {tuple(as_int(x) for x in key.split(",")): float(v)
            for key, v in d.items()}
+    if len(out) < len(d):
+        raise ValueError("two keys name one tuple")
     if not all(0 <= v < math.inf for v in out.values()):
         raise ValueError("values must be finite and nonnegative")
     return out
 
 
-def _load_spec(path):
-    """An inequality spec with its shared fields checked: (spec, d, subsets,
-    weights), one weight per subset and every subset inside 1..d."""
-    spec = load_json(path)
+def _parse_functions(spec, subsets):
+    """(s, spec["functions"]): one keyed function per subset, each keyed
+    by tuples of its subset's size with entries in 0..s-1."""
+    s, functions = as_int(spec["s"]), spec["functions"]
+    if len(functions) != len(subsets):
+        raise SizeMismatch("need one function per subset")
+    functions = [_parse_keyed_tuples(f) for f in functions]
+    for I, f in zip(subsets, functions):
+        for key in f:
+            if len(key) != len(I) or not all(0 <= x < s for x in key):
+                raise SizeMismatch(f"function key {key} for subset {I}: "
+                                   f"need length {len(I)}, entries in "
+                                   f"0..{s - 1}")
+    return s, functions
+
+
+def _spec_inputs(args, command):
+    """Load --spec, an inequality spec with its shared fields checked, and
+    open the command's report: (spec, d, subsets, weights, report), one
+    weight per subset and every subset inside 1..d."""
+    spec = load_json(args.spec)
     d = as_int(spec["d"])
     subsets = [tuple(as_int(j) for j in s) for s in spec["subsets"]]
     weights = [parse_fraction(x) for x in spec["weights"]]
@@ -228,45 +249,36 @@ def _load_spec(path):
         raise SizeMismatch("need one weight per subset")
     if not all(1 <= j <= d for s in subsets for j in s):
         raise SizeMismatch(f"subsets must lie in 1..{d}")
-    return spec, d, subsets, weights
+    return spec, d, subsets, weights, _new_report(args, command, [args.spec])
 
 
 def cmd_shearer(args) -> int:
-    spec, d, subsets, weights = _load_spec(args.spec)
+    spec, d, subsets, weights, rep = _spec_inputs(args, "shearer")
     joint = _parse_keyed_tuples(spec["joint"])
     if any(len(k) != d for k in joint):
         raise SizeMismatch(f"joint outcomes must have length d={d}")
     FiniteDistribution(tuple(joint), tuple(joint.values()))  # sums to 1
     slack = shearer_check(d, subsets, weights, joint)
-    rep = _new_report(args, "shearer", [args.spec])
-    rep.add(CheckRecord("shearer", PASS if slack >= -1e-9 else FAIL,
-                        slack=slack))
+    rep.add(CheckRecord("shearer", guard_status(slack), slack=slack))
     return _emit(args, rep)
 
 
 def cmd_holder(args) -> int:
-    spec, d, subsets, weights = _load_spec(args.spec)
-    functions = [_parse_keyed_tuples(f) for f in spec["functions"]]
-    if len(functions) != len(subsets):
-        raise SizeMismatch("need one function per subset")
-    lhs, rhs, slack = holder_check(d, subsets, weights, functions,
-                                   as_int(spec["s"]))
-    rep = _new_report(args, "holder", [args.spec])
-    rep.add(CheckRecord("holder",
-                        PASS if slack >= -1e-9 * max(rhs, 1.0) else FAIL,
+    spec, d, subsets, weights, rep = _spec_inputs(args, "holder")
+    s, functions = _parse_functions(spec, subsets)
+    lhs, rhs, slack = holder_check(d, subsets, weights, functions, s)
+    rep.add(CheckRecord("holder", guard_status(holder_slack(slack, rhs)),
                         lhs, rhs, slack))
     return _emit(args, rep)
 
 
 def cmd_lw(args) -> int:
-    spec, d, subsets, weights = _load_spec(args.spec)
+    spec, d, subsets, weights, rep = _spec_inputs(args, "lw")
     points = [tuple(p) for p in spec["points"]]
     if any(len(p) != d for p in points):
         raise SizeMismatch(f"points must have length d={d}")
     slack = loomis_whitney_check(d, subsets, weights, points)
-    rep = _new_report(args, "lw", [args.spec])
-    rep.add(CheckRecord("loomis-whitney", PASS if slack >= -1e-9 else FAIL,
-                        slack=slack))
+    rep.add(CheckRecord("loomis-whitney", guard_status(slack), slack=slack))
     return _emit(args, rep)
 
 
@@ -292,7 +304,9 @@ def cmd_kk(args) -> int:
     count = kruskal_katona_count(args.n, args.d)
     x, bound = lovasz_bound(args.n, args.d)
     rep = _new_report(args, "kk", [])
-    rep.add(record_bound("colex-count-vs-bound", count, bound))
+    rep.add(CheckRecord("colex-count-vs-bound",
+                        PASS if lovasz_holds(args.n, args.d, count) else FAIL,
+                        count, bound, bound - count))
     payload = {"n": args.n, "d": args.d, "colex_count": count, "x": x,
                "bound": bound}
     return _emit(args, rep, payload)
@@ -375,10 +389,9 @@ def cmd_handicap_run(args) -> int:
              for r, v in enumerate(load_json(args.W)["W"])}
     res = handicap_iteration(h, w, cfg, W=W, n=args.n, delta=args.delta,
                              max_rounds=args.rounds)
-    status = PASS if res.status in ("flat", "cycle") else UNCONVERGED
-    rep.add(CheckRecord("handicap-termination", status, slack=res.max_gap,
-                        note=f"status={res.status}, rounds={res.rounds}, "
-                             f"delta={res.delta:.5f}, lambda={res.lam:.5f}"))
+    rep.add(termination_record(
+        "handicap-termination", res,
+        f"delta={res.delta:.5f}, lambda={res.lam:.5f}"))
     if args.output:
         save_json(args.output, certificate_to_dict(h, res))
         _say(f"certificate written to {args.output}\n")
@@ -388,40 +401,8 @@ def cmd_handicap_run(args) -> int:
 
 
 def cmd_key_audit(args) -> int:
-    # a factor <= 0 passes condition (1) and an infinite tolerance
-    # condition (2) on any certificate; NaN fails condition (2) on any
-    if not 0 < args.cond1_factor < math.inf:
-        raise ValueError(f"--cond1-factor {args.cond1_factor} is out of "
-                         "range: need a finite factor > 0")
-    if not math.isfinite(args.cond2_tol):
-        raise ValueError(f"--cond2-tol {args.cond2_tol} is out of range: "
-                         "need a finite tolerance")
     cfg, h, w, rep = _config_inputs(args, "key-audit", [args.certificate])
-    cert = load_json(args.certificate)
-    field, d = field_from_key(cert["field"]), as_int(cert["d"])
-    if (field, d) != (cfg.field, cfg.d):
-        raise ValueError(f"certificate over {field} in d={d}, configuration "
-                         f"over {cfg.field} in d={cfg.d}")
-    flats = [Flat.from_dict(field, d, fd) for fd in cert["flats"]]
-
-    def index(entry, key, size):
-        i = entry[key]
-        if not isinstance(i, int) or not 0 <= i < size:
-            raise ValueError(f"certificate {key} {i!r} is not in 0..{size - 1}")
-        return i
-
-    b = {(index(entry, "point", len(cfg.points)),
-          flats[index(entry, "flat", len(flats))]):
-         parse_fraction(entry["value"]) for entry in cert["b"]}
-    held = {fl for cls in cfg.classes for fl in cls}
-    if any(fl not in held for _, fl in b):
-        raise ValueError("certificate b names a flat in no configuration class")
-    if len(cert["W"]) != len(cfg.points):
-        raise ValueError(f"certificate W has {len(cert['W'])} entries but "
-                         f"the configuration has {len(cfg.points)} points")
-    W = {r: float(v) for r, v in enumerate(cert["W"])}
-    if not all(0 < x < math.inf for x in W.values()):
-        raise ValueError("certificate W values must be positive and finite")
+    b, W = load_certificate(args.certificate, cfg)
     rep.extend(key_audit_records(h, w, cfg, b, W,
                                  cond1_factor=args.cond1_factor,
                                  cond2_tol=args.cond2_tol))
@@ -440,13 +421,10 @@ def cmd_verify_simple_bound(args) -> int:
 
 def cmd_verify_mult_bound(args) -> int:
     cfg, h, w, rep = _config_inputs(args, "verify-mult-bound")
-    results = multiplicities(h, w, cfg, tol=args.tol)
-    rec = rep.add(mult_bound_record("multiplicity-bound", h, w, cfg, results))
-    worst_gap = max([0.0] + [res.gap for res in results])
-    if worst_gap > args.tol:
-        rep.add(CheckRecord("solver-convergence", UNCONVERGED,
-                            slack=worst_gap))
-    payload = {"sum_eta": rec.lhs, "bound": rec.rhs, "worst_gap": worst_gap}
+    records, payload = mult_bound_records(
+        ("multiplicity-bound", "solver-convergence"), h, w, cfg,
+        multiplicities(h, w, cfg, tol=args.tol))
+    rep.extend(records)
     return _emit(args, rep, payload)
 
 
@@ -478,6 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
         p.add_argument("--json", help="write the machine-readable report here")
         return p
+
+    def config_inputs(p):  # the files _config_inputs reads
+        for flag in ("--config", "--pattern", "--weights"):
+            p.add_argument(flag, required=True)
 
     p = add("rho-star", cmd_rho_star, help="fractional edge-covering number")
     p.add_argument("hypergraph")
@@ -515,11 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "intersections")
 
     p = add("eta", cmd_eta, help="joint multiplicity by Frank-Wolfe")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
+    config_inputs(p)
     p.add_argument("--point", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=FW_TOL)
 
     for name, fn in (("shearer", cmd_shearer), ("holder", cmd_holder),
                      ("lw", cmd_lw)):
@@ -528,9 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("geo-shearer", cmd_geo_shearer,
             help="entropy audit over a configuration")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
+    config_inputs(p)
     p.add_argument("--mode", choices=("random", "optimal"), default="random")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -568,9 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="enables the per-joint LW-step check")
 
     p = add("handicap-run", cmd_handicap_run, help="balance handicaps, emit certificate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
+    config_inputs(p)
     p.add_argument("--n", type=int, default=24)
     p.add_argument("--delta", type=float)
     p.add_argument("--rounds", type=int, default=200)
@@ -580,24 +556,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("key-audit", cmd_key_audit, help="audit a balance certificate")
     p.add_argument("--certificate", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
+    config_inputs(p)
     p.add_argument("--cond1-factor", type=float, default=0.8)
     p.add_argument("--cond2-tol", type=float, default=0.1)
 
     p = add("verify-simple-bound", cmd_verify_simple_bound,
             help="joint count vs the covering-constant bound")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
+    config_inputs(p)
 
     p = add("verify-mult-bound", cmd_verify_mult_bound,
             help="multiplicity sum vs the covering-constant bound")
-    p.add_argument("--config", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    config_inputs(p)
+    p.add_argument("--tol", type=float, default=FW_TOL)
 
     p = add("suite", cmd_suite, help="run the full acceptance battery")
     p.add_argument("--fast", action="store_true",

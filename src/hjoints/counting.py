@@ -69,8 +69,7 @@ def count_assembled_exponents(h: Hypergraph, recorded, degrees, n: int
 def count_point_exponents(ls: LedgerSet, rank: int) -> int:
     """|G_p|, the admissible exponents of one joint, counted by
     count_assembled_exponents from its chosen-tuple ledgers."""
-    ledgers = [ls.ledgers[ls.flat_by_edge[(rank, i)]]
-               for i in range(len(ls.h.edges))]
+    ledgers = [ls.ledgers[fl] for fl in ls.chosen[rank].flats]
     return count_assembled_exponents(
         ls.h, lambda i: ledgers[i].exponents[rank],
         lambda i: ledgers[i].degree_counts(rank), ls.n)
@@ -143,8 +142,8 @@ def lw_step_worst(ls: LedgerSet, w: WeightFunction) -> tuple[float, bool]:
     edge exponents are made once for the set."""
     edges = _edge_exponents(ls.h, w)
     steps = [_lw_step(ls.h.d, edges, count_point_exponents(ls, rank),
-                      [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-                       for i in range(len(ls.h.edges))], ls.n)
+                      [ls.ledgers[fl].counts[rank]
+                       for fl in ls.chosen[rank].flats], ls.n)
              for rank in range(len(ls.rank_order))]
     return (min([slack for slack, _ in steps], default=math.inf),
             all(holds for _, holds in steps))

@@ -270,6 +270,14 @@ def lovasz_bound(n: int, d: int) -> tuple[float, float]:
     return mid, binom_real(mid, d)
 
 
+def lovasz_holds(n: int, d: int, count: int) -> bool:
+    """count <= C(x, d) for the real x >= d-1 with C(x, d-1) = n, decided
+    exactly: C(x, d) = n(x - d + 1)/d and C(., d-1) increases from d - 1
+    on, so for n > 0 it holds iff C(d - 1 + count*d/n, d - 1) <= n."""
+    return (binom_real(d - 1 + Fraction(count * d, n), d - 1) <= n if n
+            else count <= 0)
+
+
 def cone_pattern(d: int, t: int) -> Hypergraph:
     """The (d+t-1)-uniform pattern on d+t vertices with edges [d+t]-{i}, i<=d."""
     verts = range(1, d + t + 1)
@@ -290,19 +298,15 @@ def partial_shadow_check(host: SimpleHypergraph, d: int, t: int
                          ) -> ShadowReport:
     """count(host contains cone pattern) vs the Lovasz bound C(x,d), C(x,d-1)=n.
 
-    The verdict is exact: C(x, d) = n(x - d + 1)/d, and C(., d-1) increases
-    from d - 1 on, so count <= C(x, d) iff C(d - 1 + count*d/n, d - 1) <= n,
-    decided in Fraction (a host with no edges is not uniform, so n > 0). x
-    and bound are lovasz_bound's floats."""
+    The verdict is lovasz_holds's, exact; x and bound are lovasz_bound's
+    floats."""
     sizes = host.edge_sizes()
     if sizes != {d + t - 1}:
         raise UniformityMismatch(d + t - 1, sizes)
     n = host.n_edges
     x, bound = lovasz_bound(n, d)
     count = count_inducing_sets(host, cone_pattern(d, t))
-    return ShadowReport(
-        n, count, x, bound,
-        binom_real(d - 1 + Fraction(count * d, n), d - 1) <= n)
+    return ShadowReport(n, count, x, bound, lovasz_holds(n, d, count))
 
 
 # ---------------------------------------------------------------------------

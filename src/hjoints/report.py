@@ -17,6 +17,13 @@ FAIL = "FAIL"
 INFO = "INFO"
 UNCONVERGED = "UNCONVERGED"
 
+GUARD = 1e-9  # the float guard on an inequality slack decided in floats
+
+
+def guard_status(slack: float) -> str:
+    """PASS iff a float slack is at least -GUARD; FAIL otherwise, NaN too."""
+    return PASS if slack >= -GUARD else FAIL
+
 
 @dataclass
 class CheckRecord:
@@ -38,7 +45,7 @@ class CheckRecord:
         return out
 
 
-def record_bound(name: str, lhs, rhs, *, tol: float = 1e-9,
+def record_bound(name: str, lhs, rhs, *, tol: float = GUARD,
                  note: str = "") -> CheckRecord:
     """slack = rhs - lhs; FAIL iff slack < -tol."""
     slack = rhs - lhs

@@ -3,7 +3,9 @@
 
 All files are JSON with sorted keys and a trailing newline so fixtures diff
 cleanly; scalars are exact ("p/q" strings over the rationals, plain ints
-over a prime field). The field is recorded in every geometric file.
+over a prime field). The field is recorded in every geometric file. A
+certificate is written by certificate_to_dict and read back, against the
+configuration it certifies, by load_certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 
 from .configs import JointsConfiguration
 from .extremal import SimpleHypergraph
-from .fields import QQ
+from .fields import QQ, as_int, field_from_key
+from .geometry import Flat
 from .hypergraph import Hypergraph, WeightFunction
 
 
@@ -83,3 +86,26 @@ def certificate_to_dict(h, result) -> dict:
                   result.b.items(), key=lambda kv: (kv[0][0], flat_index[kv[0][1]]))],
         "trace": result.trace,
     }
+
+
+def load_certificate(path, config) -> tuple[dict, dict]:
+    """A certificate's b, keyed by (rank, canonical Flat), and W, keyed by
+    rank, for the configuration it certifies; ValueError where its field
+    or d differs or b names a point or flat outside the configuration."""
+    cert = load_json(path)
+    field, d = field_from_key(cert["field"]), as_int(cert["d"])
+    if (field, d) != (config.field, config.d):
+        raise ValueError(f"certificate over {field} in d={d}, configuration "
+                         f"over {config.field} in d={config.d}")
+    flats = [Flat.from_dict(field, d, fd) for fd in cert["flats"]]
+    b = {}
+    for entry in cert["b"]:
+        for key, size in (("point", len(config.points)), ("flat", len(flats))):
+            if not isinstance(entry[key], int) or not 0 <= entry[key] < size:
+                raise ValueError(f"certificate {key} {entry[key]!r} is not in "
+                                 f"0..{size - 1}")
+        b[entry["point"], flats[entry["flat"]]] = parse_fraction(entry["value"])
+    held = {fl for cls in config.classes for fl in cls}
+    if any(fl not in held for _, fl in b):
+        raise ValueError("certificate b names a flat in no configuration class")
+    return b, {r: float(v) for r, v in enumerate(cert["W"])}

@@ -568,7 +568,6 @@ class LedgerSet:
     rank_order: tuple[int, ...]      # config point index per rank
     chosen: dict                     # rank -> geometry.WitnessTuple
     ledgers: dict                    # canonical Flat -> FlatLedger
-    flat_by_edge: dict               # (rank, edge index) -> canonical Flat
     context: tuple
 
     def count(self, rank: int, flat) -> int:
@@ -584,12 +583,11 @@ def preassigned_order(config) -> tuple[int, ...]:
 class _LedgerPlan:
     """The part of a ledger set that depends on neither alpha nor n: the
     joints' rank order and per rank its witness tuples, the first of which
-    is its chosen tuple; the flat of every (joint, edge), read off the
-    chosen tuples; per flat carrying a joint the ranks of its joints and, on
-    a flat of dimension >= 2, its _Frame, which holds the joints' charts
-    with their pullback tables cached on them per n; plus a memo of every
-    flat's ledger counts and pivots keyed on (flat, n, alpha of its joints
-    minus their minimum, unpacked). A line's ledger reads its joints' ranks alone,
+    is its chosen tuple; per flat carrying a joint the ranks of its joints
+    and, on a flat of dimension >= 2, its _Frame, which holds the joints'
+    charts with their pullback tables cached on them per n; plus a memo of
+    every flat's ledger counts and pivots keyed on (flat, n, alpha of its
+    joints minus their minimum, unpacked). A line's ledger reads its joints' ranks alone,
     so no chart is made on a line. The configuration is passed to each
     call, not kept."""
 
@@ -608,8 +606,6 @@ class _LedgerPlan:
             incidence = config.incidence(config.points[idx])
             for fl in dict.fromkeys(fl for cls in incidence for _, fl in cls):
                 ranks_on[fl].append(rank)
-        self.flat_by_edge = {(rank, i): fl for rank, wt in self.chosen.items()
-                             for i, fl in enumerate(wt.flats)}
         self.flats = [  # (flat, joint ranks, _Frame or None on a line)
             (fl, ranks, _Frame(fl, self._joint_charts(config, fl, ranks))
              if fl.dim > 1 else None)
@@ -655,7 +651,7 @@ class _LedgerPlan:
             ledgers[fl] = FlatLedger(fl, n, dict(zip(ranks, hit[0])), hit[1],
                                      context)
         return LedgerSet(self.h, config, n, alpha, self.order, self.chosen,
-                         ledgers, self.flat_by_edge, context)
+                         ledgers, context)
 
 
 def _ledger_plan(h: Hypergraph, config) -> _LedgerPlan:
@@ -754,6 +750,18 @@ def _score_ranks(ls: LedgerSet, slots, W, ranks) -> dict:
     return out
 
 
+def _target_weights(W, nj: int) -> dict:
+    """W as rank -> float, or ValueError unless it holds one finite,
+    positive entry per point."""
+    if len(W) != nj:
+        raise ValueError(f"W has {len(W)} entries for {nj} points")
+    W = {rank: float(W[rank]) for rank in range(nj)}
+    for v in W.values():
+        if not 0 < v < math.inf:  # NaN too
+            raise ValueError(f"W value {v} is not finite and positive")
+    return W
+
+
 def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
                        W=None, n: int = 24, delta: float | None = None,
                        max_rounds: int = 200) -> HandicapResult:
@@ -776,15 +784,8 @@ def handicap_iteration(h: Hypergraph, w: WeightFunction, config, *,
     if not used_flat_connectivity(h, config):
         raise NotConnected("configuration is not connected through used flats")
     nj = len(config.points)
-    if W is None:
-        W = {rank: 1.0 / (nj * math.factorial(h.d)) for rank in range(nj)}
-    elif len(W) != nj:
-        raise ValueError(f"W has {len(W)} entries for {nj} points")
-    else:
-        W = {rank: float(W[rank]) for rank in range(nj)}
-    for v in W.values():
-        if not 0 < v < math.inf:  # NaN too
-            raise ValueError(f"W value {v} is not finite and positive")
+    W = (_target_weights(W, nj) if W is not None else
+         {rank: 1.0 / (nj * math.factorial(h.d)) for rank in range(nj)})
     sigma = [float(we) / float(w.total - 1) for we in w.weights]
     plan = _ledger_plan(h, config)
     slots = _tuple_slots(plan, sigma)
@@ -852,8 +853,9 @@ class AuditReport:
 def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
                          cond1_factor: float = 0.8, cond2_tol: float = 0.1
                          ) -> AuditReport:
-    """Check a certificate (b values keyed by (rank, flat), target weights W)
-    against both sides of the target inequality.
+    """Check a certificate (rational b values keyed by (rank, flat), target
+    weights W, checked as handicap_iteration checks its W) against both
+    sides of the target inequality.
 
     Condition (1), product >= factor * W(p) for every witness tuple with
     product = (prod_i b_i^w_i)^(1/(|w| - 1)), is decided exactly as the sign
@@ -861,6 +863,13 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
     Fraction b and the exact binary values of the floats, once per joint
     and distinct multiset of (b_i, exponent) over its tuples; the float
     products, one per tuple, only feed the reported slacks."""
+    # a factor <= 0 passes condition (1) and an infinite tolerance
+    # condition (2) on any certificate; NaN fails condition (2) on any
+    if not (0 < cond1_factor < math.inf and math.isfinite(cond2_tol)):
+        raise ValueError(f"cond1_factor = {cond1_factor}, cond2_tol = "
+                         f"{cond2_tol}: need a finite factor > 0 and a "
+                         "finite tolerance")
+    W = _target_weights(W, len(config.points))
     exponent = 1.0 / float(w.total - 1)
     root = 1 / (w.total - 1)
     exps = [we * root for we in w.weights]  # of b_i in log2(product)
@@ -902,14 +911,15 @@ def key_inequality_audit(h: Hypergraph, w: WeightFunction, config, b, W, *,
                 cond1_pass = signs[key]
         wprime[rank] = best / W[rank]
     by_flat: dict = {}
-    for (rank, fl), val in b.items():
-        by_flat.setdefault(fl, []).append(Fraction(val))
+    for key in b:
+        by_flat.setdefault(key[1], []).append(key)
     cond2_worst = -math.inf
     cond2_pass = True
-    for fl, vals in by_flat.items():
-        cond2_worst = max(cond2_worst, math.fsum(map(float, vals))
-                          - 1.0 / math.factorial(fl.dim))
-        excess = sum(vals) - Fraction(1, math.factorial(fl.dim))
+    for fl, keys in by_flat.items():
+        cap = math.factorial(fl.dim)
+        cond2_worst = max(cond2_worst,
+                          math.fsum(cells[key][0] for key in keys) - 1.0 / cap)
+        excess = sum(b[key] for key in keys) - Fraction(1, cap)
         cond2_pass = cond2_pass and excess <= cond2_tol  # exact vs a float
     spread = max(wprime.values()) - min(wprime.values())
     lam = math.fsum(wprime.values()) / len(wprime)

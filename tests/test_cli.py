@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import hjoints
 from hjoints import (GF, QQ, Flat, Hypergraph, JointsConfiguration,
                      SimpleHypergraph, WeightFunction, acceptance,
-                     covering_constant, generic_hyperplanes,
-                     generically_induced)
+                     covering_constant, extremal, generic_hyperplanes,
+                     generically_induced, report)
 from hjoints.cli import main
+from hjoints.report import CheckRecord
 from hjoints.serialize import certificate_to_dict, load_json, save_json
 from hjoints.vanishing import handicap_iteration
 
@@ -366,6 +367,77 @@ def test_suite_fast(capsys, tmp_path):
         "39af741c94a88b80b7d21df24ef08916543c0f6f9685ae6da9621021b00467db"
 
 
+def test_suite_full(capsys, tmp_path):
+    # the full battery's records, pinned as test_suite_fast pins --fast
+    code, out = run(capsys, "suite", "--json", tmp_path / "r.json")
+    assert code == 0 and "FAIL" not in out
+    records = json.dumps(load_json(tmp_path / "r.json")["records"],
+                         sort_keys=True)
+    assert hashlib.sha256(records.encode()).hexdigest() == \
+        "a207fcb41f005ab9ca275d1852655e52b1d4d5bcb9da8d927a7684fa6007a6c0"
+
+
+# Each rule a command and the battery share, with the battery criterion
+# that applies it, the command's record and the criterion's record, and a
+# body that turns the rule against every input. Swapping the body of the
+# one definition must move both records.
+SHARED_RULES = {
+    "float-guard": (report.guard_status, lambda slack: "FAIL",
+                    ["shearer", "--spec", "shearer.json"], "shearer",
+                    acceptance.criterion_entropy_inequalities,
+                    "entropy-shearer-random", "FAIL"),
+    "holder-guard": (acceptance.holder_slack, lambda slack, rhs: -1.0,
+                     ["holder", "--spec", "holder.json"], "holder",
+                     acceptance.criterion_entropy_inequalities,
+                     "entropy-holder-random", "FAIL"),
+    "handicap-termination": (
+        acceptance.termination_record,
+        lambda name, res, note: CheckRecord(name, "UNCONVERGED"),
+        ["handicap-run", "--n", "4"], "handicap-termination",
+        acceptance.criterion_handicap_audit, "handicap-n24-terminates",
+        "UNCONVERGED"),
+    "fw-gap": (acceptance.gap_status, lambda results: "UNCONVERGED",
+               ["verify-mult-bound"], "solver-convergence",
+               acceptance.criterion_multiplicity, "mult-gap-m4",
+               "UNCONVERGED"),
+    "lovasz-bound": (extremal.lovasz_holds, lambda n, d, count: False,
+                     ["kk", "--n", "10", "--d", "3"], "colex-count-vs-bound",
+                     acceptance.criterion_shadow, "shadow-t0-exhaustive",
+                     "FAIL"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SHARED_RULES))
+def test_a_shared_rule_moves_the_command_and_the_battery(
+        workdir, capsys, monkeypatch, rule):
+    fn, body, argv, cli_name, criterion, suite_name, moved = \
+        SHARED_RULES[rule]
+    for name, spec in SPECS.items():
+        save_json(workdir / f"{name}.json", spec)
+    run(capsys, "build-config", "--kind", "generic", "--host",
+        workdir / "k4.hg", "--pattern", workdir / "k3.hg",
+        "-o", workdir / "g.cfg")
+    if argv[0] in ("handicap-run", "verify-mult-bound"):
+        argv = [*argv, "--config", "g.cfg", "--pattern", "k3.hg",
+                "--weights", "half.w"]
+    argv = [workdir / a if a.endswith((".json", ".cfg", ".hg", ".w"))
+            else a for a in argv]
+
+    def statuses():
+        run(capsys, *argv, "--json", workdir / "r.json")
+        cli = {r["name"]: r["status"]
+               for r in load_json(workdir / "r.json")["records"]}
+        suite = {r.name: r.status for r in criterion(fast=True)}
+        return cli.get(cli_name), suite.get(suite_name)
+
+    kept = statuses()
+    assert moved not in kept
+    # the body is swapped on the function object, so every module that
+    # imported the rule by name runs the swapped body
+    monkeypatch.setattr(fn, "__code__", body.__code__)
+    assert statuses() == (moved, moved)
+
+
 def test_bound_commands_pass_on_an_empty_class(capsys, tmp_path):
     # an all-zero function leaves colour 2 without flats: no points, and a
     # bound of 0 since wbar_2 = 1 > 0
@@ -530,10 +602,10 @@ def test_out_of_range_tolerances_exit_two(workdir, capsys, argv, named):
 
 
 @pytest.mark.parametrize("flag,value,named", [
-    ("--cond1-factor", "-1", "--cond1-factor -1.0"),
-    ("--cond1-factor", "inf", "--cond1-factor inf"),
-    ("--cond2-tol", "inf", "--cond2-tol inf"),
-    ("--cond2-tol", "nan", "--cond2-tol nan"),
+    ("--cond1-factor", "-1", "cond1_factor = -1.0, cond2_tol = 0.1"),
+    ("--cond1-factor", "inf", "cond1_factor = inf, cond2_tol = 0.1"),
+    ("--cond2-tol", "inf", "cond1_factor = 0.8, cond2_tol = inf"),
+    ("--cond2-tol", "nan", "cond1_factor = 0.8, cond2_tol = nan"),
 ], ids=["cond1-factor-minus-1", "cond1-factor-inf", "cond2-tol-inf",
         "cond2-tol-nan"])
 def test_vacuous_audit_options_exit_two(workdir, capsys, tmp_path, flag,
@@ -625,19 +697,47 @@ def test_non_integral_scalars_exit_two(workdir, capsys, tmp_path, site):
     ("holder", ("functions", 0, "1"), "nan", "finite and nonnegative"),
     ("holder", ("functions", 1), "drop", "one function per subset"),
     ("lw", ("points", 0, 1), "drop", "length d=2"),
+    ("holder", ("functions", 0), {"0": 1, "1": 1, "5": 100},
+     "function key (5,) for subset (1,)"),
+    ("holder", ("functions", 0), {"0,1": 3, "1": 1},
+     "function key (0, 1) for subset (1,)"),
+    ("holder", ("functions", 0), {"0": 1, " 0": 50, "1": 1},
+     "two keys name one tuple"),
 ], ids=["shearer-d", "holder-s", "lw-d", "subset", "keyed-tuple",
         "subset-range", "joint-sum", "joint-type", "holder-nan",
-        "holder-missing-function", "lw-short-point"])
+        "holder-missing-function", "lw-short-point", "holder-key-range",
+        "holder-key-arity", "holder-key-twice"])
 def test_malformed_spec_exits_two(capsys, tmp_path, command, path, value,
                                   message):
     # int() truncated the first four and the inequality ran as PASS; the
-    # unnormalised joint and the nan value ran as FAIL (exit 1)
+    # unnormalised joint and the nan value ran as FAIL (exit 1); a key
+    # outside 0..s-1 or of another length than its subset ran as PASS with
+    # rhs inflated to 408, and of two keys naming one tuple the last was
+    # kept
     spec = _mutate(copy.deepcopy(SPECS[command]), path, value)
     save_json(tmp_path / "spec.json", spec)
     code = main([command, "--spec", str(tmp_path / "spec.json")])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("subsets, functions", [(3, 2), (2, 3)],
+                         ids=["functions-short", "functions-long"])
+def test_axis_spec_needs_one_function_per_subset(capsys, tmp_path, subsets,
+                                                 functions):
+    # 3 subsets with 2 functions wrote a configuration of 2 classes, and a
+    # third function for 2 subsets was dropped; both exited 0
+    save_json(tmp_path / "axis.json",
+              {"d": 3, "s": 2, "subsets": [[1], [2], [3]][:subsets],
+               "functions": [{"0": 1, "1": 1}] * functions})
+    cfg_path = tmp_path / "axis.cfg"
+    code = main([str(a) for a in ["build-config", "--kind", "axis",
+                                  "--axis-spec", tmp_path / "axis.json",
+                                  "-o", cfg_path]])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not cfg_path.exists()
+    assert err == "error: need one function per subset\n"
 
 
 @pytest.mark.parametrize("key, value", [("flat", 999), ("flat", -1),
@@ -675,7 +775,7 @@ def test_key_audit_rejects_a_zero_target_weight(workdir, capsys, tmp_path):
                                   *inputs]])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "positive and finite" in err
+    assert err == "error: ValueError: W value 0.0 is not finite and positive\n"
 
 
 
@@ -698,8 +798,7 @@ def test_key_audit_rejects_a_W_of_the_wrong_length(workdir, capsys, tmp_path,
                                   *inputs]])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert (f"certificate W has {4 + extra} entries but the configuration "
-            "has 4 points") in err
+    assert err == f"error: ValueError: W has {4 + extra} entries for 4 points\n"
 
 
 @pytest.mark.parametrize("case, named", [

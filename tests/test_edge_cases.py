@@ -159,8 +159,7 @@ def test_chained_finite_n_inequality():
         total = 0.0
         for rank in range(len(cfg.points)):
             prod = 1.0
-            for i in range(3):
-                fl = ls.flat_by_edge[(rank, i)]
+            for i, fl in enumerate(ls.chosen[rank].flats):
                 prod *= (ls.ledgers[fl].counts[rank] / (n + 1) ** fl.dim) \
                     ** sigma[i]
             total += prod

@@ -741,10 +741,16 @@ def _uncached_tuples(h, point, cfg, seed):
 def _check_against_uncached_loop(h, cfg, points, data):
     # the depth-first walk prunes partial assignments that cannot span;
     # witnesses, rng draws included, must equal the per-assignment loop's,
-    # and witness_check must equal the oracle on one assignment
+    # and witness_check must equal the oracle on one assignment. Walks just
+    # before, at drawn points (the same one too) and seeds, share the
+    # configuration's span memo and must not change what the walk reads
     if not points:
         return
-    point = points[data.draw(st.integers(0, len(points) - 1))]
+    index = st.integers(0, len(points) - 1)
+    for before in data.draw(st.lists(index, min_size=1, max_size=2)):
+        enumerate_witness_tuples(h, points[before], cfg,
+                                 seed=data.draw(st.integers(0, 1 << 16)))
+    point = points[data.draw(index)]
     rng_seed = data.draw(st.integers(0, 1 << 16))
     want = _uncached_tuples(h, point, cfg, rng_seed)
     event(f"tuples={len(want) > 0}")

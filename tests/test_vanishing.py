@@ -344,8 +344,8 @@ def _admissible(ls, rank):
     """A joint's admissible exponents G_p, listed by filtering against the
     exponent sets of its chosen-tuple ledgers."""
     return _filtered_exponents(
-        ls.h, [ls.ledgers[ls.flat_by_edge[(rank, i)]].exponents[rank]
-               for i in range(len(ls.h.edges))], ls.n)
+        ls.h, [ls.ledgers[fl].exponents[rank]
+               for fl in ls.chosen[rank].flats], ls.n)
 
 
 @st.composite
@@ -440,8 +440,8 @@ def test_lw_step_on_engine_runs():
         for rank in range(len(cfg.points)):
             g_p = len(_admissible(ls, rank))
             assert count_point_exponents(ls, rank) == g_p
-            g_e = [ls.ledgers[ls.flat_by_edge[(rank, i)]].counts[rank]
-                   for i in range(3)]
+            g_e = [ls.ledgers[fl].counts[rank]
+                   for fl in ls.chosen[rank].flats]
             assert lw_step_check(K3, w, g_p, g_e, n)[1]
 
 
@@ -1010,8 +1010,8 @@ def test_parameter_count_reads_no_exponent_set(monkeypatch):
     assert tables and reads
     assert (total, need, slack) == (sum(sizes), comb(n + 6, 6),
                                     sum(sizes) - comb(n + 6, 6))
-    steps = [lw_step_check(h, w, g_p, [ls.ledgers[ls.flat_by_edge[(rank, i)]]
-                                       .counts[rank] for i in range(3)], n)
+    steps = [lw_step_check(h, w, g_p, [ls.ledgers[fl].counts[rank]
+                                       for fl in ls.chosen[rank].flats], n)
              for rank, g_p in enumerate(sizes)]
     assert worst == (min(slack for slack, _ in steps),
                      all(holds for _, holds in steps))
@@ -1264,7 +1264,6 @@ def test_memoised_lines_and_rescored_ranks_match_fresh_builds(m, data):
 def _assert_same_ledger_set(ls, ref):
     assert (ls.h, ls.n, ls.alpha, ls.context, ls.rank_order) == \
         (ref.h, ref.n, ref.alpha, ref.context, ref.rank_order)
-    assert ls.flat_by_edge == ref.flat_by_edge
     assert ls.chosen == ref.chosen
     assert ls.ledgers.keys() == ref.ledgers.keys()
     for fl, ledger in ls.ledgers.items():
