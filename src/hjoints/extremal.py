@@ -14,9 +14,15 @@ vertices maps every pattern edge to a host edge inside A.
 search_M looks for edge-count-constrained hosts maximizing the count:
 exhaustive mode scores every n-subset of the edge pool, local mode runs
 first-improvement remove-one/add-one hill climbing from a colex start with
-seeded random restarts. Within one call, containment verdicts are memoised
-per d-set of vertices, so find_embedding runs once per distinct induced
-sub-host rather than once per host (see search_M).
+seeded random restarts. Within one call it does each piece of work once:
+(a) one containment verdict per relabelled sub-host, keyed on its edges,
+behind per-d-set memos keyed on the host's pool bits inside the set;
+(b) in local mode, one count per host and one scan per host, kept as the
+trials it made and the host it moved to, which a later restart reaching
+that host adds and jumps past; (c) in exhaustive mode, a depth-first walk
+of the pool in combination order, adding a d-set's verdict once its
+highest pool edge is decided, so hosts that share a prefix share its sum,
+and skipping d-sets left with fewer host edges than the pattern has.
 """
 
 from __future__ import annotations
@@ -329,19 +335,23 @@ def search_M(h, n: int, vertex_budget: int, mode: str = "exhaustive", *,
 
     Host edges range over all subsets of 1..vertex_budget whose sizes occur
     in the pattern; pool edge i is bit i of a host. A host's count is
-    count_inducing_sets(host, h), read per d-set A from a memo keyed by
-    host & within_A, the bits of the pool edges inside A. Every host edge
-    is a pool edge, so that key fixes host.restrict(A), and find_embedding
-    runs once per distinct restriction; the memos live only in this call.
+    count_inducing_sets(host, h), summed over slots, one per d-set A: each
+    reads its verdict from a memo keyed by host & within_A, the bits of the
+    pool edges inside A. Every host edge is a pool edge, so that key fixes
+    host.restrict(A); a miss looks its edges up in one memo of the call, so
+    find_embedding runs once per distinct relabelled sub-host.
 
-    Exhaustive mode scores every n-subset of the pool and certifies the
-    optimum within the budget. It does not dedup isomorphic hosts: a copy of
-    an earlier host has the same count, so under the strict > it never
-    displaces best_host, the first best host in combination order.
+    Exhaustive mode refuses more than work_limit hosts before scoring any,
+    then certifies the optimum within the budget. It does not dedup
+    isomorphic hosts: a copy of an earlier host has the same count, so
+    under the strict > it never displaces best_host, the first best host in
+    combination order.
     """
     exhaustive = mode == "exhaustive"
     if not exhaustive and mode != "local":
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 0:
+        raise ValueError(f"need n >= 0 edges, got {n}")
     verts = range(1, vertex_budget + 1)
     pool = sorted((_mask(c) for k in {len(e) for e in _pattern_edge_sets(h)}
                    for c in itertools.combinations(verts, k)),
@@ -350,59 +360,110 @@ def search_M(h, n: int, vertex_budget: int, mode: str = "exhaustive", *,
         raise SizeMismatch(f"cannot place {n} edges; pool has {len(pool)}")
     bits = [1 << i for i in range(len(pool))]
     need = len(_pattern_edge_sets(h))
-    slots = [(A, sum(b for b, e in zip(bits, pool) if e & _mask(A) == e), {})
-             for A in itertools.combinations(verts, h.d)]
+    verdicts: dict[tuple[int, ...], bool] = {}  # per relabelled sub-host
 
-    def edges_of(host: int) -> tuple[int, ...]:
-        return tuple(e for b, e in zip(bits, pool) if host & b)
+    def slot(A):
+        # within_A; its pool bits, each with its edge relabelled onto 1..d
+        # as restrict(A) relabels it; and the memo
+        inside = [(b, _mask(A.index(v) + 1 for v in _unmask(e)))
+                  for b, e in zip(bits, pool) if e & _mask(A) == e]
+        return sum(b for b, _ in inside), inside, {}
 
-    def count_of(host: int) -> int:
+    slots = [slot(A) for A in itertools.combinations(verts, h.d)]
+
+    def count_of(host: int, slots) -> int:
         total = 0
-        for A, within, memo in slots:
+        for within, inside, memo in slots:
             key = host & within
             found = memo.get(key)
             if found is None:
-                sub = SimpleHypergraph(vertex_budget, edges_of(key)).restrict(A)
-                found = memo[key] = (sub.n_edges >= need
-                                     and find_embedding(sub, h) is not None)
+                edges = tuple(sorted(e for b, e in inside if key & b))
+                found = verdicts.get(edges)
+                if found is None:
+                    found = verdicts[edges] = (
+                        len(edges) >= need and find_embedding(
+                            SimpleHypergraph(h.d, edges), h) is not None)
+                memo[key] = found
             total += found
         return total
 
     best, best_host = -1, 0
     if exhaustive:
-        for examined, combo in enumerate(itertools.combinations(bits, n), 1):
-            if examined > work_limit:
-                raise WorkLimitExceeded(work_limit)
-            host = sum(combo)
-            c = count_of(host)
-            if c > best:
-                best, best_host = c, host
+        examined = comb(len(pool), n)
+        if examined > work_limit:
+            raise WorkLimitExceeded(work_limit)
+        # depth first over the pool, taking edge i before leaving it out, so
+        # hosts come in combination order; a slot's verdict joins the sum
+        # once its highest pool edge is decided
+        slots.sort(key=lambda s: s[0].bit_length())
+        cut = [sum(s[0].bit_length() <= i for s in slots)
+               for i in range(len(pool) + 1)]
+
+        def able(group, i):
+            # a slot with fewer than need host edges counts 0: the slots of
+            # group that can count with every edge from i on left out
+            return [s for s in group
+                    if (s[0] & ((1 << i) - 1)).bit_count() >= need]
+
+        tail = [able(slots[cut[i]:], i) for i in range(len(pool) + 1)]
+        left = [able(slots[cut[i]:cut[i + 1]], i) for i in range(len(pool))]
+        # per entry: edges below i decided, the host so far, edges left to
+        # place, and the verdicts of the slots decided by then
+        stack = [(0, 0, n, count_of(0, slots[:cut[0]]))]
+        while stack:
+            i, host, k, partial = stack.pop()
+            if k == 0 or k == len(pool) - i:  # the rest is forced
+                if k:
+                    host |= (1 << len(pool)) - bits[i]
+                c = partial + count_of(host, slots[cut[i]:] if k else tail[i])
+                if c > best:
+                    best, best_host = c, host
+                continue
+            stack.append((i + 1, host, k, partial + count_of(host, left[i])))
+            host |= bits[i]
+            stack.append((i + 1, host, k - 1, partial + count_of(
+                host, slots[cut[i]:cut[i + 1]])))
     else:
         if restarts < 1:
             raise ValueError(f"need restarts >= 1, got {restarts}")
         # edges leave in increasing mask order and enter in pool order
         leave_order = [bits[i] for i in sorted(range(len(pool)),
                                                key=pool.__getitem__)]
+        scores: dict[int, int] = {}
+        # per host: the trials its scan makes, and the first improving
+        # trial or None; the scan is fixed by the host, so it runs once
+        steps: dict[int, tuple[int, int | None]] = {}
+
+        def score_of(host: int) -> int:
+            if host not in scores:
+                scores[host] = count_of(host, slots)
+            return scores[host]
+
         rng = random.Random(seed)
         examined = 0
         for restart in range(restarts):
             # sampling positions draws exactly as sampling the pool itself
             start = range(n) if restart == 0 else rng.sample(range(len(pool)), n)
             current = sum(bits[i] for i in start)
-            score = count_of(current)
             examined += 1
             while True:
-                for trial in ((current ^ o) | i for o in leave_order
-                              if current & o for i in bits if not current & i):
-                    examined += 1
-                    s = count_of(trial)
-                    if s > score:
-                        current, score = trial, s
-                        break
-                else:
+                if current not in steps:
+                    score, trials, nxt = score_of(current), 0, None
+                    for trial in ((current ^ o) | i for o in leave_order
+                                  if current & o for i in bits
+                                  if not current & i):
+                        trials += 1
+                        if score_of(trial) > score:
+                            nxt = trial
+                            break
+                    steps[current] = trials, nxt
+                trials, nxt = steps[current]
+                examined += trials
+                if nxt is None:
                     break
-            if score > best:
-                best, best_host = score, current
-    return SearchResult(best, SimpleHypergraph(vertex_budget,
-                                               edges_of(best_host)),
-                        exhaustive, examined, seed=None if exhaustive else seed)
+                current = nxt
+            if scores[current] > best:
+                best, best_host = scores[current], current
+    return SearchResult(best, SimpleHypergraph(vertex_budget, tuple(
+        e for b, e in zip(bits, pool) if best_host & b)),
+        exhaustive, examined, seed=None if exhaustive else seed)

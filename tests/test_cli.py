@@ -204,6 +204,14 @@ def test_mcount_and_search_cli(workdir, capsys):
     assert first_json(out)["best_count"] == 2
 
 
+@pytest.mark.parametrize("mode", ["local", "exhaustive"])
+def test_search_cli_rejects_a_negative_n(workdir, capsys, mode):
+    code = main(["search-m", "--pattern", str(workdir / "k3.hg"), "--n", "-2",
+                 "--budget", "5", "--mode", mode, "--restarts", "1"])
+    assert code == 2
+    assert "n >= 0" in capsys.readouterr().err
+
+
 def test_vanishing_handicap_audit_pipeline(workdir, capsys, tmp_path):
     cfg_path = tmp_path / "g.cfg"
     run(capsys, "build-config", "--kind", "generic",

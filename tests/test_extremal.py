@@ -11,7 +11,7 @@ from hjoints import (Hypergraph, SimpleHypergraph, colex_sets, cone_pattern,
                      count_inducing_sets, inducing_sets, kruskal_katona_count,
                      lovasz_bound, partial_shadow_check, search_M)
 from hjoints import extremal
-from hjoints.errors import SizeMismatch, UniformityMismatch
+from hjoints.errors import SizeMismatch, UniformityMismatch, WorkLimitExceeded
 from hjoints.extremal import binom_real, colex_key, find_embedding
 
 K3 = Hypergraph(3, ((1, 2), (1, 3), (2, 3)), (1, 1, 1))
@@ -279,17 +279,21 @@ def oracle_search(h, n, budget, mode, *, seed=0, restarts=200):
     return best, SimpleHypergraph(budget, tuple(best_host)), False, examined
 
 
-@st.composite
-def search_cases(draw):
+def _draw_pattern(draw):
     d = draw(st.integers(2, 5))
     subsets = [c for k in range(1, d)
                for c in itertools.combinations(range(1, d + 1), k)]
     edges = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=5))
     # a repeated edge takes the next colour, so colours hold no duplicates
     colors = [edges[:i].count(e) + 1 for i, e in enumerate(edges)]
-    h = Hypergraph(d, tuple(edges), tuple(colors))
+    return Hypergraph(d, tuple(edges), tuple(colors))
+
+
+@st.composite
+def search_cases(draw):
+    h = _draw_pattern(draw)
     budget = draw(st.integers(4, 6))
-    pool = sum(comb(budget, k) for k in {len(e) for e in edges})
+    pool = sum(comb(budget, k) for k in {len(e) for e in h.edges})
     mode = draw(st.sampled_from(["exhaustive", "local"]))
     if mode == "exhaustive":
         n = draw(st.sampled_from([k for k in range(pool + 1)
@@ -331,3 +335,66 @@ def test_search_certifies_kruskal_katona_at_budget_7():
 def test_search_local_needs_a_restart():
     with pytest.raises(ValueError):
         search_M(K3, 4, 5, mode="local", restarts=0)
+
+
+@pytest.mark.parametrize("mode", ["local", "exhaustive"])
+def test_search_rejects_a_negative_n(mode):
+    with pytest.raises(ValueError, match="n >= 0"):
+        search_M(K3, -1, 5, mode=mode, restarts=1)
+
+
+def _recording_find_embedding(monkeypatch):
+    """Patch extremal.find_embedding to log each host's edges it is given."""
+    seen = []
+
+    def recording(host, h):
+        seen.append(host.edges)
+        return find_embedding(host, h)
+
+    monkeypatch.setattr(extremal, "find_embedding", recording)
+    return seen
+
+
+def test_search_refuses_an_over_limit_search_before_scoring(monkeypatch):
+    seen = _recording_find_embedding(monkeypatch)
+    # 35 triples on 7 vertices: C(35, 7) = 6,724,520 hosts
+    with pytest.raises(WorkLimitExceeded):
+        search_M(cone_pattern(3, 1), 7, 7)
+    assert seen == []
+    pool = comb(6, 2)
+    res = search_M(K3, 5, 6, work_limit=comb(pool, 5))
+    assert (res.best_count, res.hosts_examined) == (2, comb(pool, 5))
+    with pytest.raises(WorkLimitExceeded):
+        search_M(K3, 5, 6, work_limit=comb(pool, 5) - 1)
+
+
+@pytest.mark.parametrize("h, n, budget, mode", [
+    (cone_pattern(4, 1), 12, 6, "local"),
+    (K3, 8, 7, "exhaustive"),
+])
+def test_search_decides_each_sub_host_once(monkeypatch, h, n, budget, mode):
+    seen = _recording_find_embedding(monkeypatch)
+    search_M(h, n, budget, mode, restarts=40, seed=0)
+    assert seen and len(seen) == len(set(seen))
+
+
+@st.composite
+def revisiting_cases(draw):
+    # many restarts on a small pool, so later climbs reach hosts that
+    # earlier ones already climbed from
+    h = _draw_pattern(draw)
+    budget = draw(st.integers(4, 5))
+    pool = sum(comb(budget, k) for k in {len(e) for e in h.edges})
+    return (h, draw(st.integers(1, min(pool, 5))), budget,
+            draw(st.integers(0, 9)), draw(st.integers(10, 40)))
+
+
+@seed(3001)
+@settings(deadline=None, max_examples=25, database=None)
+@given(case=revisiting_cases())
+def test_search_climb_memo_matches_the_oracle(case):
+    h, n, budget, seed_, restarts = case
+    res = search_M(h, n, budget, "local", seed=seed_, restarts=restarts)
+    assert (res.best_count, res.best_host, res.certified,
+            res.hosts_examined) == oracle_search(
+        h, n, budget, "local", seed=seed_, restarts=restarts)
